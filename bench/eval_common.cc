@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "harness/env.hh"
-#include "harness/service/net/client.hh"
 #include "harness/service/service.hh"
 #include "sim/errors.hh"
 #include "sim/logging.hh"
@@ -80,9 +79,9 @@ levels()
 namespace
 {
 
-/** Drain the campaign through the local durable job service. */
+/** Drain the campaign through the durable job service. */
 CampaignResult
-drainLocally(const service::CampaignManifest &manifest,
+drainEvalQueue(const service::CampaignManifest &manifest,
              const std::string &cache_file)
 {
     const std::string queueDir = evalDir() + "/soefair_eval_queue";
@@ -102,13 +101,6 @@ drainLocally(const service::CampaignManifest &manifest,
     cfg.progress = &std::cerr;
     cfg.slots = env::resolveUnsigned(std::nullopt,
                                      "SOEFAIR_EVAL_JOBS", cfg.slots);
-    // Threaded drain (SOEFAIR_EVAL_THREADS=N): first attempts run
-    // in-process, batched K per flock round; retries fall back to
-    // the fork loop. Output is byte-identical either way.
-    cfg.threads = env::resolveUnsigned(
-        std::nullopt, "SOEFAIR_EVAL_THREADS", cfg.threads);
-    cfg.batch = env::resolveUnsigned(std::nullopt,
-                                     "SOEFAIR_EVAL_BATCH", cfg.batch);
 
     service::SweepService svc(cfg);
     try {
@@ -127,28 +119,6 @@ drainLocally(const service::CampaignManifest &manifest,
               << ", dataset cache: " << cache_file << ")...\n";
     svc.serve();
     return svc.aggregate();
-}
-
-/**
- * Opt-in remote mode (SOEFAIR_GATEWAY=unix:/path or tcp:host:port):
- * submit the campaign to a sweep gateway and stream its cells back.
- * The aggregate is byte-identical to the local drain by contract,
- * so the figure drivers cannot tell the difference.
- */
-CampaignResult
-drainViaGateway(const service::CampaignManifest &manifest,
-                const std::string &server)
-{
-    service::net::ClientConfig cfg;
-    cfg.server = server;
-    cfg.tenant = env::getOr("SOEFAIR_TENANT", "eval");
-    cfg.progress = &std::cerr;
-    service::net::GatewayClient client(cfg);
-    const service::net::SubmitReceipt receipt =
-        client.submit(manifest);
-    std::cerr << "[eval] streaming campaign " << receipt.key
-              << " from " << server << "\n";
-    return client.watch(manifest);
 }
 
 } // namespace
@@ -171,10 +141,7 @@ evaluationData()
         return data;
     }
 
-    const std::string gateway = env::getOr("SOEFAIR_GATEWAY", "");
-    CampaignResult agg = gateway.empty()
-                             ? drainLocally(manifest, cacheFile)
-                             : drainViaGateway(manifest, gateway);
+    CampaignResult agg = drainEvalQueue(manifest, cacheFile);
 
     // Figure drivers index every standard level, so only fully
     // complete pairs are safe to hand them.

@@ -9,9 +9,7 @@
  * $SOEFAIR_EVAL_DIR, default build/) and the others load it. The
  * cache key is the campaign's full configuration fingerprint: any
  * configuration change (scale, machine, levels) invalidates it
- * automatically. Setting SOEFAIR_GATEWAY=unix:/path (or
- * tcp:host:port) reroutes the sweep through a remote sweep gateway
- * instead of draining it locally.
+ * automatically.
  */
 
 #ifndef SOEFAIR_BENCH_EVAL_COMMON_HH
@@ -58,8 +56,7 @@ struct EvalData
  * it, so a second figure driver — or a re-run after a crash — is
  * served from the cache (single-thread baselines included) instead
  * of re-simulating. The text cache is written only once the
- * campaign is complete. With SOEFAIR_GATEWAY set, the campaign is
- * instead submitted to that gateway and its result stream watched.
+ * campaign is complete.
  */
 EvalData evaluationData();
 

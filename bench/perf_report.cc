@@ -13,15 +13,10 @@
  *   --out FILE  output path (default BENCH_perf.json).
  *
  * Raw items/sec values are only comparable on the same machine and
- * build type; the derived ratios are machine-independent and carry
- * the acceptance gates:
- *
- *  - `ff_speedup_miss_heavy` (fast-forward on vs off on the serial
- *    pointer-chase scenario), gated >= 5x;
- *  - `thread_speedup_short_jobs` (in-process thread-pool drain vs
- *    fork-per-job drain of the same short-job sweep campaign, cold
- *    caches, same parallelism), gated >= 3x via
- *    bench_compare.py --min-thread-speedup.
+ * build type; the derived ratio `ff_speedup_miss_heavy` (fast-forward
+ * on vs off on the serial pointer-chase scenario) is
+ * machine-independent and carries the acceptance gate, >= 5x via
+ * bench_compare.py --min-ff-speedup.
  */
 
 #include <unistd.h>
@@ -116,13 +111,11 @@ auditsEnabled()
 /**
  * Drain one short-job sweep campaign (16 jobs, tiny instruction
  * windows: dispatch overhead dominates simulation work) and return
- * jobs completed per second. threads == 0 is the fork-per-job
- * executor with `par` slots; threads == par is the in-process pool.
- * Cold queue + no result cache, so the two modes run identical
- * simulation work and differ only in executor overhead.
+ * jobs completed per second on the fork-per-job executor with `par`
+ * slots. Cold queue + no result cache, so every job is simulated.
  */
 double
-sweepJobsPerSec(unsigned threads, unsigned par)
+sweepJobsPerSec(unsigned par)
 {
     namespace svc = harness::service;
     svc::CampaignManifest m;
@@ -142,8 +135,7 @@ sweepJobsPerSec(unsigned threads, unsigned par)
     m.rc = rc;
 
     const std::string root = "/tmp/soefair_perf_sweep_" +
-                             std::to_string(::getpid()) +
-                             (threads > 0 ? "_thr" : "_fork");
+                             std::to_string(::getpid()) + "_fork";
     std::filesystem::remove_all(root);
     svc::ServiceConfig cfg;
     cfg.queueDir = root;
@@ -151,7 +143,6 @@ sweepJobsPerSec(unsigned threads, unsigned par)
     cfg.deadlineSeconds = 120.0;
     cfg.leaseSeconds = 120.0;
     cfg.slots = par;
-    cfg.threads = threads;
 
     double secs = 0.0;
     unsigned completed = 0;
@@ -171,8 +162,7 @@ sweepJobsPerSec(unsigned threads, unsigned par)
 
 void
 writeReport(std::ostream &os, const std::vector<NamedResult> &results,
-            double ff_speedup, double fork_jps, double thr_jps,
-            double thread_speedup, std::uint64_t items)
+            double ff_speedup, double fork_jps, std::uint64_t items)
 {
     os << "{\n";
     os << "  \"schema\": 1,\n";
@@ -199,20 +189,15 @@ writeReport(std::ostream &os, const std::vector<NamedResult> &results,
            << statistics::statfmt::csv(n.r.skippedFrac)
            << " },\n";
     }
-    // The sweep-executor scenarios count jobs, not instructions;
-    // they still ride the same items_per_sec regression check.
+    // The sweep-executor scenario counts jobs, not instructions; it
+    // still rides the same items_per_sec regression check.
     os << "    { \"name\": \"jobs_per_sec_short_fork\", "
        << "\"items_per_sec\": "
-       << statistics::statfmt::csv(fork_jps) << " },\n";
-    os << "    { \"name\": \"jobs_per_sec_short_threaded\", "
-       << "\"items_per_sec\": "
-       << statistics::statfmt::csv(thr_jps) << " }\n";
+       << statistics::statfmt::csv(fork_jps) << " }\n";
     os << "  ],\n";
     os << "  \"derived\": {\n";
     os << "    \"ff_speedup_miss_heavy\": "
-       << statistics::statfmt::csv(ff_speedup) << ",\n";
-    os << "    \"thread_speedup_short_jobs\": "
-       << statistics::statfmt::csv(thread_speedup) << "\n";
+       << statistics::statfmt::csv(ff_speedup) << "\n";
     os << "  }\n";
     os << "}\n";
 }
@@ -265,17 +250,13 @@ main(int argc, char **argv)
     const double speedup = off.instrsPerSec > 0.0
         ? on.instrsPerSec / off.instrsPerSec : 0.0;
 
-    // Sweep-executor comparison: same campaign, same parallelism,
-    // fork-per-job vs in-process thread pool.
+    // Sweep-executor throughput: one forked slot per CPU (up to 8).
     unsigned par = std::thread::hardware_concurrency();
     if (par < 1)
         par = 1;
     if (par > 8)
         par = 8;
-    const double forkJps = sweepJobsPerSec(0, par);
-    const double thrJps = sweepJobsPerSec(par, par);
-    const double threadSpeedup =
-        forkJps > 0.0 ? thrJps / forkJps : 0.0;
+    const double forkJps = sweepJobsPerSec(par);
 
     std::ofstream out(outPath);
     if (!out) {
@@ -283,8 +264,7 @@ main(int argc, char **argv)
                   << std::endl;
         return 1;
     }
-    writeReport(out, results, speedup, forkJps, thrJps,
-                threadSpeedup, items);
+    writeReport(out, results, speedup, forkJps, items);
 
     for (const NamedResult &n : results) {
         std::cout << n.name << ": "
@@ -293,11 +273,8 @@ main(int argc, char **argv)
                   << std::uint64_t(n.r.skippedFrac * 100.0) << "%)"
                   << std::endl;
     }
-    std::cout << "jobs_per_sec_short: fork "
-              << statistics::statfmt::csv(forkJps) << ", threaded "
-              << statistics::statfmt::csv(thrJps) << " ("
-              << statistics::statfmt::csv(threadSpeedup) << "x)"
-              << std::endl;
+    std::cout << "jobs_per_sec_short_fork: "
+              << statistics::statfmt::csv(forkJps) << std::endl;
     std::cout << "ff_speedup_miss_heavy: "
               << statistics::statfmt::csv(speedup) << "x -> "
               << outPath << std::endl;

@@ -51,7 +51,8 @@ class CliOptions
                           std::uint64_t def) const;
     double getDouble(const std::string &name, double def) const;
 
-    /** Option names that were never read (typo detection). */
+    /** Names of the options and flags given that are not in
+     *  `known` (typo detection; see checkCliOptions). */
     std::vector<std::string> unknownOptions(
         const std::vector<std::string> &known) const;
 

@@ -1,5 +1,6 @@
 #include "harness/cli_verbs.hh"
 
+#include <algorithm>
 #include <iostream>
 
 #include "sim/errors.hh"
@@ -44,9 +45,6 @@ supervisorOptions()
 {
     return {
         {"--jobs N", "parallel forked job slots (default 1)"},
-        {"--threads N",
-         "in-process worker threads (default 0 = fork only); first "
-         "attempts run in-process, retries escalate to fork"},
         {"--deadline S",
          "per-attempt wall-clock deadline in seconds (default 600)"},
         {"--retries N",
@@ -55,26 +53,6 @@ supervisorOptions()
         {"--inject SPEC",
          "test hook: job@action[@maxAttempt] provokes hang | kill | "
          "input | watchdog in the job's child; repeatable"},
-    };
-}
-
-std::vector<CliVerbOption>
-clientOptions()
-{
-    return {
-        {"--server ADDR",
-         "gateway address, unix:/path or tcp:host:port (required)"},
-        {"--tenant NAME", "tenant for quota accounting (default)"},
-        {"--timeout S", "per-request/stream receive timeout (10)"},
-        {"--connect-timeout S", "connection timeout (5)"},
-        {"--attempts N",
-         "consecutive connection failures tolerated (8)"},
-        {"--client-backoff S",
-         "base client retry backoff in seconds (0.1)"},
-        {"--retry-later N",
-         "RETRY_LATER answers tolerated before giving up (64)"},
-        {"--no-retry",
-         "fail immediately on RETRY_LATER (exit 15 on quota)"},
     };
 }
 
@@ -93,6 +71,13 @@ const char *exitSim =
 const char *exitCampaign =
     "0 complete; 20 partial (MISSING cells); 21 nothing completed; "
     "2 usage; 1 fatal";
+
+/** Bare name of an option: "queue" for "--queue DIR". */
+std::string
+cliOptionName(const CliVerbOption &opt)
+{
+    return opt.name.substr(2, opt.name.find(' ') - 2);
+}
 
 std::vector<CliVerb>
 buildVerbs()
@@ -118,7 +103,11 @@ buildVerbs()
     verbs.push_back(
         {"run-st", "run-st <bench> [options]",
          "run one benchmark alone and print its metrics",
-         runOptions(), exitSim});
+         concat(runOptions(),
+                {{"--stats", "dump the statistics tree to stderr"},
+                 {"--retire-trace F",
+                  "write a text retirement trace to file F"}}),
+         exitSim});
 
     verbs.push_back(
         {"run-soe", "run-soe <benchA> <benchB>... [options]",
@@ -171,9 +160,6 @@ buildVerbs()
         {"--lease S", "lease duration in seconds (default 60)"},
         {"--heartbeat S", "lease renewal interval (default lease/3)"},
         {"--poll S", "idle poll interval (default 0.5)"},
-        {"--batch K",
-         "jobs claimed per flock round by each worker thread "
-         "(default 4; only with --threads)"},
     };
 
     verbs.push_back(
@@ -206,85 +192,6 @@ buildVerbs()
          "but jobs were rejected at enqueue; 2 usage; 13 checkpoint"});
 
     verbs.push_back(
-        {"gateway", "gateway --listen ADDR --root DIR [options]",
-         "network front-end of the sweep service: accepts framed "
-         "submit/watch/status requests, enforces tenant quotas and "
-         "backlog bounds with RETRY_LATER backpressure, streams "
-         "results, degrades to read-only when the root is not "
-         "writable, forks workers to drain campaigns; SIGTERM is a "
-         "graceful stop that resumes from durable state on restart",
-         {{"--listen ADDR",
-           "unix:/path or tcp:host:port; port 0 = ephemeral "
-           "(required)"},
-          {"--root DIR",
-           "gateway root: campaign queues + result cache (required)"},
-          {"--quota N",
-           "per-tenant bound on open jobs, 0 = unbounded"},
-          {"--max-campaigns N",
-           "bound on undrained campaigns, 0 = unbounded"},
-          {"--capacity N", "per-campaign queue admission bound"},
-          {"--no-workers",
-           "do not fork drain workers (backpressure tests)"},
-          {"--jobs N", "worker job slots (default 1)"},
-          {"--retries N", "worker attempt budget (default 3)"},
-          {"--backoff S", "worker retry backoff base (0.25)"},
-          {"--lease S", "worker lease seconds (60)"},
-          {"--deadline S", "worker per-attempt deadline (600)"},
-          {"--retry-ms N",
-           "backoff suggested in RETRY_LATER replies (200)"},
-          {"--addr-file F",
-           "write the resolved listen address to F (ephemeral "
-           "ports)"}},
-         "0 stopped gracefully; 2 usage; 10 bad address; "
-         "16 bind/listen failure"});
-
-    verbs.push_back(
-        {"submit", "submit --server ADDR [options]",
-         "submit a campaign to a gateway (idempotent, retrying) "
-         "and, unless --no-watch, stream its results and emit the "
-         "same CSV as sweep",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       clientOptions()),
-                {{"--no-watch",
-                  "enqueue only; do not stream results"},
-                 {"--out F", "CSV output path (stdout)"}}),
-         "0 complete; 20 partial; 21 nothing completed; 2 usage; "
-         "14 protocol error; 15 quota exceeded; 16 connection lost "
-         "after retries"});
-
-    verbs.push_back(
-        {"watch", "watch --server ADDR [--key KEY] [options]",
-         "stream a submitted campaign's results (resuming across "
-         "reconnects) and emit CSV; --key fetches the manifest from "
-         "the gateway, otherwise --pairs/--levels select it",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       clientOptions()),
-                {{"--key KEY",
-                  "campaign key printed by submit"},
-                 {"--out F", "CSV output path (stdout)"}}),
-         "0 complete; 20 partial; 21 nothing completed; 2 usage; "
-         "14 protocol error; 15 quota exceeded; "
-         "16 connection lost after retries"});
-
-    verbs.push_back(
-        {"chaosproxy",
-         "chaosproxy --listen ADDR --upstream ADDR [options]",
-         "deterministic fault-injecting proxy for gateway testing: "
-         "drops, delays, duplicates, corrupts, truncates and resets "
-         "forwarded traffic from a seeded schedule, then becomes "
-         "transparent once the fault budget is spent",
-         {{"--listen ADDR", "proxy listen address (required)"},
-          {"--upstream ADDR", "real gateway address (required)"},
-          {"--seed N", "fault schedule seed (default 1)"},
-          {"--fault-rate X", "per-chunk fault probability (0.25)"},
-          {"--max-faults N", "total fault budget (default 6)"},
-          {"--max-delay-ms N", "delay action upper bound (40)"},
-          {"--addr-file F",
-           "write the resolved listen address to F"}},
-         "0 stopped gracefully; 2 usage; 10 bad address; "
-         "16 bind/listen failure"});
-
-    verbs.push_back(
         {"analytic", "analytic [options]",
          "evaluate the analytical model",
          {{"--ipc a,b[,c...]",
@@ -306,7 +213,7 @@ buildVerbs()
            "run the bare faulting path so the process exits with "
            "the SimError's code"}},
          "0 all passed; 1 scenario failed; 2 usage; with --raw, the "
-         "provoked class's exit code (10..16)"});
+         "provoked class's exit code (10..13)"});
 
     return verbs;
 }
@@ -330,6 +237,37 @@ findCliVerb(const std::string &name)
     return nullptr;
 }
 
+std::vector<std::string>
+cliFlagNames()
+{
+    std::vector<std::string> flags;
+    for (const auto &verb : cliVerbs()) {
+        for (const auto &opt : verb.options) {
+            const std::string name = cliOptionName(opt);
+            if (opt.name.find(' ') == std::string::npos &&
+                std::find(flags.begin(), flags.end(), name) ==
+                    flags.end())
+                flags.push_back(name);
+        }
+    }
+    return flags;
+}
+
+int
+checkCliOptions(const CliVerb &verb, const CliOptions &opts,
+                std::ostream &err)
+{
+    std::vector<std::string> known;
+    for (const auto &opt : verb.options)
+        known.push_back(cliOptionName(opt));
+    const auto unknown = opts.unknownOptions(known);
+    for (const auto &name : unknown) {
+        err << "unknown option --" << name << " for '" << verb.name
+            << "' (see `soefair_cli help " << verb.name << "`)\n";
+    }
+    return unknown.empty() ? 0 : 2;
+}
+
 void
 printCliHelp(std::ostream &os)
 {
@@ -339,8 +277,7 @@ printCliHelp(std::ostream &os)
         os << "  " << verb.name << "\n      " << verb.description
            << "\n";
     os << "\nrun `soefair_cli help <command>` for options and exit "
-          "codes;\nsee docs/robustness.md for the failure taxonomy "
-          "and gateway protocol\n";
+          "codes;\nsee docs/robustness.md for the failure taxonomy\n";
 }
 
 void
@@ -364,7 +301,7 @@ runWithExitCodeMapping(const std::function<int()> &body)
         return body();
     } catch (const SimError &e) {
         // Typed, defined failure: each class has its own exit code
-        // (10..16; see sim/errors.hh and docs/robustness.md). The
+        // (10..13; see sim/errors.hh and docs/robustness.md). The
         // message was printed when the error was raised.
         return e.exitCode();
     } catch (const AuditError &e) {

@@ -33,10 +33,9 @@
  * always written as v2.
  */
 
-// detlint: conc-optin — journal state crosses the fork boundary
-// today and will be drained by several worker threads once the
-// supervisor batches jobs in-process; members carry ownership-domain
-// tags (CONC-001, see src/sim/annotations.hh).
+// detlint: conc-optin — journal state crosses the fork boundary;
+// members carry ownership-domain tags (CONC-001, see
+// src/sim/annotations.hh).
 
 #ifndef SOEFAIR_HARNESS_JOURNAL_HH
 #define SOEFAIR_HARNESS_JOURNAL_HH

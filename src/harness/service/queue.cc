@@ -58,9 +58,7 @@ field(const std::map<std::string, std::string> &fields,
  * with a single write(2) + fsync: a concurrent reader (under the
  * queue lock) sees either every whole record or, after a kill
  * mid-write, a torn unterminated tail it can truncate away — never
- * an interleaving. Batched appends (claimBatch/renewBatch) ride the
- * same single-write guarantee, which is what amortizes the fsync
- * across a whole batch.
+ * an interleaving.
  */
 void
 rawWrite(const std::string &path, const std::string &buf)
@@ -475,41 +473,19 @@ JobQueue::applyLocked(const std::map<std::string, std::string> &f,
 void
 JobQueue::commitLocked(const std::string &bare_line)
 {
-    commitManyLocked({bare_line});
-}
-
-void
-JobQueue::commitManyLocked(const std::vector<std::string> &bare_lines)
-{
     soefair_assert(lockFd >= 0, "queue commit on closed queue");
-    if (bare_lines.empty())
-        return;
-    // Rotate at most once, up front: a batch may finish a few
-    // records past cfg.segmentRecords, which readers tolerate (the
-    // count is only the rotation trigger, not a format invariant).
     if (segRecords[lastSeg] >= cfg.segmentRecords)
         startSegmentLocked(lastSeg + 1);
-    std::vector<std::string> sealed;
-    sealed.reserve(bare_lines.size());
-    std::string buf;
-    for (const auto &bare : bare_lines) {
-        sealed.push_back(jsonlSealLine(bare));
-        buf += sealed.back();
-        buf += '\n';
+    const std::string sealed = jsonlSealLine(bare_line);
+    rawWrite(segmentPath(lastSeg), sealed + "\n");
+    segConsumed[lastSeg] += sealed.size() + 1;
+    segRecords[lastSeg]++;
+    std::map<std::string, std::string> f;
+    if (!jsonlParseLine(sealed, f)) {
+        raiseError<CheckpointError>(
+            "queue: internal: unparsable record '", bare_line, "'");
     }
-    // One write + one fsync for the whole batch.
-    rawWrite(segmentPath(lastSeg), buf);
-    for (std::size_t i = 0; i < sealed.size(); ++i) {
-        segConsumed[lastSeg] += sealed[i].size() + 1;
-        segRecords[lastSeg]++;
-        std::map<std::string, std::string> f;
-        if (!jsonlParseLine(sealed[i], f)) {
-            raiseError<CheckpointError>(
-                "queue: internal: unparsable record '",
-                bare_lines[i], "'");
-        }
-        applyLocked(f, segmentPath(lastSeg));
-    }
+    applyLocked(f, segmentPath(lastSeg));
 }
 
 EnqueueResult
@@ -541,30 +517,9 @@ bool
 JobQueue::claim(const std::string &worker, std::int64_t now,
                 double lease_seconds, LeaseClaim &out)
 {
-    std::vector<LeaseClaim> one;
-    if (claimBatch(worker, now, lease_seconds, 1, one) == 0)
-        return false;
-    out = one.front();
-    return true;
-}
-
-std::size_t
-JobQueue::claimBatch(const std::string &worker, std::int64_t now,
-                     double lease_seconds, std::size_t max_jobs,
-                     std::vector<LeaseClaim> &out, bool pristine_only)
-{
-    if (max_jobs == 0)
-        return 0;
     Lock l(lockFd);
     refreshLocked();
-    const std::int64_t expiry =
-        now +
-        std::int64_t(std::llround(std::max(1.0, lease_seconds)));
-    std::vector<std::string> leaseLines;
-    std::vector<LeaseClaim> claims;
     for (const auto &id : order) {
-        if (claims.size() >= max_jobs)
-            break;
         JobStatus &js = jobs[id];
         if (js.phase == JobPhase::Leased && js.leaseExpiry <= now) {
             // Reclaim the expired lease of a crashed/hung worker.
@@ -589,35 +544,27 @@ JobQueue::claimBatch(const std::string &worker, std::int64_t now,
         }
         if (js.phase != JobPhase::Pending)
             continue;
-        if (pristine_only &&
-            (js.failedAttempts > 0 || js.leaseLosses > 0))
-            continue;
         if (js.failedAttempts > 0) {
             const double backoff = SweepSupervisor::backoffSeconds(
                 cfg.backoffBaseSeconds, js.failedAttempts);
             if (double(now - js.lastFailTime) < backoff)
                 continue;
         }
-        const unsigned attempt = js.failedAttempts + 1;
+        out.job = js.job;
+        out.worker = worker;
+        out.attempt = js.failedAttempts + 1;
+        out.expiry =
+            now +
+            std::int64_t(std::llround(std::max(1.0, lease_seconds)));
         std::ostringstream os;
         os << "{\"op\":\"lease\",\"job\":\"" << jsonlEscape(id)
            << "\",\"worker\":\"" << jsonlEscape(worker)
-           << "\",\"attempt\":" << attempt << ",\"expiry\":" << expiry
-           << "}";
-        leaseLines.push_back(os.str());
-        LeaseClaim c;
-        c.job = js.job;
-        c.worker = worker;
-        c.attempt = attempt;
-        c.expiry = expiry;
-        claims.push_back(std::move(c));
+           << "\",\"attempt\":" << out.attempt
+           << ",\"expiry\":" << out.expiry << "}";
+        commitLocked(os.str());
+        return true;
     }
-    // All lease records land in one write + fsync; claims only
-    // become visible to the caller once they are durable.
-    commitManyLocked(leaseLines);
-    for (auto &c : claims)
-        out.push_back(std::move(c));
-    return leaseLines.size();
+    return false;
 }
 
 JobStatus *
@@ -637,41 +584,20 @@ bool
 JobQueue::heartbeat(const LeaseClaim &c, std::int64_t now,
                     double lease_seconds)
 {
-    std::vector<LeaseClaim> one{c};
-    return renewBatch(one, now, lease_seconds).front();
-}
-
-std::vector<bool>
-JobQueue::renewBatch(std::vector<LeaseClaim> &claims,
-                     std::int64_t now, double lease_seconds)
-{
-    std::vector<bool> owned(claims.size(), false);
-    if (claims.empty())
-        return owned;
     Lock l(lockFd);
     refreshLocked();
+    if (!ownedLocked(c))
+        return false; // lost: someone else owns the job now
     const std::int64_t expiry =
         now +
         std::int64_t(std::llround(std::max(1.0, lease_seconds)));
-    std::vector<std::string> lines;
-    for (std::size_t i = 0; i < claims.size(); ++i) {
-        if (!ownedLocked(claims[i]))
-            continue; // lost: someone else owns the job now
-        owned[i] = true;
-        std::ostringstream os;
-        os << "{\"op\":\"heartbeat\",\"job\":\""
-           << jsonlEscape(claims[i].job.id) << "\",\"worker\":\""
-           << jsonlEscape(claims[i].worker)
-           << "\",\"expiry\":" << expiry << "}";
-        lines.push_back(os.str());
-    }
-    // One flock round, one write + fsync for every renewal.
-    commitManyLocked(lines);
-    for (std::size_t i = 0; i < claims.size(); ++i) {
-        if (owned[i])
-            claims[i].expiry = expiry;
-    }
-    return owned;
+    std::ostringstream os;
+    os << "{\"op\":\"heartbeat\",\"job\":\""
+       << jsonlEscape(c.job.id) << "\",\"worker\":\""
+       << jsonlEscape(c.worker)
+       << "\",\"expiry\":" << expiry << "}";
+    commitLocked(os.str());
+    return true;
 }
 
 bool

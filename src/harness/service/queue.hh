@@ -190,40 +190,10 @@ class JobQueue
     bool claim(const std::string &worker, std::int64_t now,
                double lease_seconds, LeaseClaim &out);
 
-    /**
-     * Claim up to `max_jobs` eligible jobs under ONE flock round:
-     * expired leases are reclaimed exactly as claim() does, and all
-     * new lease records are committed with a single write(2) +
-     * fsync, amortizing the lock and durability cost across the
-     * batch (claim() is claimBatch of one). With `pristine_only`,
-     * jobs carrying any committed failure or lost lease are skipped
-     * — the in-process thread-pool executor uses this to escalate
-     * retries back to crash-isolated fork-per-job execution.
-     * Claims are appended to `out`; returns the number claimed.
-     */
-    std::size_t claimBatch(const std::string &worker,
-                           std::int64_t now, double lease_seconds,
-                           std::size_t max_jobs,
-                           std::vector<LeaseClaim> &out,
-                           bool pristine_only = false);
-
     /** Renew a lease. Returns false when the lease was lost (the
      *  caller must abandon the job: someone else owns it now). */
     bool heartbeat(const LeaseClaim &c, std::int64_t now,
                    double lease_seconds);
-
-    /**
-     * Renew every still-owned lease in `claims` with one flock'd
-     * multi-record append (one fsync for the whole batch; this is
-     * what keeps a large `--threads N --batch K` pool from paying a
-     * lock + fsync per held lease per heartbeat tick). Renewed
-     * claims get their expiry updated in place. Returns a per-claim
-     * flag: false means that lease was lost and the caller must
-     * abandon the job (heartbeat() is renewBatch of one).
-     */
-    std::vector<bool> renewBatch(std::vector<LeaseClaim> &claims,
-                                 std::int64_t now,
-                                 double lease_seconds);
 
     /** Commit a result. Returns false when the lease was lost (the
      *  result is discarded; the new owner will produce it). */
@@ -262,7 +232,6 @@ class JobQueue
     void applyLocked(const std::map<std::string, std::string> &f,
                      const std::string &where);
     void commitLocked(const std::string &bare_line);
-    void commitManyLocked(const std::vector<std::string> &bare_lines);
     void startSegmentLocked(unsigned seg);
     void quarantineLocked(const std::string &job_id,
                           unsigned attempts, const std::string &cls,

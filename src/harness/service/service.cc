@@ -16,12 +16,12 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <map>
 #include <sstream>
 
 #include "harness/jsonl.hh"
 #include "harness/machine_config.hh"
 #include "harness/supervisor.hh"
-#include "harness/worker_pool.hh"
 #include "sim/errors.hh"
 #include "sim/logging.hh"
 #include "stats/statfmt.hh"
@@ -106,6 +106,11 @@ campaignFromManifest(const CampaignManifest &m)
                          m.pairs, m.levels);
 }
 
+namespace
+{
+
+/** Flat string fields of a manifest: pairs, levels, measure, warm,
+ *  twarm, maxcyc, ff. */
 std::map<std::string, std::string>
 manifestToFields(const CampaignManifest &m)
 {
@@ -132,6 +137,8 @@ manifestToFields(const CampaignManifest &m)
     return f;
 }
 
+/** Rebuild a manifest from its flat fields; raises CheckpointError
+ *  (mentioning `where`) on malformed pairs/levels. */
 CampaignManifest
 manifestFromFields(const std::map<std::string, std::string> &f,
                    const std::string &where)
@@ -167,9 +174,6 @@ manifestFromFields(const std::map<std::string, std::string> &f,
     m.rc.fastForward = field(f, "ff") != "0";
     return m;
 }
-
-namespace
-{
 
 std::string
 manifestLine(const CampaignManifest &m)
@@ -363,38 +367,6 @@ SweepService::serve()
     auto stopRequested = [&] {
         return cfg.stopFlag && *cfg.stopFlag != 0;
     };
-
-    if (cfg.threads > 0) {
-        // Phase A: the in-process thread pool drains every pristine
-        // job. Retries (and jobs whose leases were reclaimed) are
-        // left pending and handled by the fork loop below — the
-        // escalation-to-fork policy that keeps crash isolation for
-        // anything that already failed once.
-        WorkerPoolConfig pc;
-        pc.queueDir = cfg.queueDir;
-        pc.queueKey = key;
-        pc.queue = qcfg;
-        pc.cacheDir = cfg.cacheDir;
-        pc.workerName = cfg.workerName;
-        pc.threads = cfg.threads;
-        pc.batch = cfg.batch;
-        pc.leaseSeconds = cfg.leaseSeconds;
-        pc.heartbeatSeconds = cfg.heartbeatSeconds;
-        pc.progress = cfg.progress;
-        pc.stopFlag = cfg.stopFlag;
-        WorkerPool pool(pc, bodies);
-        const WorkerPoolStats ps = pool.drain();
-        stats.completed += ps.completed;
-        stats.fromCache += ps.fromCache;
-        stats.failed += ps.failed;
-        stats.leasesLost += ps.leasesLost;
-        stats.cache = ps.cache;
-        if (ps.stopped) {
-            stats.stopped = true;
-            progress("stopping on request (graceful shutdown)");
-            return stats;
-        }
-    }
 
     auto launch = [&](const LeaseClaim &claim) {
         auto it = bodies.find(claim.job.id);
@@ -644,15 +616,8 @@ SweepService::serve()
             sleepMs(20);
     }
 
-    if (cache.isOpen()) {
-        // Fold the fork phase's cache stats on top of the pool
-        // phase's (stats.cache already carries the pool's).
-        const ResultCache::Stats cs = cache.stats();
-        stats.cache.hits += cs.hits;
-        stats.cache.misses += cs.misses;
-        stats.cache.stores += cs.stores;
-        stats.cache.corruptEvictions += cs.corruptEvictions;
-    }
+    if (cache.isOpen())
+        stats.cache = cache.stats();
     if (cfg.progress) {
         std::ostringstream os;
         os << "[service:" << cfg.workerName << "] "

@@ -10,11 +10,7 @@
  *    rebuild the exact SweepCampaign) and enqueues every campaign
  *    job, carrying each job's content-address fingerprint and base
  *    seed. Admission control applies (QueueConfig::capacity);
- *  - `serve` is the worker loop. With ServiceConfig::threads > 0 it
- *    first drains pristine first-attempt jobs on an in-process
- *    thread pool (harness/worker_pool.hh) — batched claims, no fork
- *    — then falls through to the fork phase for whatever remains.
- *    The fork phase: claim a lease, check the result
+ *  - `serve` is the worker loop: claim a lease, check the result
  *    cache (a verified hit completes the job without simulating),
  *    otherwise fork the job body under a wall-clock deadline —
  *    exactly the supervisor's crash-isolation pattern — renew the
@@ -40,7 +36,6 @@
 
 #include <csignal>
 #include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -75,20 +70,6 @@ struct CampaignManifest
 /** Build the campaign a manifest describes. */
 SweepCampaign campaignFromManifest(const CampaignManifest &m);
 
-/**
- * Flat string fields of a manifest (the serialization both the
- * on-disk manifest line and the gateway wire protocol use):
- * pairs, levels, measure, warm, twarm, maxcyc, ff.
- */
-std::map<std::string, std::string>
-manifestToFields(const CampaignManifest &m);
-
-/** Rebuild a manifest from its flat fields; raises CheckpointError
- *  (mentioning `where`) on malformed pairs/levels. */
-CampaignManifest
-manifestFromFields(const std::map<std::string, std::string> &f,
-                   const std::string &where);
-
 /** Write `<queue_dir>/manifest.jsonl` (atomic replace). */
 void writeManifest(const std::string &queue_dir,
                    const CampaignManifest &m);
@@ -116,19 +97,6 @@ struct ServiceConfig
     double backoffBaseSeconds = 0.25;
     /** Concurrent forked children in this worker. */
     unsigned slots = 1;
-    /**
-     * In-process worker threads (0 disables the pool). With threads
-     * > 0, serve() first drains every *pristine* job (no committed
-     * failure, no lost lease) on a WorkerPool — K jobs claimed per
-     * flock round, thread-local Runner/System, no fork — and then
-     * falls through to the fork-per-job loop for retries and
-     * leftovers, so transient failures keep crash isolation and
-     * wall-clock deadlines. Aggregates are byte-identical across
-     * the two modes by the determinism contract.
-     */
-    unsigned threads = 0;
-    /** Jobs claimed per flock round by each pool thread. */
-    unsigned batch = 4;
     /** Queue admission bound (0 = unbounded). */
     unsigned capacity = 0;
     /** Idle poll interval while other workers hold leases. */

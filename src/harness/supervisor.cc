@@ -7,14 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <iostream>
-#include <mutex>
-#include <thread>
 
 #include "sim/errors.hh"
 #include "sim/logging.hh"
@@ -82,16 +79,11 @@ struct Pending
 std::string
 SweepSupervisor::classifyStatus(int status, bool deadline_kill)
 {
-    if (WIFEXITED(status))
-        return classifyExitCode(WEXITSTATUS(status));
     if (WIFSIGNALED(status))
         return deadline_kill ? "deadline" : "signal";
-    return "exit";
-}
-
-std::string
-SweepSupervisor::classifyExitCode(int code)
-{
+    if (!WIFEXITED(status))
+        return "exit";
+    const int code = WEXITSTATUS(status);
     if (const char *kind = simErrorKindNameForExit(code))
         return kind;
     switch (code) {
@@ -108,8 +100,7 @@ SweepSupervisor::isTransient(const std::string &fail_class)
 {
     return fail_class == "estimator" || fail_class == "watchdog" ||
            fail_class == "panic" || fail_class == "signal" ||
-           fail_class == "deadline" || fail_class == "fork" ||
-           fail_class == "connection";
+           fail_class == "deadline" || fail_class == "fork";
 }
 
 double
@@ -327,121 +318,6 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
             finishFailed(c.jobIdx, c.attempt, cls, detail);
         }
     };
-
-    if (cfg.threads > 0 && !pending.empty()) {
-        // Phase A: run every first attempt in-process on a thread
-        // pool — no fork, no pipe. Retries of transient failures
-        // (and journal-replayed later attempts) are pushed back into
-        // `pending` for the crash-isolated fork loop below, which
-        // only starts once every pool thread has joined (never
-        // fork(2) while worker threads run). Job payloads depend
-        // only on (fingerprint, attemptSeed), so outcomes are
-        // byte-identical to fork mode.
-        std::vector<Pending> firstAttempts;
-        {
-            std::deque<Pending> rest;
-            for (const Pending &p : pending) {
-                if (p.attempt == 1)
-                    firstAttempts.push_back(p);
-                else
-                    rest.push_back(p);
-            }
-            pending = std::move(rest);
-        }
-        std::atomic<std::size_t> next{0};
-        std::mutex mu; // journal, outcomes, pending, progress
-        auto threadMain = [&]() {
-            for (;;) {
-                const std::size_t k = next.fetch_add(1);
-                if (k >= firstAttempts.size())
-                    return;
-                const Pending p = firstAttempts[k];
-                const SupervisorJob &job = jobs[p.jobIdx];
-                {
-                    std::lock_guard<std::mutex> g(mu);
-                    JournalRecord rec;
-                    rec.job = job.id;
-                    rec.state = "running";
-                    rec.attempt = p.attempt;
-                    journalAppend(rec);
-                }
-                if (cfg.progress) {
-                    logging::printLine(
-                        *cfg.progress,
-                        logging::formatMessage(
-                            "[supervisor] ", job.id, ": attempt ",
-                            p.attempt, "/", maxAttempts,
-                            " (in-process)"));
-                }
-                // The same exception -> exit-code mapping the forked
-                // child applies before _exit, so classifyExitCode
-                // lands an in-thread failure in the identical class.
-                int code = 0;
-                std::string payload;
-                try {
-                    payload = job.run(p.attempt);
-                } catch (const SimError &e) {
-                    code = e.exitCode();
-                } catch (const FatalError &) {
-                    code = 1;
-                } catch (...) {
-                    code = 3;
-                }
-                const std::string cls = classifyExitCode(code);
-                std::lock_guard<std::mutex> g(mu);
-                if (cls.empty()) {
-                    outcomes[p.jobIdx].done = true;
-                    outcomes[p.jobIdx].payload = std::move(payload);
-                    outcomes[p.jobIdx].attempts = p.attempt;
-                    JournalRecord rec;
-                    rec.job = job.id;
-                    rec.state = "done";
-                    rec.attempt = p.attempt;
-                    rec.payload = outcomes[p.jobIdx].payload;
-                    journalAppend(rec);
-                    if (cfg.progress) {
-                        logging::printLine(*cfg.progress,
-                                           "[supervisor] " + job.id +
-                                               ": done");
-                    }
-                    continue;
-                }
-                const std::string detail =
-                    "exit code " + std::to_string(code);
-                if (isTransient(cls) && p.attempt < maxAttempts) {
-                    const double backoff = backoffSeconds(
-                        cfg.backoffBaseSeconds, p.attempt);
-                    if (cfg.progress) {
-                        logging::printLine(
-                            *cfg.progress,
-                            logging::formatMessage(
-                                "[supervisor] ", job.id,
-                                ": transient failure (", cls, ", ",
-                                detail, "); retry in ",
-                                statistics::statfmt::csv(backoff),
-                                "s (fork)"));
-                    }
-                    Pending np;
-                    np.jobIdx = p.jobIdx;
-                    np.attempt = p.attempt + 1;
-                    np.eligible = Clock::now() +
-                                  std::chrono::microseconds(
-                                      long(backoff * 1e6));
-                    pending.push_back(np);
-                } else {
-                    finishFailed(p.jobIdx, p.attempt, cls, detail);
-                }
-            }
-        };
-        const unsigned nThreads = unsigned(std::min<std::size_t>(
-            cfg.threads, firstAttempts.size()));
-        std::vector<std::thread> pool;
-        pool.reserve(nThreads);
-        for (unsigned i = 0; i < nThreads; ++i)
-            pool.emplace_back(threadMain);
-        for (auto &t : pool)
-            t.join();
-    }
 
     while (!pending.empty() || !running.empty()) {
         // Launch eligible attempts into free slots, in queue order.

@@ -24,10 +24,10 @@
  * the journal replays `done` payloads without re-running the jobs.
  */
 
-// detlint: conc-optin — the supervisor is the first component that
-// will host worker *threads* (in-process batched jobs, ROADMAP item
-// 2); its state carries ownership-domain tags now so sharing it
-// later is an annotation change the compiler checks (CONC-001).
+// detlint: conc-optin — supervisor state is owned by the one parent
+// process that forks the job children; the ownership-domain tags
+// keep any later sharing an annotation change the compiler checks
+// (CONC-001).
 
 #ifndef SOEFAIR_HARNESS_SUPERVISOR_HH
 #define SOEFAIR_HARNESS_SUPERVISOR_HH
@@ -74,16 +74,6 @@ struct SupervisorConfig
     double backoffBaseSeconds SOE_THREAD_OWNED(supervisor) = 0.25;
     /** Concurrent forked children (the `--jobs N` slots). */
     unsigned jobSlots SOE_THREAD_OWNED(supervisor) = 1;
-    /**
-     * In-process worker threads (`--threads N`; 0 disables). With
-     * threads > 0, every *first* attempt runs in-process on a
-     * thread pool — no fork, no pipe — and only retries of
-     * transient failures fall back to the crash-isolated fork loop
-     * (the same escalation-to-fork policy the sweep service's
-     * WorkerPool applies). Outcomes are byte-identical to fork mode
-     * by the determinism contract.
-     */
-    unsigned threads SOE_THREAD_OWNED(supervisor) = 0;
     /** Optional stream for per-job progress lines. */
     std::ostream *progress SOE_THREAD_OWNED(supervisor) = nullptr;
 };
@@ -128,15 +118,6 @@ class SweepSupervisor
      * "" for success. Exposed for tests.
      */
     static std::string classifyStatus(int status, bool deadline_kill);
-
-    /**
-     * Classify a plain exit code ("" for 0). classifyStatus routes
-     * exited children through this; the in-process thread-pool
-     * executors map caught exceptions to the taxonomy's exit code
-     * and classify with the same function, so an in-thread failure
-     * and a forked one land in the identical class.
-     */
-    static std::string classifyExitCode(int code);
 
     /** Whether a failure class is worth retrying. */
     static bool isTransient(const std::string &fail_class);

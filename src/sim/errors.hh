@@ -17,14 +17,6 @@
  *                     across K consecutive delta windows).
  *  - CheckpointError: a LIT checkpoint failed to parse (bad magic,
  *                     underrun, trailing bytes).
- *  - ProtocolError:   a network peer spoke garbage — malformed,
- *                     checksum-failing, oversized or wrong-version
- *                     wire frames (harness/service/net).
- *  - QuotaExceeded:   the gateway's admission control refused the
- *                     request (tenant quota / backlog) and the
- *                     client exhausted its RETRY_LATER budget.
- *  - ConnectionLost:  the network peer vanished (connect refused,
- *                     reset, timeout) and retries were exhausted.
  *
  * All SimErrors derive from FatalError, so existing handlers (and
  * tests) that treat bad input as fatal keep working; the CLI maps
@@ -54,9 +46,6 @@ class SimError : public FatalError
         Estimator,
         Watchdog,
         Checkpoint,
-        Protocol,
-        Quota,
-        Connection,
     };
 
     SimError(Kind kind, const std::string &msg)
@@ -65,7 +54,7 @@ class SimError : public FatalError
 
     Kind kind() const { return errKind; }
 
-    /** Distinct process exit code for this class (10..16). */
+    /** Distinct process exit code for this class (10..13). */
     int exitCode() const;
 
     /** Short lowercase class name ("input", "watchdog", ...). */
@@ -115,43 +104,10 @@ class CheckpointError : public SimError
     {}
 };
 
-/** A network peer violated the wire protocol (bad frame, bad
- *  checksum, oversized message, version mismatch). */
-class ProtocolError : public SimError
-{
-  public:
-    static constexpr int code = 14;
-    explicit ProtocolError(const std::string &msg)
-        : SimError(Kind::Protocol, msg)
-    {}
-};
-
-/** Gateway admission control refused the request and the client's
- *  RETRY_LATER budget ran out (tenant quota or backlog). */
-class QuotaExceeded : public SimError
-{
-  public:
-    static constexpr int code = 15;
-    explicit QuotaExceeded(const std::string &msg)
-        : SimError(Kind::Quota, msg)
-    {}
-};
-
-/** The network peer vanished (refused, reset, timed out) and the
- *  retry budget ran out. */
-class ConnectionLost : public SimError
-{
-  public:
-    static constexpr int code = 16;
-    explicit ConnectionLost(const std::string &msg)
-        : SimError(Kind::Connection, msg)
-    {}
-};
-
 /**
  * Map a process exit code back to the SimError class name that
- * produces it ("input", "estimator", "watchdog", "checkpoint",
- * "protocol", "quota", "connection"), or nullptr when the code
+ * produces it ("input", "estimator", "watchdog", "checkpoint"),
+ * or nullptr when the code
  * belongs to no SimError class. The sweep supervisor uses this to
  * classify dead child processes without parsing their output.
  */

@@ -10,10 +10,9 @@ namespace sim
 namespace
 {
 
-// Per-thread, not process-global: worker threads (in-process sweep
-// executor) each run their own Systems, and a shared counter would
-// put a data race on the job path. Each thread observes only its
-// own violations — the same view a forked job child had.
+// Per-thread, not process-global: Systems on different threads
+// would otherwise race on a shared counter. Each thread observes
+// only its own violations — the same view a forked job child has.
 thread_local std::uint64_t violationCount = 0;
 
 } // namespace

@@ -71,8 +71,8 @@ auditsEnabled()
 }
 
 /** Per-thread count of audit failures (survives caught throws).
- *  Thread-local so concurrent in-process sweep jobs never race on
- *  it; each thread sees the same view a forked job child had. */
+ *  Thread-local so Systems on different threads never race on it;
+ *  each thread sees the same view a forked job child has. */
 std::uint64_t auditViolations();
 
 /**

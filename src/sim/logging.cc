@@ -19,8 +19,8 @@ namespace
 /**
  * The single process-wide output sink. Every stderr message
  * (printMessage) and every harness progress line (printLine) is
- * emitted as one complete line under this lock, so worker threads
- * cannot interleave output mid-line. Callers format the full string
+ * emitted as one complete line under this lock, so concurrent
+ * threads cannot interleave output mid-line. Callers format the full string
  * first; the critical section is only the write itself.
  */
 struct SOE_THREAD_OWNED(shared) OutputSink

@@ -46,9 +46,9 @@ void printMessage(const char *prefix, const std::string &msg);
 /**
  * Write one complete line to `os` under the same process-wide sink
  * mutex printMessage() holds, then flush. Harness progress lines go
- * through this so concurrent worker threads (`--threads N`) can
- * never interleave output mid-line — every message, warn() and
- * progress line is one atomic write against the shared sink.
+ * through this so concurrent threads can never interleave output
+ * mid-line — every message, warn() and progress line is one atomic
+ * write against the shared sink.
  */
 void printLine(std::ostream &os, const std::string &line);
 

@@ -3,7 +3,8 @@
  * CLI help-coverage tests: every verb the CLI dispatches must be in
  * the registry with a synopsis, a description and an exit-code
  * contract, and the rendered help must actually show them. Adding a
- * verb without documenting it is a test failure, not a silent gap.
+ * verb without documenting it is a test failure, not a silent gap;
+ * an option a verb does not register is a usage error (exit 2).
  */
 
 #include <gtest/gtest.h>
@@ -11,18 +12,35 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/cli_verbs.hh"
 
 using namespace soefair::harness;
 
+namespace
+{
+
+/** The usage check soefair_cli's main() applies to `args` (argv
+ *  without the program name): 0 when accepted, 2 when not. */
+int
+usageCheck(const std::vector<const char *> &args)
+{
+    CliOptions opts(int(args.size()), args.data(), cliFlagNames());
+    const CliVerb *verb = findCliVerb(opts.positional().at(0));
+    EXPECT_NE(verb, nullptr) << args.at(0);
+    std::ostringstream err;
+    return verb ? checkCliOptions(*verb, opts, err) : -1;
+}
+
+} // namespace
+
 TEST(CliVerbs, RegistryCoversEveryDispatchedVerb)
 {
     const char *expected[] = {
-        "help",    "list",   "machine",    "run-st",
-        "run-soe", "sweep",  "record-trace", "enqueue",
-        "serve",   "drain",  "gateway",    "submit",
-        "watch",   "chaosproxy", "analytic", "faults",
+        "help",    "list",    "machine", "run-st",
+        "run-soe", "sweep",   "record-trace", "enqueue",
+        "serve",   "drain",   "analytic", "faults",
     };
     std::set<std::string> names;
     for (const auto &verb : cliVerbs())
@@ -55,37 +73,10 @@ TEST(CliVerbs, EveryVerbDocumentsItselfCompletely)
     }
 }
 
-TEST(CliVerbs, NetworkVerbsDocumentTheErrorTaxonomy)
-{
-    // The gateway client's exits are part of the contract: protocol
-    // 14, quota 15, connection 16 (docs/robustness.md).
-    for (const char *name : {"submit", "watch"}) {
-        const CliVerb *verb = findCliVerb(name);
-        ASSERT_NE(verb, nullptr) << name;
-        EXPECT_NE(verb->exitCodes.find("14"), std::string::npos)
-            << name << ": " << verb->exitCodes;
-        EXPECT_NE(verb->exitCodes.find("15"), std::string::npos)
-            << name << ": " << verb->exitCodes;
-        EXPECT_NE(verb->exitCodes.find("16"), std::string::npos)
-            << name << ": " << verb->exitCodes;
-        EXPECT_NE(verb->exitCodes.find("2 usage"),
-                  std::string::npos)
-            << name << ": " << verb->exitCodes;
-    }
-    // And the client verbs must document where to point them.
-    for (const char *name : {"submit", "watch"}) {
-        const CliVerb *verb = findCliVerb(name);
-        bool hasServer = false;
-        for (const auto &opt : verb->options)
-            hasServer |= opt.name.rfind("--server", 0) == 0;
-        EXPECT_TRUE(hasServer) << name;
-    }
-}
-
 TEST(CliVerbs, FindCliVerbResolvesKnownAndRejectsUnknown)
 {
-    EXPECT_NE(findCliVerb("gateway"), nullptr);
-    EXPECT_NE(findCliVerb("chaosproxy"), nullptr);
+    EXPECT_NE(findCliVerb("sweep"), nullptr);
+    EXPECT_NE(findCliVerb("drain"), nullptr);
     EXPECT_EQ(findCliVerb("no-such-verb"), nullptr);
     EXPECT_EQ(findCliVerb(""), nullptr);
 }
@@ -120,4 +111,35 @@ TEST(CliVerbs, VerbHelpShowsEveryOptionAndTheExitCodes)
                 << verb.name << " option: " << opt.name;
         }
     }
+}
+
+TEST(CliVerbs, UnknownOptionsAreUsageErrors)
+{
+    // A misspelt option must never run with defaults.
+    EXPECT_EQ(usageCheck({"machine", "--nonsense", "3"}), 2);
+    EXPECT_EQ(usageCheck({"run-soe", "gcc", "eon", "--measure",
+                          "20000"}),
+              2);
+    // A flag another verb owns is still foreign here.
+    EXPECT_EQ(usageCheck({"sweep", "--windows"}), 2);
+
+    // Documented invocations parse, flags included.
+    EXPECT_EQ(usageCheck({"run-soe", "gcc", "eon", "--F", "0.5",
+                          "--instrs", "20000", "--windows",
+                          "--no-fastforward"}),
+              0);
+    EXPECT_EQ(usageCheck({"sweep", "--jobs", "4", "--journal", "j",
+                          "--out", "s.csv"}),
+              0);
+    EXPECT_EQ(usageCheck({"faults", "stuck-miss", "--raw"}), 0);
+}
+
+TEST(CliVerbs, FlagsAreTheOptionsWithoutAValue)
+{
+    const std::vector<std::string> flags = cliFlagNames();
+    const std::set<std::string> got(flags.begin(), flags.end());
+    EXPECT_EQ(got, (std::set<std::string>{"no-fastforward", "measured",
+                                          "l1-switch", "windows",
+                                          "stats", "raw"}));
+    EXPECT_EQ(got.size(), flags.size()); // no duplicates
 }

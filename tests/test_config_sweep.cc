@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -28,6 +29,14 @@ struct ConfigPoint
     unsigned l1dKiB, l2KiB;
     unsigned dispatchWidth;
 };
+
+// Name the point when gtest prints the parameter; its default byte
+// dump includes the string's heap pointer and so differs per run.
+void
+PrintTo(const ConfigPoint &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 std::vector<ConfigPoint>
 points()

@@ -50,16 +50,13 @@ taxonomy()
          WatchdogTimeout("t")},
         {"CheckpointError", CheckpointError::code,
          CheckpointError("t")},
-        {"ProtocolError", ProtocolError::code, ProtocolError("t")},
-        {"QuotaExceeded", QuotaExceeded::code, QuotaExceeded("t")},
-        {"ConnectionLost", ConnectionLost::code, ConnectionLost("t")},
     };
 }
 
 /**
  * Every integer that a verb's exit-code contract documents. The
  * registry's prose format is "N description; N description; ...",
- * occasionally with an "a..b" range ("exit code (10..16)").
+ * occasionally with an "a..b" range ("exit code (10..13)").
  */
 std::set<int>
 documentedCodes(const std::string &contract)
@@ -106,13 +103,13 @@ TEST(ExitCodes, EveryClassHasADistinctCodeInTheReservedBand)
     std::set<int> seen;
     for (const auto &row : taxonomy()) {
         EXPECT_GE(row.code, 10) << row.className;
-        EXPECT_LE(row.code, 16) << row.className;
+        EXPECT_LE(row.code, 13) << row.className;
         EXPECT_TRUE(seen.insert(row.code).second)
             << row.className << " reuses exit code " << row.code;
     }
-    // The band is full: adding an eighth class forces a conscious
+    // The band is full: adding a fifth class forces a conscious
     // extension of the reserved range (and of this test).
-    EXPECT_EQ(seen.size(), 7u);
+    EXPECT_EQ(seen.size(), 4u);
 }
 
 TEST(ExitCodes, ExitCodeMatchesDeclaredConstant)
@@ -129,7 +126,7 @@ TEST(ExitCodes, KindNameRoundTripsThroughExitCode)
         EXPECT_STREQ(name, row.error.kindName()) << row.className;
     }
     // Codes outside the taxonomy map to nothing.
-    for (int code : {0, 1, 2, 3, 9, 17, 255})
+    for (int code : {0, 1, 2, 3, 9, 14, 255})
         EXPECT_EQ(simErrorKindNameForExit(code), nullptr) << code;
 }
 
@@ -164,13 +161,13 @@ TEST(ExitCodes, CliMappingForUntypedFailures)
 TEST(ExitCodes, RaiseErrorLandsOnTheSameCode)
 {
     EXPECT_EQ(runWithExitCodeMapping([]() -> int {
-                  raiseError<QuotaExceeded>("budget exhausted");
+                  raiseError<WatchdogTimeout>("no progress");
               }),
-              QuotaExceeded::code);
+              WatchdogTimeout::code);
     EXPECT_EQ(runWithExitCodeMapping([]() -> int {
-                  raiseError<ProtocolError>("bad frame");
+                  raiseError<CheckpointError>("bad magic");
               }),
-              ProtocolError::code);
+              CheckpointError::code);
 }
 
 TEST(ExitCodes, EveryDocumentedVerbCodeNamesARealCode)

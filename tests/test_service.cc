@@ -167,109 +167,6 @@ TEST(JobQueue, HeartbeatExtendsTheLease)
     EXPECT_EQ(other.attempt, 1u);
 }
 
-TEST(JobQueue, ClaimBatchLeasesInOrderUnderOneRound)
-{
-    TempDir td("claimbatch");
-    JobQueue q;
-    q.open(td.path, "key1", quickQueueConfig());
-    q.enqueue(mkJob("a"));
-    q.enqueue(mkJob("b"));
-    q.enqueue(mkJob("c"));
-
-    // One flock round leases up to max_jobs, in enqueue order, all
-    // with the same expiry.
-    std::vector<LeaseClaim> batch;
-    EXPECT_EQ(q.claimBatch("w0", 1000, 60.0, 2, batch), 2u);
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch[0].job.id, "a");
-    EXPECT_EQ(batch[1].job.id, "b");
-    EXPECT_EQ(batch[0].attempt, 1u);
-    EXPECT_EQ(batch[0].expiry, batch[1].expiry);
-
-    // The leased jobs are invisible to a second claimer.
-    std::vector<LeaseClaim> rest;
-    EXPECT_EQ(q.claimBatch("w1", 1001, 60.0, 8, rest), 1u);
-    ASSERT_EQ(rest.size(), 1u);
-    EXPECT_EQ(rest[0].job.id, "c");
-
-    EXPECT_TRUE(q.complete(batch[0], "pa"));
-    EXPECT_TRUE(q.complete(batch[1], "pb"));
-    EXPECT_TRUE(q.complete(rest[0], "pc"));
-    EXPECT_TRUE(q.drained());
-}
-
-TEST(JobQueue, ClaimBatchPristineOnlySkipsRetriesAndLeaseLosses)
-{
-    TempDir td("pristine");
-    JobQueue q;
-    q.open(td.path, "key1", quickQueueConfig());
-    q.enqueue(mkJob("a"));
-    q.enqueue(mkJob("b"));
-    q.enqueue(mkJob("c"));
-
-    // `a` carries a committed transient failure; `b` loses a lease
-    // (claimed with a short expiry and never renewed).
-    std::vector<LeaseClaim> two;
-    ASSERT_EQ(q.claimBatch("w0", 1000, 10.0, 2, two), 2u);
-    ASSERT_EQ(two[0].job.id, "a");
-    ASSERT_EQ(two[1].job.id, "b");
-    ASSERT_TRUE(q.fail(two[0], "watchdog", "injected", true, 1000));
-
-    // Past b's expiry, a pristine-only batch reclaims the lease
-    // (the loss is recorded) but hands out neither retry: only the
-    // untouched `c` is pool-eligible. Retries and reclaimed jobs
-    // belong to the crash-isolated fork path.
-    std::vector<LeaseClaim> batch;
-    EXPECT_EQ(q.claimBatch("pool", 1011, 60.0, 8, batch,
-                           /*pristine_only=*/true),
-              1u);
-    ASSERT_EQ(batch.size(), 1u);
-    EXPECT_EQ(batch[0].job.id, "c");
-    EXPECT_EQ(q.snapshot().at("b").leaseLosses, 1u);
-
-    // A regular claim still sees both leftovers, attempts pinned by
-    // their history: the committed failure advanced `a`, the lease
-    // loss did not advance `b`.
-    std::vector<LeaseClaim> rest;
-    EXPECT_EQ(q.claimBatch("forker", 1012, 60.0, 8, rest), 2u);
-    ASSERT_EQ(rest.size(), 2u);
-    EXPECT_EQ(rest[0].job.id, "a");
-    EXPECT_EQ(rest[0].attempt, 2u);
-    EXPECT_EQ(rest[1].job.id, "b");
-    EXPECT_EQ(rest[1].attempt, 1u);
-}
-
-TEST(JobQueue, RenewBatchRenewsOwnedAndReportsLost)
-{
-    TempDir td("renewbatch");
-    JobQueue q;
-    q.open(td.path, "key1", quickQueueConfig());
-    q.enqueue(mkJob("a"));
-    q.enqueue(mkJob("b"));
-
-    std::vector<LeaseClaim> batch;
-    ASSERT_EQ(q.claimBatch("w0", 1000, 10.0, 2, batch), 2u);
-
-    // `a` expires and another worker reclaims it; `b` stays owned.
-    ASSERT_TRUE(q.heartbeat(batch[1], 1005, 10.0));
-    LeaseClaim thief;
-    ASSERT_TRUE(q.claim("w1", 1011, 60.0, thief));
-    ASSERT_EQ(thief.job.id, "a");
-
-    const std::vector<bool> owned = q.renewBatch(batch, 1012, 10.0);
-    ASSERT_EQ(owned.size(), 2u);
-    EXPECT_FALSE(owned[0]); // lost to w1
-    EXPECT_TRUE(owned[1]);
-    // The renewal extended b's expiry in place (1012 + 10).
-    EXPECT_EQ(batch[1].expiry, 1022);
-    LeaseClaim c;
-    EXPECT_FALSE(q.claim("w2", 1021, 10.0, c));
-
-    // The lost claim cannot commit; the renewed one can.
-    EXPECT_FALSE(q.complete(batch[0], "stale"));
-    EXPECT_TRUE(q.complete(batch[1], "pb"));
-}
-
 TEST(JobQueue, FailedAttemptsAdvanceAndBackOff)
 {
     TempDir td("backoff");

@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "harness/journal.hh"
 #include "harness/machine_config.hh"
@@ -175,61 +176,6 @@ TEST(Supervisor, ParallelSlotsCompleteEveryJob)
     }
 }
 
-TEST(Supervisor, ThreadedFirstAttemptsEscalateRetriesToFork)
-{
-    auto cfg = quickConfig();
-    cfg.threads = 2;
-    SweepSupervisor sup(cfg);
-    // With --threads, attempt 1 runs on a pool thread in THIS
-    // process; only the retry of a transient failure pays for a
-    // crash-isolated forked child.
-    const pid_t parent = getpid();
-    auto outcomes = sup.run(
-        {job("flaky",
-             [parent](unsigned attempt) -> std::string {
-                 if (attempt < 2) {
-                     EXPECT_EQ(getpid(), parent);
-                     raiseError<WatchdogTimeout>("injected");
-                 }
-                 return getpid() == parent ? "in-parent@2"
-                                           : "forked@2";
-             }),
-         job("ok",
-             [parent](unsigned) -> std::string {
-                 return getpid() == parent ? "in-process" : "forked";
-             })},
-        nullptr);
-    ASSERT_EQ(outcomes.size(), 2u);
-    EXPECT_TRUE(outcomes[0].done);
-    EXPECT_EQ(outcomes[0].attempts, 2u);
-    EXPECT_EQ(outcomes[0].payload, "forked@2");
-    EXPECT_TRUE(outcomes[1].done);
-    EXPECT_EQ(outcomes[1].payload, "in-process");
-}
-
-TEST(Supervisor, ThreadedSimErrorFailureRecordMatchesForkMode)
-{
-    auto cfg = quickConfig();
-    cfg.threads = 2;
-    SweepSupervisor sup(cfg);
-    auto outcomes = sup.run(
-        {job("bad",
-             [](unsigned) -> std::string {
-                 raiseError<InputError>("injected");
-             }),
-         job("good", [](unsigned) { return "ok"; })},
-        nullptr);
-    EXPECT_FALSE(outcomes[0].done);
-    // The in-thread catch maps the exception to the taxonomy's exit
-    // code and classifies with classifyExitCode — identical class
-    // AND detail string to a forked child that _exits 10.
-    EXPECT_EQ(outcomes[0].failClass, "input");
-    EXPECT_EQ(outcomes[0].detail, "exit code 10");
-    EXPECT_EQ(outcomes[0].attempts, 1u);
-    // Quarantine is per job: the rest of the pool kept draining.
-    EXPECT_TRUE(outcomes[1].done);
-}
-
 TEST(Supervisor, JournalCommitsTransitionsAndResumeReplays)
 {
     TempJournal tj("resume");
@@ -348,24 +294,30 @@ TEST(SweepCampaign, MatchesInProcessSweepByteForByte)
     std::ostringstream refCsv;
     writePairResultsCsv(refCsv, ref);
 
-    // Supervised campaign over the same cells.
-    TempJournal tj("golden");
-    SweepCampaign campaign(mc, tinyRun(), {{"gcc", "eon"}}, levels);
-    auto agg =
-        campaign.run(quickConfig(), tj.path, /*resume=*/false);
-    ASSERT_TRUE(agg.complete());
-    std::ostringstream supCsv;
-    writeCampaignCsv(supCsv, agg);
+    // Supervised campaign over the same cells, with one forked job
+    // slot and with two (concurrent children finish out of order;
+    // the CSV must not depend on it).
+    for (unsigned slots : {1u, 2u}) {
+        SCOPED_TRACE("slots=" + std::to_string(slots));
+        TempJournal tj(slots == 1 ? "golden" : "golden2");
+        SweepCampaign campaign(mc, tinyRun(), {{"gcc", "eon"}},
+                               levels);
+        auto cfg = quickConfig();
+        cfg.jobSlots = slots;
+        auto agg = campaign.run(cfg, tj.path, /*resume=*/false);
+        ASSERT_TRUE(agg.complete());
+        std::ostringstream supCsv;
+        writeCampaignCsv(supCsv, agg);
 
-    EXPECT_EQ(refCsv.str(), supCsv.str());
+        EXPECT_EQ(refCsv.str(), supCsv.str());
 
-    // And a resume over the finished journal replays everything
-    // without re-running, still byte-identical.
-    auto agg2 =
-        campaign.run(quickConfig(), tj.path, /*resume=*/true);
-    std::ostringstream resCsv;
-    writeCampaignCsv(resCsv, agg2);
-    EXPECT_EQ(refCsv.str(), resCsv.str());
+        // And a resume over the finished journal replays everything
+        // without re-running, still byte-identical.
+        auto agg2 = campaign.run(cfg, tj.path, /*resume=*/true);
+        std::ostringstream resCsv;
+        writeCampaignCsv(resCsv, agg2);
+        EXPECT_EQ(refCsv.str(), resCsv.str());
+    }
 }
 
 TEST(SweepCampaign, MissingCellsAreExplicitAndExitCodesDistinct)

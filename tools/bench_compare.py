@@ -3,19 +3,17 @@
 
 Usage:
     bench_compare.py BASELINE CURRENT [--threshold 0.10]
-                     [--min-ff-speedup X] [--min-thread-speedup X]
+                     [--min-ff-speedup X]
 
 Exits non-zero when any benchmark present in both files regressed by
-more than THRESHOLD (default 10%), or when a --min-* gate is given
-and the current report's corresponding derived ratio is below X
-(--min-ff-speedup gates derived.ff_speedup_miss_heavy,
---min-thread-speedup gates derived.thread_speedup_short_jobs).
+more than THRESHOLD (default 10%), or when --min-ff-speedup is given
+and the current report's derived.ff_speedup_miss_heavy is below X.
 
 Raw items/sec values only compare meaningfully on the same machine
 and build type (the report embeds a machine fingerprint; a mismatch
 is reported as a warning, not a failure, so CI can still apply a
-generous threshold across runner generations). The derived ratios
-are same-machine A/B comparisons and are machine-independent.
+generous threshold across runner generations). The derived ratio is
+a same-machine A/B comparison and is machine-independent.
 """
 
 import argparse
@@ -42,9 +40,6 @@ def main():
     ap.add_argument("--min-ff-speedup", type=float, default=None,
                     help="fail unless the current report's "
                          "ff_speedup_miss_heavy is at least this")
-    ap.add_argument("--min-thread-speedup", type=float, default=None,
-                    help="fail unless the current report's "
-                         "thread_speedup_short_jobs is at least this")
     args = ap.parse_args()
 
     base = load(args.baseline)
@@ -99,8 +94,6 @@ def main():
         return not ok
 
     failed |= check_min("ff_speedup_miss_heavy", args.min_ff_speedup)
-    failed |= check_min("thread_speedup_short_jobs",
-                        args.min_thread_speedup)
 
     if failed:
         print("bench_compare: FAILED", file=sys.stderr)

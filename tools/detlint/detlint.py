@@ -51,7 +51,7 @@ PDES ownership manifest:
   OWN-001  every mutable class in src/cpu, src/mem, src/soe and
            src/harness/system.* must carry a class-level
            SOE_THREAD_OWNED(domain) sharding domain
-           (core_lp | shared | supervisor | worker | value | config).
+           (core_lp | shared | supervisor | value | config).
   OWN-002  the `todo` placeholder domain (written by --fix) must not
            survive into the tree.
   `--emit-ownership PATH` writes the machine-readable manifest the
@@ -162,11 +162,8 @@ OWN_DOMAINS = {
                "LP that owns the core (fetch/ROB/LSQ/L1/TLB...)",
     "shared": "bus/LLC-shared state crossed by multiple core LPs "
               "under the conservative lookahead window",
-    "supervisor": "supervisor/harness state: job control, journals, "
-                  "service and network front-end",
-    "worker": "per-worker-thread state in the in-process sweep "
-              "executor: each pool thread owns its own queue/cache "
-              "handles and simulator instances",
+    "supervisor": "supervisor/harness state: job control, journals "
+                  "and the sweep service",
     "value": "value type passed between owners by copy/move; no "
              "resident owner",
     "config": "set before the run starts, immutable while LPs run",

@@ -39,20 +39,6 @@
  *                                aggregate: one-command service
  *                                campaign emitting the same CSV as
  *                                `sweep` (same exit codes)
- *   gateway                      network front-end of the sweep
- *                                service: framed submit/watch/status
- *                                over unix/tcp sockets with tenant
- *                                quotas and RETRY_LATER backpressure
- *                                (--listen ADDR --root DIR; see
- *                                docs/robustness.md)
- *   submit                       submit a campaign to a gateway
- *                                (idempotent, retrying) and stream
- *                                its results to CSV (--server ADDR)
- *   watch                        re-attach to a submitted campaign's
- *                                result stream (--server, --key)
- *   chaosproxy                   deterministic fault-injecting proxy
- *                                between client and gateway
- *                                (--listen, --upstream, --seed)
  *   help [verb]                  the full verb registry: options and
  *                                exit codes per verb
  *   analytic                     evaluate the analytical model
@@ -82,14 +68,8 @@
  *   --resume F        resume from an existing journal: completed
  *                     jobs are replayed, the rest re-run
  *   --jobs N          parallel forked job slots (default 1)
- *   --threads N       in-process worker threads (default 0 = fork
- *                     only): first attempts run on a thread pool,
- *                     retries escalate to the fork loop; output is
- *                     byte-identical to fork mode
  *   --deadline S      per-attempt wall-clock deadline in seconds;
- *                     expired jobs are SIGKILLed (default 600;
- *                     fork attempts only — threaded attempts rely
- *                     on the simulated-time watchdog)
+ *                     expired jobs are SIGKILLed (default 600)
  *   --retries N       max attempts per transiently-failing job (3)
  *   --backoff S       base retry backoff in seconds (default 0.25)
  *   --inject SPEC     test hook: job@action[@maxAttempt] provokes
@@ -109,10 +89,8 @@
  *   --heartbeat S     lease renewal interval (default lease/3)
  *   --poll S          idle poll interval while other workers hold
  *                     live leases (default 0.5)
- *   --batch K         jobs claimed per flock round by each worker
- *                     thread (default 4; only with --threads)
- *   plus sweep's --jobs / --threads / --deadline / --retries /
- *   --backoff / --inject, which apply to the worker loop
+ *   plus sweep's --jobs / --deadline / --retries / --backoff /
+ *   --inject, which apply to the worker loop
  *
  * run-soe options:
  *   --policy P        miss-only | fairness | timeshare | quota
@@ -145,9 +123,6 @@
 #include "harness/cli_verbs.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
-#include "harness/service/net/chaos.hh"
-#include "harness/service/net/client.hh"
-#include "harness/service/net/gateway.hh"
 #include "harness/service/service.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
@@ -487,7 +462,6 @@ cmdSweep(const CliOptions &opts)
     scfg.maxAttempts = unsigned(opts.getUint("retries", 3));
     scfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
     scfg.jobSlots = unsigned(opts.getUint("jobs", 1));
-    scfg.threads = unsigned(opts.getUint("threads", 0));
     scfg.progress = &std::cerr;
 
     const bool resume = opts.hasOption("resume");
@@ -547,8 +521,6 @@ serviceConfigFrom(const CliOptions &opts, service::ServiceConfig &cfg)
     cfg.maxAttempts = unsigned(opts.getUint("retries", 3));
     cfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
     cfg.slots = unsigned(opts.getUint("jobs", 1));
-    cfg.threads = unsigned(opts.getUint("threads", 0));
-    cfg.batch = unsigned(opts.getUint("batch", 4));
     cfg.capacity = unsigned(opts.getUint("capacity", 0));
     cfg.pollSeconds = opts.getDouble("poll", 0.5);
     cfg.progress = &std::cerr;
@@ -663,170 +635,6 @@ cmdDrain(const CliOptions &opts)
     if (eq.rejected && agg.complete())
         return service::exitQueueSaturated;
     return agg.exitCode();
-}
-
-namespace net = service::net;
-
-/** Shared CSV emission for sweep-shaped aggregates. */
-int
-emitAggregate(const CliOptions &opts, const CampaignResult &agg,
-              const char *tag)
-{
-    const std::string out = opts.getString("out", "");
-    if (out.empty()) {
-        writeCampaignCsv(std::cout, agg);
-    } else {
-        std::ofstream os(out);
-        if (!os) {
-            std::cerr << "cannot write '" << out << "'\n";
-            return 1;
-        }
-        writeCampaignCsv(os, agg);
-        std::cout << "wrote " << agg.results.size() << " pairs to "
-                  << out << "\n";
-    }
-    if (!agg.complete()) {
-        std::cerr << "[" << tag << "] PARTIAL results: "
-                  << agg.missing.size() << " cell(s) missing\n";
-        for (const auto &m : agg.missing)
-            std::cerr << "[" << tag << "]   " << m.marker() << "\n";
-    }
-    return agg.exitCode();
-}
-
-int
-cmdGateway(const CliOptions &opts)
-{
-    const std::string listen = opts.getString("listen", "");
-    const std::string root = opts.getString("root", "");
-    if (listen.empty() || root.empty()) {
-        std::cerr << "gateway needs --listen ADDR and --root DIR\n";
-        return 2;
-    }
-    net::GatewayConfig cfg;
-    cfg.listen = net::NetAddress::parse(listen);
-    cfg.rootDir = root;
-    cfg.tenantQuota = unsigned(opts.getUint("quota", 0));
-    cfg.maxCampaigns = unsigned(opts.getUint("max-campaigns", 0));
-    cfg.queueCapacity = unsigned(opts.getUint("capacity", 0));
-    cfg.runWorkers = !opts.hasFlag("no-workers");
-    cfg.slots = unsigned(opts.getUint("jobs", 1));
-    cfg.maxAttempts = unsigned(opts.getUint("retries", 3));
-    cfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
-    cfg.leaseSeconds = opts.getDouble("lease", 60.0);
-    cfg.deadlineSeconds = opts.getDouble("deadline", 600.0);
-    cfg.retryBackoffMs = unsigned(opts.getUint("retry-ms", 200));
-    cfg.addrFile = opts.getString("addr-file", "");
-    cfg.progress = &std::cerr;
-    cfg.stopFlag = &gStopRequested;
-    std::signal(SIGTERM, onStopSignal);
-    std::signal(SIGINT, onStopSignal);
-    net::Gateway gw(cfg);
-    gw.open();
-    gw.run();
-    return 0;
-}
-
-int
-cmdChaosProxy(const CliOptions &opts)
-{
-    const std::string listen = opts.getString("listen", "");
-    const std::string upstream = opts.getString("upstream", "");
-    if (listen.empty() || upstream.empty()) {
-        std::cerr << "chaosproxy needs --listen ADDR and "
-                     "--upstream ADDR\n";
-        return 2;
-    }
-    net::ChaosConfig cfg;
-    cfg.listen = net::NetAddress::parse(listen);
-    cfg.upstream = net::NetAddress::parse(upstream);
-    cfg.seed = opts.getUint("seed", 1);
-    cfg.faultRate = opts.getDouble("fault-rate", 0.25);
-    cfg.maxFaults = unsigned(opts.getUint("max-faults", 6));
-    cfg.maxDelayMs = unsigned(opts.getUint("max-delay-ms", 40));
-    cfg.progress = &std::cerr;
-    cfg.stopFlag = &gStopRequested;
-    std::signal(SIGTERM, onStopSignal);
-    std::signal(SIGINT, onStopSignal);
-    net::ChaosProxy proxy(cfg);
-    proxy.open();
-    const std::string addrFile = opts.getString("addr-file", "");
-    if (!addrFile.empty()) {
-        std::ofstream os(addrFile);
-        os << proxy.boundAddress().spec() << "\n";
-    }
-    proxy.run();
-    return 0;
-}
-
-bool
-clientConfigFrom(const CliOptions &opts, net::ClientConfig &cfg)
-{
-    cfg.server = opts.getString("server", "");
-    if (cfg.server.empty()) {
-        std::cerr << "--server ADDR is required\n";
-        return false;
-    }
-    cfg.tenant = opts.getString("tenant", "default");
-    cfg.ioTimeoutSeconds = opts.getDouble("timeout", 10.0);
-    cfg.connectTimeoutSeconds =
-        opts.getDouble("connect-timeout", 5.0);
-    cfg.maxAttempts = unsigned(opts.getUint("attempts", 8));
-    cfg.backoffBaseSeconds = opts.getDouble("client-backoff", 0.1);
-    cfg.seed = opts.getUint("seed", 1);
-    cfg.retryLaterBudget =
-        unsigned(opts.getUint("retry-later", 64));
-    if (opts.hasFlag("no-retry")) {
-        cfg.retryLaterBudget = 0;
-        cfg.maxAttempts = 1;
-    }
-    cfg.progress = &std::cerr;
-    return true;
-}
-
-int
-cmdSubmit(const CliOptions &opts)
-{
-    service::CampaignManifest manifest;
-    net::ClientConfig cfg;
-    if (!campaignFromOpts(opts, manifest) ||
-        !clientConfigFrom(opts, cfg))
-        return 2;
-
-    net::GatewayClient client(cfg);
-    const net::SubmitReceipt receipt = client.submit(manifest);
-    std::cout << "submitted campaign " << receipt.key << " ("
-              << receipt.added << " added, " << receipt.duplicates
-              << " already queued, " << receipt.total
-              << " jobs total";
-    if (receipt.retries)
-        std::cout << ", " << receipt.retries << " retries";
-    std::cout << ")\n";
-    if (opts.hasFlag("no-watch"))
-        return 0;
-
-    CampaignResult agg = client.watch(manifest);
-    return emitAggregate(opts, agg, "submit");
-}
-
-int
-cmdWatch(const CliOptions &opts)
-{
-    net::ClientConfig cfg;
-    if (!clientConfigFrom(opts, cfg))
-        return 2;
-    net::GatewayClient client(cfg);
-
-    service::CampaignManifest manifest;
-    const std::string key = opts.getString("key", "");
-    if (!key.empty()) {
-        manifest = client.fetchManifest(key);
-    } else if (!campaignFromOpts(opts, manifest)) {
-        return 2;
-    }
-
-    CampaignResult agg = client.watch(manifest);
-    return emitAggregate(opts, agg, "watch");
 }
 
 int
@@ -952,12 +760,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::vector<std::string> flagNames = {
-        "measured", "l1-switch", "windows", "stats", "raw",
-        "no-fastforward", "no-workers", "no-watch", "no-retry"};
-    CliOptions opts(argc - 1, argv + 1, flagNames);
+    CliOptions opts(argc - 1, argv + 1, cliFlagNames());
     if (opts.positional().empty())
         return usage();
+    // Every option must be one the verb registers: a misspelt
+    // option is a usage error, never a silently applied default.
+    if (const CliVerb *verb = findCliVerb(opts.positional()[0])) {
+        if (checkCliOptions(*verb, opts, std::cerr) != 0)
+            return 2;
+    }
 
     // The failure-to-exit-code mapping lives in one shared place
     // (harness::runWithExitCodeMapping) so tests can round-trip
@@ -998,14 +809,6 @@ main(int argc, char **argv)
             return cmdServe(opts);
         if (cmd == "drain")
             return cmdDrain(opts);
-        if (cmd == "gateway")
-            return cmdGateway(opts);
-        if (cmd == "submit")
-            return cmdSubmit(opts);
-        if (cmd == "watch")
-            return cmdWatch(opts);
-        if (cmd == "chaosproxy")
-            return cmdChaosProxy(opts);
         if (cmd == "analytic")
             return cmdAnalytic(opts);
         if (cmd == "faults")
