@@ -1,13 +1,10 @@
 #include "eval_common.hh"
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 
 #include "harness/env.hh"
-#include "harness/service/service.hh"
 #include "sim/errors.hh"
 #include "sim/logging.hh"
 #include "workload/profile.hh"
@@ -22,38 +19,17 @@ using namespace harness;
 namespace
 {
 
-constexpr const char *cacheVersion = "soefair-eval-v2";
-
 /**
- * Directory holding every eval artifact (dataset cache, durable
- * queue, result cache). Defaults to build/ so the repo root stays
- * clean; SOEFAIR_EVAL_DIR relocates it (CI points it at scratch).
+ * The campaign's write-ahead journal, the one store of evaluation
+ * results. It lives under build/ so the repo root stays clean;
+ * SOEFAIR_EVAL_DIR relocates it.
  */
 std::string
-evalDir()
+journalPath()
 {
     const std::string dir = env::getOr("SOEFAIR_EVAL_DIR", "build");
     std::filesystem::create_directories(dir);
-    return dir;
-}
-
-std::string
-cachePath()
-{
-    return evalDir() + "/soefair_eval_cache.txt";
-}
-
-/**
- * Key guarding the assembled-dataset cache file. It embeds the
- * campaign's full configuration fingerprint (machine + run
- * parameters + pairs + levels), so *any* configuration change —
- * not just the handful of fields the v1 key sampled — invalidates
- * the cache instead of silently serving stale results.
- */
-std::string
-configKey(const SweepCampaign &campaign)
-{
-    return std::string(cacheVersion) + " " + campaign.journalKey();
+    return dir + "/soefair_eval.journal";
 }
 
 } // namespace
@@ -76,87 +52,49 @@ levels()
     return EvaluationSweep::standardLevels();
 }
 
-namespace
-{
-
-/** Drain the campaign through the durable job service. */
-CampaignResult
-drainEvalQueue(const service::CampaignManifest &manifest,
-             const std::string &cache_file)
-{
-    const std::string queueDir = evalDir() + "/soefair_eval_queue";
-    const std::string resultCacheDir =
-        evalDir() + "/soefair_eval_rcache";
-
-    // Jobs live in a crash-safe queue and results in the verified
-    // content-addressed cache, so a killed bench — or a second
-    // figure driver — resumes and is served from the cache instead
-    // of re-simulating.
-    service::ServiceConfig cfg;
-    cfg.queueDir = queueDir;
-    cfg.cacheDir = resultCacheDir;
-    cfg.workerName = "eval";
-    cfg.deadlineSeconds = 3600.0;
-    cfg.leaseSeconds = 300.0;
-    cfg.progress = &std::cerr;
-    cfg.slots = env::resolveUnsigned(std::nullopt,
-                                     "SOEFAIR_EVAL_JOBS", cfg.slots);
-
-    service::SweepService svc(cfg);
-    try {
-        svc.enqueueCampaign(manifest);
-    } catch (const CheckpointError &e) {
-        // A queue left by a different configuration (e.g. another
-        // SOEFAIR_SCALE): its results are unusable here, so start
-        // over. The result cache stays — it is content-addressed.
-        warn("replacing incompatible eval queue '", queueDir,
-             "': ", e.what());
-        std::filesystem::remove_all(queueDir);
-        svc.enqueueCampaign(manifest);
-    }
-    std::cerr << "[eval] draining the evaluation sweep (queue: "
-              << queueDir << ", result cache: " << resultCacheDir
-              << ", dataset cache: " << cache_file << ")...\n";
-    svc.serve();
-    return svc.aggregate();
-}
-
-} // namespace
-
 EvalData
 evaluationData()
 {
-    service::CampaignManifest manifest;
-    manifest.pairs = workload::spec::evaluationPairs();
-    manifest.levels = levels();
-    manifest.rc = evalRunConfig();
+    SweepCampaign campaign(evalMachine(), evalRunConfig(),
+                           workload::spec::evaluationPairs(), levels());
 
-    SweepCampaign campaign = service::campaignFromManifest(manifest);
+    SupervisorConfig cfg;
+    cfg.deadlineSeconds = 3600.0;
+    cfg.progress = &std::cerr;
+    cfg.jobSlots = env::resolveUnsigned(std::nullopt,
+                                        "SOEFAIR_EVAL_JOBS",
+                                        cfg.jobSlots);
 
-    EvalData data;
-    const std::string cacheFile = cachePath();
-    if (loadPairResults(cacheFile, configKey(campaign), data.pairs)) {
-        std::cerr << "[eval] loaded cached sweep from " << cacheFile
-                  << "\n";
-        return data;
+    // Resume the journal when there is one: cells it holds are
+    // replayed, so a killed bench, or a second figure driver, never
+    // re-simulates them.
+    const std::string path = journalPath();
+    std::cerr << "[eval] evaluation sweep (journal: " << path
+              << ")...\n";
+    CampaignResult agg;
+    try {
+        agg = campaign.run(cfg, path, std::filesystem::exists(path));
+    } catch (const CheckpointError &e) {
+        // A journal from a different configuration (e.g. another
+        // SOEFAIR_SCALE) or a corrupt one: its results are unusable
+        // here, so start over.
+        warn("replacing incompatible eval journal '", path, "': ",
+             e.what());
+        agg = campaign.run(cfg, path, /*resume=*/false);
     }
-
-    CampaignResult agg = drainEvalQueue(manifest, cacheFile);
 
     // Figure drivers index every standard level, so only fully
     // complete pairs are safe to hand them.
     std::set<std::string> incomplete;
     for (const auto &m : agg.missing)
         incomplete.insert(m.pair);
+    EvalData data;
     for (auto &pr : agg.results) {
         if (!incomplete.count(pr.label()))
             data.pairs.push_back(std::move(pr));
     }
     data.missing = std::move(agg.missing);
-
-    if (data.complete()) {
-        savePairResults(cacheFile, configKey(campaign), data.pairs);
-    } else {
+    if (!data.complete()) {
         warn("evaluation sweep is PARTIAL (", data.missing.size(),
              " cell(s) missing); re-run to resume");
     }

@@ -4,12 +4,12 @@
  *
  * All three figures are projections of one dataset: the 16 benchmark
  * pairs, each run single-threaded and under SOE at F = 0, 1/4, 1/2
- * and 1. Running that sweep takes minutes, so the first bench to
- * need it writes a cache file (soefair_eval_cache.txt under
- * $SOEFAIR_EVAL_DIR, default build/) and the others load it. The
- * cache key is the campaign's full configuration fingerprint: any
- * configuration change (scale, machine, levels) invalidates it
- * automatically.
+ * and 1. Running that sweep takes minutes, so it runs as a
+ * SweepCampaign whose write-ahead journal (soefair_eval.journal
+ * under $SOEFAIR_EVAL_DIR, default build/) the next bench replays.
+ * The journal key is the campaign's full configuration fingerprint:
+ * any configuration change (scale, machine, levels) starts a fresh
+ * journal automatically.
  */
 
 #ifndef SOEFAIR_BENCH_EVAL_COMMON_HH
@@ -47,16 +47,14 @@ struct EvalData
 };
 
 /**
- * Obtain the full evaluation dataset, from the cache file if its
- * key matches the campaign's full configuration fingerprint, else
- * by draining the sweep through the durable job service (see
- * docs/robustness.md): jobs are enqueued into
- * $SOEFAIR_EVAL_DIR/soefair_eval_queue/ and results committed to
- * the content-addressed result cache soefair_eval_rcache/ next to
- * it, so a second figure driver — or a re-run after a crash — is
- * served from the cache (single-thread baselines included) instead
- * of re-simulating. The text cache is written only once the
- * campaign is complete.
+ * Obtain the full evaluation dataset by running the campaign on its
+ * journal (see docs/robustness.md). An existing journal is resumed:
+ * its finished cells are replayed and only the rest run, so a second
+ * figure driver, or a re-run after a crash, does not re-simulate
+ * them. A journal from another configuration, or a corrupt one, is
+ * recreated with a warning. Two drivers started together share the
+ * journal one after the other: the second waits for the first's
+ * lock, then replays.
  */
 EvalData evaluationData();
 

@@ -32,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "harness/service/service.hh"
+#include "harness/sweep.hh"
 #include "perf_scenarios.hh"
 #include "stats/statfmt.hh"
 
@@ -109,55 +109,48 @@ auditsEnabled()
 }
 
 /**
- * Drain one short-job sweep campaign (16 jobs, tiny instruction
- * windows: dispatch overhead dominates simulation work) and return
- * jobs completed per second on the fork-per-job executor with `par`
- * slots. Cold queue + no result cache, so every job is simulated.
+ * Run one short-job sweep campaign (12 jobs, tiny instruction
+ * windows: dispatch overhead dominates simulation work) on a fresh
+ * scratch journal and return jobs completed per second on the
+ * fork-per-job executor with `par` slots. A partial campaign
+ * reports 0.
  */
 double
 sweepJobsPerSec(unsigned par)
 {
-    namespace svc = harness::service;
-    svc::CampaignManifest m;
     // 8 distinct benchmarks -> 8 single-thread jobs + 4 SOE cells.
     // F=0.5 (fairness-enforced) cells only: the F=0 miss-only cell
     // simulates orders of magnitude more cycles at the same
     // instruction count and would swamp executor overhead.
-    m.pairs = {{"gcc", "eon"},
-               {"mcf", "crafty"},
-               {"swim", "vortex"},
-               {"bzip2", "wupwise"}};
-    m.levels = {0.5};
     harness::RunConfig rc;
     rc.warmupInstrs = 200;
     rc.timingWarmInstrs = 50;
     rc.measureInstrs = 200;
-    m.rc = rc;
+    const harness::SweepCampaign campaign(
+        harness::MachineConfig::benchDefault(), rc,
+        {{"gcc", "eon"},
+         {"mcf", "crafty"},
+         {"swim", "vortex"},
+         {"bzip2", "wupwise"}},
+        {0.5});
 
-    const std::string root = "/tmp/soefair_perf_sweep_" +
-                             std::to_string(::getpid()) + "_fork";
-    std::filesystem::remove_all(root);
-    svc::ServiceConfig cfg;
-    cfg.queueDir = root;
-    cfg.workerName = "perf";
+    harness::SupervisorConfig cfg;
     cfg.deadlineSeconds = 120.0;
-    cfg.leaseSeconds = 120.0;
-    cfg.slots = par;
+    cfg.jobSlots = par;
+    const std::string journal = "/tmp/soefair_perf_sweep_" +
+                                std::to_string(::getpid()) +
+                                ".journal";
 
-    double secs = 0.0;
-    unsigned completed = 0;
-    {
-        svc::SweepService service(cfg);
-        service.enqueueCampaign(m);
-        const auto t0 = std::chrono::steady_clock::now();
-        const svc::WorkerStats ws = service.serve();
-        secs = std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-        completed = ws.completed;
-    }
-    std::filesystem::remove_all(root);
-    return secs > 0.0 ? double(completed) / secs : 0.0;
+    const auto t0 = std::chrono::steady_clock::now();
+    const harness::CampaignResult agg =
+        campaign.run(cfg, journal, /*resume=*/false);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    std::filesystem::remove(journal);
+    const double completed =
+        agg.complete() ? double(campaign.jobIds().size()) : 0.0;
+    return secs > 0.0 ? completed / secs : 0.0;
 }
 
 void

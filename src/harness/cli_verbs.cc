@@ -14,8 +14,7 @@ namespace harness
 namespace
 {
 
-/** Common option bundles, spliced into the verbs that take them. */
-
+/** Run options shared by the verbs that simulate. */
 std::vector<CliVerbOption>
 runOptions()
 {
@@ -26,33 +25,6 @@ runOptions()
         {"--scale X", "scale all run lengths (like SOEFAIR_SCALE)"},
         {"--no-fastforward",
          "tick every stall cycle instead of jumping quiescent runs"},
-    };
-}
-
-std::vector<CliVerbOption>
-campaignOptions()
-{
-    return {
-        {"--pairs a:b,c:d",
-         "benchmark pairs (default: the paper's 16)"},
-        {"--levels a,b,...",
-         "enforcement levels (default 0,0.25,0.5,1)"},
-    };
-}
-
-std::vector<CliVerbOption>
-supervisorOptions()
-{
-    return {
-        {"--jobs N", "parallel forked job slots (default 1)"},
-        {"--deadline S",
-         "per-attempt wall-clock deadline in seconds (default 600)"},
-        {"--retries N",
-         "max attempts per transiently-failing job (default 3)"},
-        {"--backoff S", "base retry backoff in seconds (0.25)"},
-        {"--inject SPEC",
-         "test hook: job@action[@maxAttempt] provokes hang | kill | "
-         "input | watchdog in the job's child; repeatable"},
     };
 }
 
@@ -72,7 +44,7 @@ const char *exitCampaign =
     "0 complete; 20 partial (MISSING cells); 21 nothing completed; "
     "2 usage; 1 fatal";
 
-/** Bare name of an option: "queue" for "--queue DIR". */
+/** Bare name of an option: "journal" for "--journal F". */
 std::string
 cliOptionName(const CliVerbOption &opt)
 {
@@ -141,55 +113,30 @@ buildVerbs()
         {"sweep", "sweep [options]",
          "run benchmark pairs across F levels under the "
          "crash-isolated supervisor and emit CSV",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       supervisorOptions()),
-                {{"--journal F",
+         concat(runOptions(),
+                {{"--pairs a:b,c:d",
+                  "benchmark pairs (default: the paper's 16)"},
+                 {"--levels a,b,...",
+                  "enforcement levels (default 0,0.25,0.5,1)"},
+                 {"--jobs N", "parallel forked job slots (default 1)"},
+                 {"--deadline S",
+                  "per-attempt wall-clock deadline in seconds "
+                  "(default 600)"},
+                 {"--retries N",
+                  "max attempts per transiently-failing job "
+                  "(default 3)"},
+                 {"--backoff S", "base retry backoff in seconds (0.25)"},
+                 {"--inject SPEC",
+                  "test hook: job@action[@maxAttempt] provokes hang | "
+                  "kill | input | watchdog in the job's child; "
+                  "repeatable"},
+                 {"--journal F",
                   "write-ahead journal path (default "
                   "soefair_sweep.journal)"},
                  {"--resume F",
                   "resume from an existing journal"},
                  {"--out F", "CSV output path (default stdout)"}}),
          exitCampaign});
-
-    const std::vector<CliVerbOption> serviceOpts = {
-        {"--queue DIR", "job queue directory (required)"},
-        {"--cache DIR",
-         "content-addressed result cache (empty disables)"},
-        {"--capacity N", "queue admission bound, 0 = unbounded"},
-        {"--worker NAME", "worker name recorded in lease records"},
-        {"--lease S", "lease duration in seconds (default 60)"},
-        {"--heartbeat S", "lease renewal interval (default lease/3)"},
-        {"--poll S", "idle poll interval (default 0.5)"},
-    };
-
-    verbs.push_back(
-        {"enqueue", "enqueue --queue DIR [options]",
-         "durably enqueue a sweep campaign into a job queue "
-         "directory (idempotent)",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       supervisorOptions()),
-                serviceOpts),
-         "0 ok; 22 admission control rejected jobs (queue at "
-         "capacity); 2 usage; 13 checkpoint"});
-
-    verbs.push_back(
-        {"serve", "serve --queue DIR [options]",
-         "worker loop: drain the queue under lease-based claiming, "
-         "serving from the verified result cache when possible; "
-         "SIGTERM is a graceful stop",
-         concat(supervisorOptions(), serviceOpts),
-         "0 drained or stopped gracefully; 2 usage; 13 checkpoint"});
-
-    verbs.push_back(
-        {"drain", "drain --queue DIR [options]",
-         "enqueue (if needed) + serve + aggregate: one-command "
-         "service campaign emitting the same CSV as sweep",
-         concat(concat(concat(runOptions(), campaignOptions()),
-                       supervisorOptions()),
-                concat(serviceOpts,
-                       {{"--out F", "CSV output path (stdout)"}})),
-         "0 complete; 20 partial; 21 nothing completed; 22 complete "
-         "but jobs were rejected at enqueue; 2 usage; 13 checkpoint"});
 
     verbs.push_back(
         {"analytic", "analytic [options]",

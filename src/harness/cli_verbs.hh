@@ -25,14 +25,14 @@ namespace harness
 
 struct CliVerbOption
 {
-    std::string name;        ///< "--queue DIR"
+    std::string name;        ///< "--journal F"
     std::string description; ///< one line
 };
 
 struct CliVerb
 {
-    std::string name;     ///< "drain"
-    std::string synopsis; ///< "drain --queue DIR [options]"
+    std::string name;     ///< "sweep"
+    std::string synopsis; ///< "sweep [options]"
     std::string description;
     std::vector<CliVerbOption> options;
     /** Exit-code contract, e.g. "0 ok; 2 usage; 13 checkpoint". */

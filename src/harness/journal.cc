@@ -1,6 +1,7 @@
 #include "harness/journal.hh"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -12,6 +13,7 @@
 
 #include "harness/jsonl.hh"
 #include "sim/errors.hh"
+#include "sim/logging.hh"
 
 namespace soefair
 {
@@ -60,15 +62,44 @@ JournalWriter::~JournalWriter()
 }
 
 void
-JournalWriter::create(const std::string &path, const std::string &key)
+JournalWriter::lockedOpen(const std::string &path, int flags)
 {
     close();
-    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC | flags,
+                0644);
     if (fd < 0) {
-        raiseError<CheckpointError>("cannot create journal '", path,
+        raiseError<CheckpointError>("cannot open journal '", path,
                                     "': ", std::strerror(errno));
     }
+    // One writer per journal: a second campaign on the same file
+    // waits here until the first closes it, then sees its records.
+    if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+        if (errno == EWOULDBLOCK) {
+            warn("journal '", path, "' is in use by another ",
+                 "process; waiting for it to finish");
+        }
+        int rc;
+        while ((rc = ::flock(fd, LOCK_EX)) != 0 && errno == EINTR) {
+        }
+        if (rc != 0) {
+            const int err = errno;
+            ::close(fd);
+            fd = -1;
+            raiseError<CheckpointError>("cannot lock journal '", path,
+                                        "': ", std::strerror(err));
+        }
+    }
     filePath = path;
+}
+
+void
+JournalWriter::create(const std::string &path, const std::string &key)
+{
+    lockedOpen(path, O_CREAT);
+    if (::ftruncate(fd, 0) != 0) {
+        raiseError<CheckpointError>("cannot truncate journal '", path,
+                                    "': ", std::strerror(errno));
+    }
     std::ostringstream os;
     os << "{\"journal\":\"soefair-sweep\",\"v\":" << journalVersion
        << ",\"key\":\"" << journalEscape(key) << "\"}";
@@ -76,41 +107,35 @@ JournalWriter::create(const std::string &path, const std::string &key)
 }
 
 void
+JournalWriter::lock(const std::string &path)
+{
+    lockedOpen(path, 0);
+}
+
+void
 JournalWriter::openAppend(const std::string &path)
 {
-    close();
+    if (fd < 0 || filePath != path)
+        lockedOpen(path, 0);
     // A kill mid-append can leave a torn final line; appending
     // directly after the fragment would merge two records into one
     // malformed line and break the *next* resume. Resume-mode
-    // loading already dropped the fragment, so cut it off here too.
-    {
-        std::ifstream is(path, std::ios::binary);
-        if (is) {
-            std::ostringstream buf;
-            buf << is.rdbuf();
-            const std::string text = buf.str();
-            if (!text.empty() && text.back() != '\n') {
-                const std::size_t nl = text.rfind('\n');
-                const std::size_t keep =
-                    nl == std::string::npos ? 0 : nl + 1;
-                warn("journal '", path, "': truncating torn final ",
-                     "line (", text.size() - keep,
-                     " bytes) before append");
-                if (::truncate(path.c_str(), off_t(keep)) != 0) {
-                    raiseError<CheckpointError>(
-                        "journal '", path, "': cannot truncate torn ",
-                        "tail: ", std::strerror(errno));
-                }
-            }
+    // loading would drop the fragment, so cut it off here too.
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    const std::string text = buf.str();
+    if (!text.empty() && text.back() != '\n') {
+        const std::size_t nl = text.rfind('\n');
+        const std::size_t keep = nl == std::string::npos ? 0 : nl + 1;
+        warn("journal '", path, "': truncating torn final line (",
+             text.size() - keep, " bytes) before append");
+        if (::ftruncate(fd, off_t(keep)) != 0) {
+            raiseError<CheckpointError>(
+                "journal '", path, "': cannot truncate torn tail: ",
+                std::strerror(errno));
         }
     }
-    fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
-    if (fd < 0) {
-        raiseError<CheckpointError>("cannot append to journal '",
-                                    path, "': ",
-                                    std::strerror(errno));
-    }
-    filePath = path;
 }
 
 void
@@ -200,15 +225,13 @@ loadJournal(const std::string &path, const std::string &expected_key,
 
     JournalState st;
     std::map<std::string, std::string> fields;
-    // Set from the header; v2 journals seal every line with a CRC
-    // member that is verified before the line is trusted.
-    int fileVersion = journalVersion;
 
+    // Every line carries a CRC member, verified before the line is
+    // trusted (the header's after its version, for a clearer error).
     for (std::size_t li = 0; li < lines.size(); ++li) {
         const bool isTornTail =
             li + 1 == lines.size() && !lastTerminated;
-        if (li > 0 && fileVersion >= 2 &&
-            !jsonlVerifyLine(lines[li])) {
+        if (li > 0 && !jsonlVerifyLine(lines[li])) {
             if (isTornTail && tolerate_torn_tail) {
                 warn("journal '", path, "': dropping torn final ",
                      "line (", lines[li].size(), " bytes)");
@@ -238,18 +261,13 @@ loadJournal(const std::string &path, const std::string &expected_key,
                                             "': missing header");
             }
             const std::string v = field(fields, "v");
-            char *end = nullptr;
-            const long vnum = std::strtol(v.c_str(), &end, 10);
-            if (v.empty() || !end || *end != '\0' ||
-                vnum < journalCompatVersion ||
-                vnum > journalVersion) {
+            if (v != std::to_string(journalVersion)) {
                 raiseError<CheckpointError>(
                     "journal '", path, "': version '", v,
-                    "' not in supported range ",
-                    journalCompatVersion, "..", journalVersion);
+                    "' is not the supported version ",
+                    journalVersion);
             }
-            fileVersion = int(vnum);
-            if (fileVersion >= 2 && !jsonlVerifyLine(lines[li])) {
+            if (!jsonlVerifyLine(lines[li])) {
                 raiseError<CheckpointError>(
                     "journal '", path,
                     "': header checksum mismatch");

@@ -10,7 +10,7 @@
  * everything else is re-run.
  *
  * File format (one object per line, flat string/number fields only;
- * since v2 every line is sealed with a trailing CRC-32 member, see
+ * every line is sealed with a trailing CRC-32 member, see
  * harness/jsonl.hh):
  *
  *   {"journal":"soefair-sweep","v":2,"key":"<fingerprint>","crc":N}
@@ -22,15 +22,18 @@
  *
  * Corruption is a defined failure: a journal whose header, version
  * or key does not match, that contains duplicate `done` records,
- * unknown job ids, a malformed line, or (v2) a line whose checksum
- * does not match raises `CheckpointError` (exit 13), never UB — a
+ * unknown job ids, a malformed line, or a line whose checksum does
+ * not match raises `CheckpointError` (exit 13), never UB — a
  * silently bit-flipped payload can no longer be parsed as a valid
  * record. The single exception is a *torn tail* — a final line
  * without a trailing newline, exactly what a SIGKILL mid-append
  * leaves behind — which resume-mode loading drops with a warning
- * while strict loading still raises. v1 journals (no CRC members)
- * are still read for backward compatibility; new journals are
- * always written as v2.
+ * while strict loading still raises.
+ *
+ * A journal has one writer at a time: JournalWriter holds an
+ * exclusive flock(2) on the file from open to close, so a second
+ * process pointed at the same journal waits instead of interleaving
+ * its appends.
  */
 
 // detlint: conc-optin — journal state crosses the fork boundary;
@@ -52,10 +55,8 @@ namespace soefair
 namespace harness
 {
 
-/** Journal format version written by this build (CRC-sealed). */
+/** Journal format version (CRC-sealed lines); the only one read. */
 constexpr int journalVersion = 2;
-/** Oldest journal format version still accepted on read. */
-constexpr int journalCompatVersion = 1;
 
 /** One job state transition. */
 struct JournalRecord
@@ -76,7 +77,10 @@ struct JournalRecord
 /**
  * Append-only journal writer. Every append is written with a single
  * write(2) and fsync'd before returning (write-ahead: the record is
- * durable before the supervisor acts on the transition).
+ * durable before the supervisor acts on the transition). The writer
+ * holds an exclusive flock(2) on the file until close(), taken
+ * before it truncates or reads anything; opening a journal another
+ * process is writing blocks until that writer closes.
  */
 class JournalWriter
 {
@@ -86,14 +90,20 @@ class JournalWriter
     JournalWriter(const JournalWriter &) = delete;
     JournalWriter &operator=(const JournalWriter &) = delete;
 
-    /** Create/truncate `path` and write the header line. */
+    /** Lock `path` (creating it if absent), truncate it and write
+     *  the header line. */
     void create(const std::string &path, const std::string &key);
 
+    /** Lock an existing journal without changing it, so it can be
+     *  loaded and validated before openAppend(). */
+    void lock(const std::string &path);
+
     /**
-     * Open an existing journal for appending (resume). A torn final
-     * line (kill mid-append) is truncated away first — appending
-     * straight after the fragment would merge two records into one
-     * malformed line and poison the *next* resume.
+     * Open an existing journal for appending (resume), locking it
+     * first unless lock() already did. A torn final line (kill
+     * mid-append) is truncated away — appending straight after the
+     * fragment would merge two records into one malformed line and
+     * poison the *next* resume.
      */
     void openAppend(const std::string &path);
 
@@ -103,6 +113,7 @@ class JournalWriter
     const std::string &path() const { return filePath; }
 
   private:
+    void lockedOpen(const std::string &path, int flags);
     void writeLine(const std::string &line);
 
     int fd SOE_THREAD_OWNED(supervisor) = -1;

@@ -1,16 +1,15 @@
 /**
  * @file
- * Shared helpers for the flat-JSONL durable formats (sweep journal,
- * service job queue, campaign manifest).
+ * Helpers for the flat-JSONL durable format of the sweep journal.
  *
  * Every line is one flat JSON object of "key":"string" /
  * "key":integer members. CRC-guarded lines carry the checksum as
  * their *last* member:
  *
- *   {"op":"enqueue","job":"st:gcc:1","crc":123456789}
+ *   {"job":"st:gcc:1","state":"running","crc":123456789}
  *
  * where the crc value is crc32 of the line with the crc member
- * removed (i.e. of `{"op":"enqueue","job":"st:gcc:1"}`). That keeps
+ * removed (i.e. of `{"job":"st:gcc:1","state":"running"}`). That keeps
  * the guarded text self-delimiting without escaping games: writers
  * build the line, call jsonlSealLine(), and append; readers call
  * jsonlVerifyLine() before parsing.

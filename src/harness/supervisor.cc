@@ -213,8 +213,13 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
         }
         if (pid == 0) {
             // Child: run the job body, ship the payload through the
-            // pipe, and _exit with the SimError taxonomy's code.
+            // pipe, and _exit with the SimError taxonomy's code. It
+            // drops its copy of the journal descriptor first, so a
+            // child that outlives a killed supervisor does not keep
+            // the journal locked.
             ::close(fds[0]);
+            if (journal)
+                journal->close();
             int code = 0;
             std::string payload;
             try {

@@ -125,8 +125,7 @@ class SweepSupervisor
     /**
      * Backoff before the retry that follows transient failure number
      * `failed_attempt` (1-based): base * 2^(failed_attempt - 1)
-     * seconds. Exposed so the sweep service applies the identical
-     * schedule to queue retries and tests can pin it.
+     * seconds. Exposed so tests can pin the schedule.
      */
     static double backoffSeconds(double base, unsigned failed_attempt);
 

@@ -98,22 +98,11 @@ std::uint64_t pairSeed(unsigned idx);
  * base seed, attempt k >= 2 at deriveSeed(seed, 1000 + k), so a
  * deterministic livelock at the base seed still has a chance to
  * complete on retry. Pinned by tests: the schedule is part of the
- * resume/replay determinism contract (a cached or journaled result
- * is only substitutable for re-simulation if the re-simulation
- * would have used the same seed).
+ * resume/replay determinism contract (a journaled result is only
+ * substitutable for re-simulation if the re-simulation would have
+ * used the same seed).
  */
 std::uint64_t attemptSeed(std::uint64_t seed, unsigned attempt);
-
-/**
- * Persist/load a sweep's results (the fields Figures 6-8 need) to a
- * text cache file. `key` identifies the configuration that produced
- * the results: loading fails (returns false) when the file's key
- * differs, so stale caches are never reused.
- */
-void savePairResults(const std::string &path, const std::string &key,
-                     const std::vector<PairResult> &results);
-bool loadPairResults(const std::string &path, const std::string &key,
-                     std::vector<PairResult> &results);
 
 /** Write the per-level results as CSV (machine-readable sweeps). */
 void writePairResultsCsv(std::ostream &os,
@@ -177,20 +166,6 @@ class SweepCampaign
      *  resume against a differing key raises CheckpointError. */
     std::string journalKey() const;
 
-    /**
-     * Content-address fingerprint of one job: machine + run
-     * parameters + job id, *excluding* the campaign's pair/level
-     * lists, so the identical job appearing in two different
-     * campaigns shares one result-cache entry. Fast-forward state is
-     * excluded too — results are byte-identical either way by
-     * contract.
-     */
-    std::string jobFingerprint(const std::string &job_id) const;
-
-    /** The base seed a job's attempts are derived from (the cache
-     *  keys entries on (fingerprint, attemptSeed(jobSeed, k))). */
-    static std::uint64_t jobSeed(const std::string &job_id);
-
     /** The campaign's jobs in deterministic order (baselines
      *  first, then pair x level). */
     std::vector<SupervisorJob> jobs() const;
@@ -206,7 +181,9 @@ class SweepCampaign
     /**
      * Convenience wrapper: build the jobs, open/create the journal
      * at `journal_path` (resume appends; otherwise the file is
-     * recreated), supervise, aggregate.
+     * recreated), supervise, aggregate. The journal stays locked
+     * for the whole run (see JournalWriter), so a second process
+     * running a campaign on the same file waits for this one.
      */
     CampaignResult run(const SupervisorConfig &scfg,
                        const std::string &journal_path,

@@ -1,11 +1,9 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) used to
- * guard durable on-disk records — journal lines, queue segments and
- * result-cache payloads — against silent corruption. A checksum
- * mismatch is a *defined* failure (CheckpointError or an evict-and-
- * recompute, depending on the consumer), never silently-parsed
- * garbage.
+ * guard the sweep journal's lines against silent corruption. A
+ * checksum mismatch is a *defined* failure (CheckpointError), never
+ * silently-parsed garbage.
  */
 
 #ifndef SOEFAIR_SIM_CRC32_HH

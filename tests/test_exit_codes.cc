@@ -174,9 +174,9 @@ TEST(ExitCodes, EveryDocumentedVerbCodeNamesARealCode)
 {
     // The verb registry's exit-code contracts may only mention the
     // process-level codes (0 ok, 1 fatal, 2 usage, 3 panic), the
-    // SimError band, or the campaign summary codes 20..22. A typo'd
-    // code here is exactly the drift ERR-003 exists to catch.
-    const std::set<int> processCodes = {0, 1, 2, 3, 20, 21, 22};
+    // SimError band, or the campaign summary codes 20 and 21. A
+    // typo'd code here is exactly the drift ERR-003 exists to catch.
+    const std::set<int> processCodes = {0, 1, 2, 3, 20, 21};
     for (const auto &verb : harness::cliVerbs()) {
         ASSERT_FALSE(verb.exitCodes.empty()) << verb.name;
         const std::set<int> codes = documentedCodes(verb.exitCodes);

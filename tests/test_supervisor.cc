@@ -3,18 +3,22 @@
  * Sweep supervisor tests: crash isolation (a job may hang, die on a
  * signal or throw any SimError without taking down the campaign),
  * permanent-vs-transient classification, retry with attempt-derived
- * reseeding, journal write-ahead/replay, and the golden guarantee
- * that a supervised campaign reproduces the in-process sweep's CSV
- * byte for byte.
+ * reseeding, journal write-ahead/replay, one writer per journal, and
+ * the golden guarantee that a supervised campaign reproduces the
+ * in-process sweep's CSV byte for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -223,10 +227,9 @@ TEST(Supervisor, JournalCommitsTransitionsAndResumeReplays)
 
 TEST(Supervisor, BackoffScheduleIsPinned)
 {
-    // The exponential backoff schedule is shared between the
-    // in-process supervisor and the sweep service's queue retries:
-    // base * 2^(k-1) seconds after transient failure k. Pinned so a
-    // change is a conscious decision, not an accident.
+    // The supervisor's exponential backoff schedule: base * 2^(k-1)
+    // seconds after transient failure k. Pinned so a change is a
+    // conscious decision, not an accident.
     EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 0), 0.0);
     EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 1), 0.25);
     EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 2), 0.5);
@@ -358,4 +361,78 @@ TEST(SweepCampaign, MissingCellsAreExplicitAndExitCodesDistinct)
     EXPECT_TRUE(agg2.complete());
     EXPECT_EQ(agg2.exitCode(), 0);
     ASSERT_EQ(agg2.results.size(), 1u);
+}
+
+TEST(SweepCampaign, ConcurrentRunsOnOneJournalTakeTurns)
+{
+    const std::vector<double> levels = {0.0, 0.5};
+    const auto mc = MachineConfig::benchDefault();
+    EvaluationSweep sweep(mc, tinyRun());
+    std::ostringstream refCsv;
+    writePairResultsCsv(refCsv, {sweep.runPair("gcc", "eon", levels)});
+
+    TempJournal tj("shared");
+    TempJournal childOut("shared_child_csv");
+    int started[2];
+    ASSERT_EQ(pipe(started), 0);
+
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // Child: the first campaign on the journal. Its job children
+        // report each attempt through the pipe, so the parent knows
+        // the journal is locked and written before it starts.
+        ::close(started[0]);
+        int code = 1;
+        try {
+            SweepCampaign campaign(mc, tinyRun(), {{"gcc", "eon"}},
+                                   levels);
+            campaign.setAttemptHook(
+                [fd = started[1]](const std::string &, unsigned) {
+                    const char byte = 1;
+                    (void)!::write(fd, &byte, 1);
+                });
+            auto agg = campaign.run(quickConfig(), tj.path,
+                                    /*resume=*/false);
+            std::ofstream os(childOut.path);
+            writeCampaignCsv(os, agg);
+            code = agg.complete() && os ? 0 : 1;
+        } catch (...) {
+        }
+        // detlint: allow(ERR-001)
+        _exit(code);
+    }
+    ::close(started[1]);
+    char byte = 0;
+    ASSERT_EQ(::read(started[0], &byte, 1), 1);
+
+    // The same campaign in the parent, resuming the shared journal:
+    // it waits for the child's lock, then replays every cell.
+    SweepCampaign campaign(mc, tinyRun(), {{"gcc", "eon"}}, levels);
+    auto agg = campaign.run(quickConfig(), tj.path, /*resume=*/true);
+    std::ostringstream parentCsv;
+    writeCampaignCsv(parentCsv, agg);
+
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    // Closed only now: the child's later attempts still write to it.
+    ::close(started[0]);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    std::ifstream childIs(childOut.path);
+    const std::string childCsv(std::istreambuf_iterator<char>(childIs),
+                               {});
+    EXPECT_EQ(refCsv.str(), childCsv);
+    EXPECT_EQ(refCsv.str(), parentCsv.str());
+
+    // Strict loading rejects a duplicate `done`; every job ran once
+    // (header plus one running and one done record per job).
+    const auto ids = campaign.jobIds();
+    const auto st =
+        loadJournal(tj.path, campaign.journalKey(), false, &ids);
+    EXPECT_EQ(st.done.size(), ids.size());
+    std::ifstream is(tj.path);
+    const std::string text(std::istreambuf_iterator<char>(is), {});
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
+              std::ptrdiff_t(1 + 2 * ids.size()));
 }

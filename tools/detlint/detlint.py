@@ -162,8 +162,8 @@ OWN_DOMAINS = {
                "LP that owns the core (fetch/ROB/LSQ/L1/TLB...)",
     "shared": "bus/LLC-shared state crossed by multiple core LPs "
               "under the conservative lookahead window",
-    "supervisor": "supervisor/harness state: job control, journals "
-                  "and the sweep service",
+    "supervisor": "supervisor/harness state: job control and "
+                  "journals",
     "value": "value type passed between owners by copy/move; no "
              "resident owner",
     "config": "set before the run starts, immutable while LPs run",

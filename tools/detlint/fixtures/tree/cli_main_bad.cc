@@ -10,7 +10,7 @@ namespace soefair
 namespace
 {
 
-constexpr int exitQueueSaturated = 22;
+constexpr int exitQueueFull = 22;
 
 struct Options
 {
@@ -42,7 +42,7 @@ int
 cmdDrain(const Options &opts)
 {
     if (opts.full)
-        return exitQueueSaturated;
+        return exitQueueFull;
     return 0;
 }
 

@@ -11,7 +11,7 @@ namespace soefair
 namespace
 {
 
-constexpr int exitQueueSaturated = 22;
+constexpr int exitQueueFull = 22;
 
 struct Options
 {
@@ -43,7 +43,7 @@ int
 cmdDrain(const Options &opts)
 {
     if (opts.full)
-        return exitQueueSaturated;
+        return exitQueueFull;
     return 0;
 }
 

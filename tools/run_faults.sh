@@ -123,7 +123,7 @@ fi
 
 # --- 5. sweep supervisor fault scenarios ----------------------------
 #
-# Both scenarios run a tiny two-cell campaign (gcc:eon at F=0,1/2 at
+# Every scenario runs a tiny two-cell campaign (gcc:eon at F=0,1/2 at
 # SOEFAIR_SCALE=0.02) so each job takes well under a second
 # unsanitized and ~5-6 s under ASan. The deadline must stay well
 # above a healthy job's runtime -- a too-tight deadline kills real
@@ -194,131 +194,37 @@ else
     echo "ok: supervisor torn-journal resume matches reference"
 fi
 
-# --- 6. sweep service fault scenarios -------------------------------
-#
-# The durable-queue service must survive torn queue segments, corrupt
-# result-cache entries, a worker SIGKILLed mid-lease and a graceful
-# SIGTERM drain -- and in every case the final aggregate CSV must be
-# byte-identical to an uninterrupted campaign's.
-
-# serve takes its campaign from the queue's manifest, so it gets
-# only the worker options.
-SVC_WORKER="--retries 2 --backoff 0.1"
-SVC_ARGS="--pairs gcc:eon --levels 0,0.5 $SVC_WORKER"
-SVC_CACHE="$SCRATCH/svc_cache"
-
-# Uninterrupted reference drain (also populates the result cache).
-svcref="$SCRATCH/svc_ref.csv"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" drain $SVC_ARGS \
-        --queue "$SCRATCH/svc_q_ref" --cache "$SVC_CACHE" \
-        --deadline "$SWEEP_DEADLINE" --out "$svcref" \
-        >/dev/null 2>&1; then
-    fail "service: reference drain failed"
-else
-    echo "ok: service reference drain complete"
-fi
-
-# 6a. Queue truncation: a worker SIGKILLed mid-append leaves a torn
-# final record in the last queue segment. The next drain must
-# truncate it (the record never committed), finish the campaign and
-# match the reference.
-qt="$SCRATCH/svc_q_torn"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $SVC_ARGS \
-        --queue "$qt" >/dev/null 2>&1; then
-    fail "service queue-truncation: enqueue failed"
-fi
-lastseg=$(ls "$qt"/queue-*.jsonl | sort | tail -1)
-printf '{"op":"lease","job":"st:gcc:1","wor' >>"$lastseg"
-tornout="$SCRATCH/svc_torn.csv"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" drain $SVC_ARGS \
-        --queue "$qt" --deadline "$SWEEP_DEADLINE" \
-        --out "$tornout" >/dev/null 2>"$SCRATCH/svc_torn.err"; then
-    fail "service queue-truncation: drain exited nonzero"
-    sed 's/^/    /' "$SCRATCH/svc_torn.err" >&2
-elif ! cmp -s "$svcref" "$tornout"; then
-    fail "service queue-truncation: CSV differs from reference"
-    diff "$svcref" "$tornout" | sed 's/^/    /' >&2
-else
-    echo "ok: service survives a torn queue segment"
-fi
-
-# 6b. Cache corruption: flip bytes in a result-cache entry. The
-# drain must detect the checksum mismatch, evict the entry,
-# re-simulate that one job and still match the reference.
-corrupt_entry=$(ls "$SVC_CACHE"/*.rc | head -1)
-printf 'XX' | dd of="$corrupt_entry" bs=1 seek=40 conv=notrunc \
-    >/dev/null 2>&1
-ccout="$SCRATCH/svc_ccache.csv"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" drain $SVC_ARGS \
-        --queue "$SCRATCH/svc_q_cc" --cache "$SVC_CACHE" \
-        --deadline "$SWEEP_DEADLINE" --out "$ccout" \
-        >/dev/null 2>"$SCRATCH/svc_cc.err"; then
-    fail "service cache-corruption: drain exited nonzero"
-elif ! grep -q "evicting corrupt entry" "$SCRATCH/svc_cc.err"; then
-    fail "service cache-corruption: corrupt entry was not evicted"
-    sed 's/^/    /' "$SCRATCH/svc_cc.err" >&2
-elif ! cmp -s "$svcref" "$ccout"; then
-    fail "service cache-corruption: CSV differs from reference"
-    diff "$svcref" "$ccout" | sed 's/^/    /' >&2
-else
-    echo "ok: service evicts corrupt cache entries and re-simulates"
-fi
-
-# 6c. Worker SIGKILLed mid-lease: the lease expires, a later drain
-# reclaims the jobs at the same attempt number, and the aggregate is
-# byte-identical to the reference (the golden resume gate).
-qk="$SCRATCH/svc_q_kill"
-ck="$SCRATCH/svc_cache_kill"
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $SVC_ARGS \
-    --queue "$qk" >/dev/null 2>&1
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $SVC_WORKER \
-    --queue "$qk" --cache "$ck" --lease 3 \
-    --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
-serve_pid=$!
-sleep 1
-kill -9 "$serve_pid" 2>/dev/null
-wait "$serve_pid" 2>/dev/null
-killout="$SCRATCH/svc_kill.csv"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" drain $SVC_ARGS \
-        --queue "$qk" --cache "$ck" --lease 3 \
-        --deadline "$SWEEP_DEADLINE" --out "$killout" \
-        >/dev/null 2>&1; then
-    fail "service worker-kill: drain after SIGKILL exited nonzero"
-elif ! cmp -s "$svcref" "$killout"; then
-    fail "service worker-kill: CSV differs from reference"
-    diff "$svcref" "$killout" | sed 's/^/    /' >&2
-else
-    echo "ok: service drain after SIGKILLed worker matches reference"
-fi
-
-# 6d. Graceful SIGTERM drain: a worker stuck on an injected hang is
-# TERMed; it must kill its child, release the lease un-consumed and
-# exit 0. A follow-up drain (no injection) finishes the campaign,
-# byte-identical to the reference.
-qs="$SCRATCH/svc_q_term"
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" enqueue $SVC_ARGS \
-    --queue "$qs" >/dev/null 2>&1
-timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" serve $SVC_WORKER \
-    --queue "$qs" --inject 'soe:gcc:eon:F=0.5@hang@99' \
-    --deadline "$SWEEP_DEADLINE" >/dev/null 2>&1 &
-serve_pid=$!
-sleep 2
-kill -TERM "$serve_pid" 2>/dev/null
-wait "$serve_pid"
+# 5c. SIGKILL mid-campaign: a sweep killed once its journal holds
+# the first committed `done` record is resumed with --resume, which
+# replays the finished jobs, re-runs the rest and must reproduce the
+# reference CSV exactly.
+kj="$SCRATCH/kill.journal"
+$SWEEP_ENV "$CLI" $SWEEP_ARGS --deadline "$SWEEP_DEADLINE" \
+    --journal "$kj" --out "$SCRATCH/sweep_killed.csv" \
+    >/dev/null 2>&1 &
+sweep_pid=$!
+waited=0
+while ! grep -q '"state":"done"' "$kj" 2>/dev/null \
+        && kill -0 "$sweep_pid" 2>/dev/null \
+        && [ "$waited" -lt $((TIMEOUT_S * 10)) ]; do
+    sleep 0.1
+    waited=$((waited + 1))
+done
+kill -9 "$sweep_pid" 2>/dev/null
+wait "$sweep_pid" 2>/dev/null
 got=$?
-if [ "$got" -ne 0 ]; then
-    fail "service sigterm: serve exited $got after SIGTERM, expected 0"
-fi
-termout="$SCRATCH/svc_term.csv"
-if ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" drain $SVC_ARGS \
-        --queue "$qs" --deadline "$SWEEP_DEADLINE" \
-        --out "$termout" >/dev/null 2>&1; then
-    fail "service sigterm: follow-up drain exited nonzero"
-elif ! cmp -s "$svcref" "$termout"; then
-    fail "service sigterm: CSV differs from reference"
-    diff "$svcref" "$termout" | sed 's/^/    /' >&2
+killres="$SCRATCH/sweep_kill_resumed.csv"
+if [ "$got" -ne 137 ]; then
+    fail "supervisor kill: sweep exited $got before the SIGKILL"
+elif ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" $SWEEP_ARGS \
+        --deadline "$SWEEP_DEADLINE" \
+        --resume "$kj" --out "$killres" >/dev/null 2>&1; then
+    fail "supervisor kill: --resume exited nonzero"
+elif ! cmp -s "$ref" "$killres"; then
+    fail "supervisor kill: resumed CSV differs from reference"
+    diff "$ref" "$killres" | sed 's/^/    /' >&2
 else
-    echo "ok: service SIGTERM drain is graceful and resumable"
+    echo "ok: supervisor resume after SIGKILL matches reference"
 fi
 
 # --------------------------------------------------------------------

@@ -22,23 +22,6 @@
  *                                results are partial (gaps appear as
  *                                MISSING(...) lines), 21 when no
  *                                cell completed.
- *   enqueue                      durably enqueue a sweep campaign
- *                                into a job queue directory
- *                                (--queue DIR; sweep's --pairs /
- *                                --levels / run options select the
- *                                campaign). Idempotent; exits 22
- *                                when admission control rejected
- *                                jobs (queue at capacity)
- *   serve                        worker loop: drain the queue under
- *                                lease-based claiming, serving jobs
- *                                from the verified result cache when
- *                                possible (--queue DIR --cache DIR).
- *                                Exits 0 on drain or graceful
- *                                SIGTERM shutdown
- *   drain                        enqueue (if needed) + serve +
- *                                aggregate: one-command service
- *                                campaign emitting the same CSV as
- *                                `sweep` (same exit codes)
  *   help [verb]                  the full verb registry: options and
  *                                exit codes per verb
  *   analytic                     evaluate the analytical model
@@ -77,21 +60,6 @@
  *                     the named job's child for attempts up to
  *                     maxAttempt (default: all); repeatable
  *
- * service options (enqueue / serve / drain; docs/robustness.md):
- *   --queue DIR       job queue directory (required)
- *   --cache DIR       content-addressed result cache directory
- *                     (serve/drain; empty disables the cache)
- *   --capacity N      queue admission bound, 0 = unbounded (enqueue)
- *   --worker NAME     worker name recorded in lease records
- *   --lease S         lease duration in seconds (default 60); a
- *                     worker silent this long is presumed dead and
- *                     its job is reclaimed at the same attempt
- *   --heartbeat S     lease renewal interval (default lease/3)
- *   --poll S          idle poll interval while other workers hold
- *                     live leases (default 0.5)
- *   plus sweep's --jobs / --deadline / --retries / --backoff /
- *   --inject, which apply to the worker loop
- *
  * run-soe options:
  *   --policy P        miss-only | fairness | timeshare | quota
  *   --F X             target fairness for the fairness policy (0.5)
@@ -113,6 +81,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <optional>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -123,7 +92,6 @@
 #include "harness/cli_verbs.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
-#include "harness/service/service.hh"
 #include "harness/sweep.hh"
 #include "harness/table.hh"
 #include "sim/errors.hh"
@@ -398,15 +366,15 @@ provokeInjectedFault(const InjectSpec &is)
     }
 }
 
-/** Parse the campaign selection shared by sweep / enqueue / serve /
- *  drain (--pairs, --levels, run options) into a manifest. */
-bool
-campaignFromOpts(const CliOptions &opts,
-                 service::CampaignManifest &m)
+/** Parse sweep's campaign selection (--pairs, --levels, run
+ *  options); nullopt after printing a usage error. */
+std::optional<SweepCampaign>
+campaignFromOpts(const CliOptions &opts)
 {
+    std::vector<std::pair<std::string, std::string>> pairs;
     const std::string pairsArg = opts.getString("pairs", "");
     if (pairsArg.empty()) {
-        m.pairs = workload::spec::evaluationPairs();
+        pairs = workload::spec::evaluationPairs();
     } else {
         std::stringstream ss(pairsArg);
         std::string item;
@@ -414,41 +382,38 @@ campaignFromOpts(const CliOptions &opts,
             const auto colon = item.find(':');
             if (colon == std::string::npos) {
                 std::cerr << "--pairs expects a:b,c:d\n";
-                return false;
+                return std::nullopt;
             }
-            m.pairs.emplace_back(item.substr(0, colon),
-                                 item.substr(colon + 1));
+            pairs.emplace_back(item.substr(0, colon),
+                               item.substr(colon + 1));
         }
     }
 
-    m.levels = EvaluationSweep::standardLevels();
+    std::vector<double> levels = EvaluationSweep::standardLevels();
     if (opts.hasOption("levels"))
-        m.levels = parseList(opts.getString("levels", ""));
-    if (m.levels.empty()) {
+        levels = parseList(opts.getString("levels", ""));
+    if (levels.empty()) {
         std::cerr << "--levels expects a,b,...\n";
-        return false;
+        return std::nullopt;
     }
-    m.rc = runConfigFrom(opts);
-    return true;
+    return SweepCampaign(MachineConfig::benchDefault(),
+                         runConfigFrom(opts), std::move(pairs),
+                         std::move(levels));
 }
 
 int
 cmdSweep(const CliOptions &opts)
 {
-    service::CampaignManifest manifest;
-    if (!campaignFromOpts(opts, manifest))
+    std::optional<SweepCampaign> campaign = campaignFromOpts(opts);
+    if (!campaign)
         return 2;
-    const auto &pairs = manifest.pairs;
-    const auto &fLevels = manifest.levels;
 
     std::vector<InjectSpec> injects;
     if (!parseInjects(opts, injects))
         return 2;
 
-    SweepCampaign campaign(MachineConfig::benchDefault(),
-                           manifest.rc, pairs, fLevels);
     if (!injects.empty()) {
-        campaign.setAttemptHook(
+        campaign->setAttemptHook(
             [injects](const std::string &job, unsigned attempt) {
                 for (const auto &is : injects) {
                     if (is.job == job && attempt <= is.maxAttempt)
@@ -469,7 +434,7 @@ cmdSweep(const CliOptions &opts)
         ? opts.getString("resume", "")
         : opts.getString("journal", "soefair_sweep.journal");
 
-    CampaignResult agg = campaign.run(scfg, journal, resume);
+    CampaignResult agg = campaign->run(scfg, journal, resume);
 
     const std::string out = opts.getString("out", "");
     if (out.empty()) {
@@ -493,147 +458,6 @@ cmdSweep(const CliOptions &opts)
         for (const auto &m : agg.missing)
             std::cerr << "[sweep]   " << m.marker() << "\n";
     }
-    return agg.exitCode();
-}
-
-/** Graceful-shutdown flag set by SIGTERM/SIGINT in serve/drain. */
-volatile std::sig_atomic_t gStopRequested = 0;
-
-extern "C" void
-onStopSignal(int)
-{
-    gStopRequested = 1;
-}
-
-bool
-serviceConfigFrom(const CliOptions &opts, service::ServiceConfig &cfg)
-{
-    cfg.queueDir = opts.getString("queue", "");
-    if (cfg.queueDir.empty()) {
-        std::cerr << "--queue DIR is required\n";
-        return false;
-    }
-    cfg.cacheDir = opts.getString("cache", "");
-    cfg.workerName = opts.getString("worker", "worker");
-    cfg.leaseSeconds = opts.getDouble("lease", 60.0);
-    cfg.heartbeatSeconds = opts.getDouble("heartbeat", 0.0);
-    cfg.deadlineSeconds = opts.getDouble("deadline", 600.0);
-    cfg.maxAttempts = unsigned(opts.getUint("retries", 3));
-    cfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
-    cfg.slots = unsigned(opts.getUint("jobs", 1));
-    cfg.capacity = unsigned(opts.getUint("capacity", 0));
-    cfg.pollSeconds = opts.getDouble("poll", 0.5);
-    cfg.progress = &std::cerr;
-    cfg.stopFlag = &gStopRequested;
-    return true;
-}
-
-int
-cmdEnqueue(const CliOptions &opts)
-{
-    service::CampaignManifest manifest;
-    service::ServiceConfig cfg;
-    if (!campaignFromOpts(opts, manifest) ||
-        !serviceConfigFrom(opts, cfg))
-        return 2;
-
-    service::SweepService svc(cfg);
-    const auto stats = svc.enqueueCampaign(manifest);
-    std::cout << "enqueued " << stats.added << " job(s), "
-              << stats.duplicates << " already queued, "
-              << stats.rejected << " rejected\n";
-    return stats.rejected ? service::exitQueueSaturated : 0;
-}
-
-int
-runWorker(const CliOptions &opts, service::SweepService &svc,
-          service::WorkerStats &stats)
-{
-    std::vector<InjectSpec> injects;
-    if (!parseInjects(opts, injects))
-        return 2;
-    if (!injects.empty()) {
-        svc.setAttemptHook(
-            [injects](const std::string &job, unsigned attempt) {
-                for (const auto &is : injects) {
-                    if (is.job == job && attempt <= is.maxAttempt)
-                        provokeInjectedFault(is);
-                }
-            });
-    }
-    std::signal(SIGTERM, onStopSignal);
-    std::signal(SIGINT, onStopSignal);
-    stats = svc.serve();
-    return 0;
-}
-
-int
-cmdServe(const CliOptions &opts)
-{
-    service::ServiceConfig cfg;
-    if (!serviceConfigFrom(opts, cfg))
-        return 2;
-    service::SweepService svc(cfg);
-    service::WorkerStats stats;
-    return runWorker(opts, svc, stats);
-}
-
-int
-cmdDrain(const CliOptions &opts)
-{
-    service::CampaignManifest manifest;
-    service::ServiceConfig cfg;
-    if (!campaignFromOpts(opts, manifest) ||
-        !serviceConfigFrom(opts, cfg))
-        return 2;
-
-    // Resuming an existing queue: its manifest defines the campaign,
-    // so `drain --queue DIR` alone finishes any interrupted campaign
-    // regardless of which --pairs/--levels created it.
-    if (service::JobQueue::exists(cfg.queueDir)) {
-        try {
-            manifest = service::loadManifest(cfg.queueDir);
-        } catch (const CheckpointError &) {
-            // Queue without a readable manifest: enqueueCampaign
-            // rewrites it from the options (key-checked).
-        }
-    }
-
-    service::SweepService svc(cfg);
-    const auto eq = svc.enqueueCampaign(manifest);
-
-    service::WorkerStats stats;
-    int rc = runWorker(opts, svc, stats);
-    if (rc != 0)
-        return rc;
-
-    service::SweepService agger(cfg);
-    CampaignResult agg = agger.aggregate();
-
-    const std::string out = opts.getString("out", "");
-    if (out.empty()) {
-        writeCampaignCsv(std::cout, agg);
-    } else {
-        std::ofstream os(out);
-        if (!os) {
-            std::cerr << "cannot write '" << out << "'\n";
-            return 1;
-        }
-        writeCampaignCsv(os, agg);
-        std::cout << "wrote " << agg.results.size() << " pairs to "
-                  << out << "\n";
-    }
-
-    if (!agg.complete()) {
-        std::cerr << "[drain] PARTIAL results: " << agg.missing.size()
-                  << " cell(s) missing (queue: " << cfg.queueDir
-                  << "; finish with `drain --queue " << cfg.queueDir
-                  << "`)\n";
-        for (const auto &m : agg.missing)
-            std::cerr << "[drain]   " << m.marker() << "\n";
-    }
-    if (eq.rejected && agg.complete())
-        return service::exitQueueSaturated;
     return agg.exitCode();
 }
 
@@ -803,12 +627,6 @@ main(int argc, char **argv)
             return cmdRecordTrace(opts);
         if (cmd == "sweep")
             return cmdSweep(opts);
-        if (cmd == "enqueue")
-            return cmdEnqueue(opts);
-        if (cmd == "serve")
-            return cmdServe(opts);
-        if (cmd == "drain")
-            return cmdDrain(opts);
         if (cmd == "analytic")
             return cmdAnalytic(opts);
         if (cmd == "faults")
