@@ -29,7 +29,7 @@ Core::Core(const CoreConfig &config, mem::Hierarchy &hierarchy,
       bpred(config.bpred, &statsGroup),
       fetch(config.fetch, hierarchy, bpred, &statsGroup),
       rob(config.robEntries),
-      iq(config.iqEntries),
+      iq(config.iqEntries, rob),
       lq(config.lqEntries),
       sq(config.sqEntries),
       storeBuf(config.sbEntries, hierarchy, &statsGroup),
@@ -160,9 +160,6 @@ Core::retireStage(Tick now)
         if (retireHook)
             retireHook(h, now);
 
-        // The retiring op is complete: clear any waiter pointers
-        // before the ROB entry is destroyed.
-        iq.dropProducer(&h);
         rename.retire(&h);
         streams[std::size_t(h.tid)]->commitUpTo(h.op.seqNum);
         ++retiredCount[std::size_t(h.tid)];
@@ -206,69 +203,65 @@ bool
 Core::issueStage(Tick now)
 {
     unsigned issuedCnt = 0;
-    bool anyIssued = false;
     bool progress = false;
-
-    for (DynInst *e : iq) {
+    iq.select(now, [&](DynInst *e) {
         if (issuedCnt >= cfg.issueWidth)
-            break;
-        if (!e->srcsReady(now))
-            continue;
-        if (!fus.canIssue(e->op.op, now))
-            continue;
+            return false;
+        if (tryIssue(e, now, progress))
+            ++issuedCnt;
+        return true;
+    });
+    return progress || issuedCnt > 0;
+}
 
-        if (e->op.isLoad()) {
-            auto sqm = sq.search(e->op.memAddr, e->op.seqNum, now);
-            if (sqm == StoreQueue::Match::Block)
-                continue; // older store's data not ready yet
-            if (sqm == StoreQueue::Match::Forward) {
+bool
+Core::tryIssue(DynInst *e, Tick now, bool &progress)
+{
+    if (!fus.canIssue(e->op.op, now))
+        return false;
+
+    if (e->op.isLoad()) {
+        auto sqm = sq.search(e->op.memAddr, e->op.seqNum, now);
+        if (sqm == StoreQueue::Match::Block)
+            return false; // older store's data not ready yet
+        if (sqm == StoreQueue::Match::Forward) {
+            completeLoadIssue(e, now);
+        } else {
+            auto sbm = storeBuf.probe(e->op.memAddr, e->tid);
+            if (sbm == StoreBuffer::Match::OtherThread)
+                return false; // no cross-thread forwarding: wait
+            if (sbm == StoreBuffer::Match::SameThread) {
                 completeLoadIssue(e, now);
             } else {
-                auto sbm = storeBuf.probe(e->op.memAddr, e->tid);
-                if (sbm == StoreBuffer::Match::OtherThread)
-                    continue; // no cross-thread forwarding: wait
-                if (sbm == StoreBuffer::Match::SameThread) {
-                    completeLoadIssue(e, now);
-                } else {
-                    // The lookup mutates cache state/stats even when
-                    // refused: either way this cycle is not skippable.
-                    progress = true;
-                    auto res = hier.load(e->tid, e->op.memAddr, now);
-                    if (res.retry)
-                        continue; // L1D MSHRs full
-                    e->completionTick = res.completion;
-                    e->l2Miss = res.l2Miss;
-                    e->l1Miss = res.l1Miss;
-                }
+                // The lookup mutates cache state/stats even when
+                // refused: either way this cycle is not skippable.
+                progress = true;
+                auto res = hier.load(e->tid, e->op.memAddr, now);
+                if (res.retry)
+                    return false; // L1D MSHRs full
+                e->completionTick = res.completion;
+                e->l2Miss = res.l2Miss;
+                e->l1Miss = res.l1Miss;
             }
-        } else if (e->op.isStore()) {
-            // AGU pass: address+data staged into the SQ entry; the
-            // cache write happens post-retirement from the store
-            // buffer.
-            e->completionTick = now + 1;
-        } else {
-            e->completionTick = now + isa::opLatency(e->op.op);
         }
-
-        fus.occupy(e->op.op, now);
-        e->issued = true;
-        e->inIq = false;
-        // Producer pointers are dead once the op has issued; clear
-        // them so they can never dangle past the producer's retire.
-        e->src[0] = e->src[1] = nullptr;
-        anyIssued = true;
-        ++issuedCnt;
-
-        if (e->op.isBranch()) {
-            bpred.update(e->op, e->pred);
-            if (e->mispredicted)
-                fetch.branchResolved(e->op.seqNum, e->completionTick);
-        }
+    } else if (e->op.isStore()) {
+        // AGU pass: address+data staged into the SQ entry; the cache
+        // write happens post-retirement from the store buffer.
+        e->completionTick = now + 1;
+    } else {
+        e->completionTick = now + isa::opLatency(e->op.op);
     }
 
-    if (anyIssued)
-        iq.compact();
-    return progress || anyIssued;
+    fus.occupy(e->op.op, now);
+    e->issued = true;
+    iq.issue(e, now);
+
+    if (e->op.isBranch()) {
+        bpred.update(e->op, e->pred);
+        if (e->mispredicted)
+            fetch.branchResolved(e->op.seqNum, e->completionTick);
+    }
+    return true;
 }
 
 bool
@@ -286,16 +279,12 @@ Core::dispatchStage(Tick now)
         if (f->op.isStore() && sq.full())
             break;
 
-        DynInst inst = fetch.takeDispatchable();
+        DynInst &r = rob.push(std::move(*f));
+        fetch.popDispatchable();
 
-        DynInst *p0 = rename.producer(inst.op.src0);
-        DynInst *p1 = rename.producer(inst.op.src1);
-        inst.src[0] = (p0 && !p0->completedBy(now)) ? p0 : nullptr;
-        inst.src[1] = (p1 && !p1->completedBy(now)) ? p1 : nullptr;
-
-        DynInst &r = rob.push(std::move(inst));
+        iq.insert(&r, rename.producer(r.op.src0),
+                  rename.producer(r.op.src1), now);
         rename.setProducer(&r);
-        iq.insert(&r);
         if (r.op.isLoad())
             lq.add();
         if (r.op.isStore())
@@ -356,14 +345,40 @@ Core::checkInvariants(Tick now) const
             soefair_assert(e.completionTick != maxTick,
                            "issued op without completion tick");
         }
-        for (const DynInst *s : e.src) {
-            if (s) {
-                soefair_assert(s->inRob,
-                               "source pointer to non-ROB producer");
-                soefair_assert(s->op.seqNum < e.op.seqNum,
-                               "source younger than consumer");
+        // Wakeup links: src names exactly the unissued producers,
+        // and each such link sits on that producer's waiter list.
+        unsigned linked = 0;
+        for (unsigned i = 0; i < 2; ++i) {
+            const DynInst *s = e.src[i];
+            if (!s)
+                continue;
+            ++linked;
+            soefair_assert(s->inRob,
+                           "source pointer to non-ROB producer");
+            soefair_assert(!s->issued,
+                           "source pointer to an issued producer");
+            soefair_assert(s->op.seqNum < e.op.seqNum,
+                           "source younger than consumer");
+            bool onList = false;
+            for (WaiterLink w = s->waiters; w && !onList;
+                 w = w.inst()->nextWaiter[w.srcIdx()]) {
+                onList = w.inst() == &e && w.srcIdx() == i;
             }
+            soefair_assert(onList, "source link missing from the "
+                           "producer's waiter list");
         }
+        soefair_assert(e.pending == linked,
+                       "pending count does not match source links");
+        if (e.issued)
+            soefair_assert(!e.waiters, "issued op still has waiters");
+        for (WaiterLink w = e.waiters; w;
+             w = w.inst()->nextWaiter[w.srcIdx()]) {
+            const DynInst *c = w.inst();
+            soefair_assert(c->inRob && c->src[w.srcIdx()] == &e,
+                           "waiter link does not point back");
+        }
+        soefair_assert(e.inIq != e.issued,
+                       "a dispatched op must be in the IQ until it issues");
     }
     (void)now;
 }

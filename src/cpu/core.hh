@@ -185,6 +185,9 @@ class SOE_THREAD_OWNED(core_lp) Core
     BranchPredictor &branchPredictor() { return bpred; }
     StoreBuffer &storeBuffer() { return storeBuf; }
 
+    /** In-flight ops, oldest first (tests inspect the pipeline). */
+    const Rob &robEntries() const { return rob; }
+
     /** Structural sanity checks (tests call this between cycles). */
     void checkInvariants(Tick now) const;
 
@@ -208,6 +211,12 @@ class SOE_THREAD_OWNED(core_lp) Core
   private:
     bool retireStage(Tick now);
     bool issueStage(Tick now);
+    /**
+     * Issue one ready op if a unit is free and memory ordering
+     * allows. Sets `progress` when it touched the hierarchy.
+     * @return true if the op issued.
+     */
+    bool tryIssue(DynInst *e, Tick now, bool &progress);
     bool dispatchStage(Tick now);
     void startSwitch(ThreadID next, Tick now, SwitchReason reason);
     void completeLoadIssue(DynInst *inst, Tick now);

@@ -2,15 +2,27 @@
  * @file
  * Dynamic (in-flight) instruction record.
  *
- * DynInsts live in the ROB's InstRing from dispatch to retirement;
- * the rename table, issue queue and load/store queues hold pointers
- * into that ring (slots are preallocated and stable between push and
- * pop, and a full-pipeline squash drops every reference before
- * entries are recycled).
+ * A DynInst is built in its fetch-buffer slot and moved once, at
+ * dispatch, into its ROB slot, where it stays until retirement or a
+ * squash. The rename table, issue queue, load/store queues and other
+ * DynInsts' dependence links hold pointers into the ROB's InstRing:
+ * its slots are preallocated, so an entry's address is stable from
+ * push to pop.
+ *
+ * Dependence links follow one rule: a consumer's src[i] names a
+ * producer only while that producer is in the ROB and has not
+ * issued. At dispatch a consumer links itself onto each such
+ * producer's waiter list; when the producer issues it sets its
+ * completionTick, the one time it is ever set, pushes it into each
+ * waiter's readyTick and clears their src pointers. A producer
+ * retires only after it issued, so a src pointer never outlives its
+ * target. A squash drops the whole ROB at once, links included.
  */
 
 #ifndef SOEFAIR_CPU_DYN_INST_HH
 #define SOEFAIR_CPU_DYN_INST_HH
+
+#include <cstdint>
 
 #include "cpu/branch_predictor.hh"
 #include "isa/micro_op.hh"
@@ -22,27 +34,68 @@ namespace soefair
 namespace cpu
 {
 
+struct DynInst;
+
+/**
+ * One consumer operand waiting on a producer: the consumer and the
+ * index of its src slot, packed into one word (DynInsts are at least
+ * 2-byte aligned, so the pointer's low bit is free for the index).
+ */
+class SOE_THREAD_OWNED(value) WaiterLink
+{
+  public:
+    WaiterLink() = default;
+    WaiterLink(DynInst *inst, unsigned src_idx)
+        : bits(reinterpret_cast<std::uintptr_t>(inst) | src_idx)
+    {}
+
+    DynInst *
+    inst() const
+    {
+        return reinterpret_cast<DynInst *>(bits & ~std::uintptr_t(1));
+    }
+    unsigned srcIdx() const { return unsigned(bits & 1); }
+    explicit operator bool() const { return bits != 0; }
+
+  private:
+    std::uintptr_t bits = 0;
+};
+
 struct SOE_THREAD_OWNED(value) DynInst
 {
     isa::MicroOp op;
-    ThreadID tid = 0;
 
-    /** Fetch-stage timestamps. */
-    Tick fetchTick = 0;
     /** Earliest tick the dispatch stage may consume this op. */
     Tick dispatchReadyTick = 0;
+    /**
+     * Latest completion tick of the producers that have issued; the
+     * op's operands are all available from here once pending is 0.
+     */
+    Tick readyTick = 0;
+    /** Data-available tick, set once at issue. */
+    Tick completionTick = maxTick;
 
     /**
-     * Producers of the source operands that were still in flight at
-     * dispatch; nullptr means architecturally ready.
+     * Producers of the source operands that have not issued yet;
+     * nullptr once the operand's arrival tick is folded into
+     * readyTick (see the file comment).
      */
     DynInst *src[2] = {nullptr, nullptr};
+    /** Head of the list of operands waiting on this op's result. */
+    WaiterLink waiters;
+    /** Next link after src[i] in that producer's waiter list. */
+    WaiterLink nextWaiter[2];
+
+    /** Prediction made at fetch; trained when the branch executes. */
+    BranchPredictor::Prediction pred;
+
+    ThreadID tid = 0;
+    /** Number of non-null src entries. */
+    std::uint8_t pending = 0;
 
     bool inRob = false;
     bool inIq = false;
     bool issued = false;
-    /** Data-available tick once issued. */
-    Tick completionTick = maxTick;
 
     /** Load or TLB walk reached main memory (the SOE switch event). */
     bool l2Miss = false;
@@ -51,8 +104,6 @@ struct SOE_THREAD_OWNED(value) DynInst
 
     /** Front end could not follow this branch (known at fetch). */
     bool mispredicted = false;
-    /** Prediction made at fetch; trained when the branch executes. */
-    BranchPredictor::Prediction pred;
 
     bool
     completedBy(Tick now) const
@@ -60,16 +111,15 @@ struct SOE_THREAD_OWNED(value) DynInst
         return issued && completionTick <= now;
     }
 
+    /** All operands are available at `now`. */
     bool
-    srcsReady(Tick now) const
+    operandsReady(Tick now) const
     {
-        for (const DynInst *p : src) {
-            if (p && !p->completedBy(now))
-                return false;
-        }
-        return true;
+        return pending == 0 && readyTick <= now;
     }
 };
+
+static_assert(alignof(DynInst) >= 2, "WaiterLink packs into bit 0");
 
 } // namespace cpu
 } // namespace soefair

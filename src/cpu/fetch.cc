@@ -87,14 +87,15 @@ FetchUnit::tick(Tick now)
             }
         }
 
-        const isa::MicroOp &op = stream.fetchNext();
+        // Build the op in its buffer slot; dispatch copies it once,
+        // into the ROB.
+        DynInst &inst = buffer.emplaceBack();
+        inst.op = stream.fetchNext();
+        const isa::MicroOp &op = inst.op;
         ++fetched;
         progress = true;
 
-        DynInst inst;
-        inst.op = op;
         inst.tid = active;
-        inst.fetchTick = now;
         inst.dispatchReadyTick = now + cfg.frontDepth;
 
         bool stopGroup = false;
@@ -116,7 +117,6 @@ FetchUnit::tick(Tick now)
             }
         }
 
-        buffer.pushBack(std::move(inst));
         if (stopGroup)
             break;
     }
@@ -162,13 +162,11 @@ FetchUnit::dispatchable(Tick now)
     return &buffer.front();
 }
 
-DynInst
-FetchUnit::takeDispatchable()
+void
+FetchUnit::popDispatchable()
 {
-    soefair_assert(!buffer.empty(), "takeDispatchable on empty buffer");
-    DynInst inst = buffer.front();
+    soefair_assert(!buffer.empty(), "popDispatchable on empty buffer");
     buffer.popFront();
-    return inst;
 }
 
 void

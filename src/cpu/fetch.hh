@@ -85,8 +85,8 @@ class SOE_THREAD_OWNED(core_lp) FetchUnit
     /** Oldest buffered op if it is dispatch-ready, else nullptr. */
     DynInst *dispatchable(Tick now);
 
-    /** Remove the op returned by dispatchable(). */
-    DynInst takeDispatchable();
+    /** Remove the op returned by dispatchable() (after copying it). */
+    void popDispatchable();
 
     /**
      * A branch has executed. If fetch was stalled on it, restart

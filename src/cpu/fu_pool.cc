@@ -1,5 +1,7 @@
 #include "cpu/fu_pool.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace soefair
@@ -20,53 +22,22 @@ FuPool::FuPool(const FuPoolConfig &config)
         soefair_assert(!units.empty(), "FU kind with zero units");
 }
 
-FuPool::Kind
-FuPool::kindOf(isa::OpClass c)
-{
-    using isa::OpClass;
-    switch (c) {
-      case OpClass::IntAlu:
-      case OpClass::BranchCond:
-      case OpClass::BranchUncond:
-      case OpClass::Nop:
-      case OpClass::Pause:
-        return KIntAlu;
-      case OpClass::IntMul: return KIntMul;
-      case OpClass::IntDiv: return KIntDiv;
-      case OpClass::FpAdd: return KFpAdd;
-      case OpClass::FpMul: return KFpMul;
-      case OpClass::FpDiv: return KFpDiv;
-      case OpClass::Load:
-      case OpClass::Store:
-        return KMem;
-      default:
-        panic("FuPool::kindOf: bad op class");
-    }
-}
-
-bool
-FuPool::canIssue(isa::OpClass c, Tick now) const
-{
-    for (Tick t : busyUntil[kindOf(c)]) {
-        if (t <= now)
-            return true;
-    }
-    return false;
-}
-
 void
 FuPool::occupy(isa::OpClass c, Tick now)
 {
     const Kind k = kindOf(c);
+    if (firstFree[k] > now)
+        panic("FuPool::occupy with no free unit");
+    Tick first = maxTick;
+    bool claimed = false;
     for (Tick &t : busyUntil[k]) {
-        if (t <= now) {
-            // A pipelined unit is claimed for one cycle; an
-            // unpipelined one for its full latency.
-            t = now + (isa::opPipelined(c) ? 1 : isa::opLatency(c));
-            return;
+        if (!claimed && t <= now) {
+            t = now + holdCycles(c);
+            claimed = true;
         }
+        first = std::min(first, t);
     }
-    panic("FuPool::occupy with no free unit");
+    firstFree[k] = first;
 }
 
 Tick
@@ -89,6 +60,7 @@ FuPool::reset()
         for (Tick &t : units)
             t = 0;
     }
+    firstFree.fill(0);
 }
 
 } // namespace cpu

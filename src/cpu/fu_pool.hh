@@ -40,7 +40,11 @@ class SOE_THREAD_OWNED(core_lp) FuPool
     explicit FuPool(const FuPoolConfig &config);
 
     /** True if a unit for this op class is free at `now`. */
-    bool canIssue(isa::OpClass c, Tick now) const;
+    bool
+    canIssue(isa::OpClass c, Tick now) const
+    {
+        return firstFree[kindOf(c)] <= now;
+    }
 
     /** Claim a unit; caller must have checked canIssue. */
     void occupy(isa::OpClass c, Tick now);
@@ -64,9 +68,42 @@ class SOE_THREAD_OWNED(core_lp) FuPool
         KNumKinds
     };
 
-    static Kind kindOf(isa::OpClass c);
+    /** Unit kind serving each op class, in OpClass order. */
+    static constexpr Kind kinds[isa::numOpClasses] = {
+        KIntAlu, KIntMul, KIntDiv, KFpAdd, KFpMul, KFpDiv,
+        KMem,    // Load
+        KMem,    // Store
+        KIntAlu, // BranchCond
+        KIntAlu, // BranchUncond
+        KIntAlu, // Nop
+        KIntAlu, // Pause
+    };
+
+    static Kind
+    kindOf(isa::OpClass c)
+    {
+        if (static_cast<unsigned>(c) >= isa::numOpClasses)
+            isa::badOpClass("FuPool::kindOf");
+        return kinds[static_cast<unsigned>(c)];
+    }
+
+    /**
+     * Cycles an op of class c holds its unit: one for a pipelined
+     * unit, the full latency for an unpipelined one.
+     */
+    static unsigned
+    holdCycles(isa::OpClass c)
+    {
+        return isa::opPipelined(c) ? 1 : isa::opLatency(c);
+    }
 
     std::array<std::vector<Tick>, KNumKinds> busyUntil;
+    /**
+     * Earliest busyUntil over each kind's units: a unit of kind k is
+     * free at `now` iff firstFree[k] <= now. occupy() keeps it exact,
+     * so canIssue() is one compare instead of a scan.
+     */
+    std::array<Tick, KNumKinds> firstFree{};
 };
 
 } // namespace cpu

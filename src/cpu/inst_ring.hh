@@ -3,20 +3,20 @@
  * Fixed-capacity FIFO ring of DynInsts with stable slots.
  *
  * The ROB and the fetch buffer are bounded FIFOs whose entries are
- * pointed at by the rename table, issue queue and load/store queues.
- * A std::deque gives the required reference stability but allocates
- * and frees chunk blocks as the queue breathes, which shows up as
- * the dominant steady-state heap traffic in perf_microbench. This
- * ring allocates its slots once at construction: an entry's address
- * never changes between push and pop (slots are reused only after
- * the entry left the structure), so all existing pointer protocols
- * carry over, and steady-state simulation does zero heap allocation.
+ * pointed at by the rename table, issue queue, load/store queues and
+ * other entries' dependence links. The ring allocates its slots once
+ * at construction: an entry's address never changes between push
+ * and pop (slots are reused only after the entry left the
+ * structure), and steady-state simulation does no heap allocation.
+ * Every index the ring wraps is below twice its capacity, so
+ * wrapping is one compare and subtract rather than a division.
  */
 
 #ifndef SOEFAIR_CPU_INST_RING_HH
 #define SOEFAIR_CPU_INST_RING_HH
 
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -54,6 +54,18 @@ class SOE_THREAD_OWNED(core_lp) InstRing
         return slot;
     }
 
+    /** Append a default-constructed entry for the caller to fill. */
+    DynInst &
+    emplaceBack()
+    {
+        soefair_assert(!full(), "push to full InstRing");
+        // Construct in place: assigning a DynInst{} temporary would
+        // build the whole record on the stack and copy it over.
+        DynInst *slot = std::construct_at(&slots[wrap(head + count)]);
+        ++count;
+        return *slot;
+    }
+
     DynInst &
     front()
     {
@@ -74,6 +86,17 @@ class SOE_THREAD_OWNED(core_lp) InstRing
         soefair_assert(!empty(), "back of empty InstRing");
         return slots[wrap(head + count - 1)];
     }
+
+    /**
+     * Physical slot numbers, in [0, capacity()): stable for an
+     * entry's lifetime; slot(headSlot()) is the front.
+     */
+    std::size_t headSlot() const { return head; }
+    std::size_t slotOf(const DynInst &e) const
+    {
+        return std::size_t(&e - slots.data());
+    }
+    DynInst &slot(std::size_t i) { return slots[i]; }
 
     /** i-th oldest entry (0 = front). */
     DynInst &at(std::size_t i) { return slots[wrap(head + i)]; }
@@ -129,7 +152,12 @@ class SOE_THREAD_OWNED(core_lp) InstRing
     const_iterator end() const { return {this, count}; }
 
   private:
-    std::size_t wrap(std::size_t i) const { return i % slots.size(); }
+    /** i mod capacity, for i < 2 * capacity. */
+    std::size_t
+    wrap(std::size_t i) const
+    {
+        return i < slots.size() ? i : i - slots.size();
+    }
 
     std::vector<DynInst> slots;
     std::size_t head = 0;

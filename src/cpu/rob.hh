@@ -101,6 +101,11 @@ class SOE_THREAD_OWNED(core_lp) Rob
         return wake;
     }
 
+    /** Physical slots (see InstRing), for the issue queue's index. */
+    std::size_t headSlot() const { return entries.headSlot(); }
+    std::size_t slotOf(const DynInst &e) const { return entries.slotOf(e); }
+    DynInst &slot(std::size_t i) { return entries.slot(i); }
+
     /** In-order iteration (oldest first). */
     auto begin() { return entries.begin(); }
     auto end() { return entries.end(); }

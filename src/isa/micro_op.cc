@@ -29,32 +29,10 @@ opClassName(OpClass c)
     }
 }
 
-unsigned
-opLatency(OpClass c)
+void
+badOpClass(const char *who)
 {
-    switch (c) {
-      case OpClass::IntAlu: return 1;
-      case OpClass::IntMul: return 3;
-      case OpClass::IntDiv: return 20;
-      case OpClass::FpAdd: return 3;
-      case OpClass::FpMul: return 5;
-      case OpClass::FpDiv: return 20;
-      // Loads/stores compute their address in 1 cycle; cache time is
-      // added by the LSQ from the memory hierarchy.
-      case OpClass::Load: return 1;
-      case OpClass::Store: return 1;
-      case OpClass::BranchCond: return 1;
-      case OpClass::BranchUncond: return 1;
-      case OpClass::Nop: return 1;
-      case OpClass::Pause: return 1;
-      default: panic("opLatency: bad op class");
-    }
-}
-
-bool
-opPipelined(OpClass c)
-{
-    return c != OpClass::IntDiv && c != OpClass::FpDiv;
+    panic(who, ": bad op class");
 }
 
 std::string

@@ -49,11 +49,42 @@ constexpr unsigned numOpClasses =
 /** Human-readable class name (for stats and traces). */
 const char *opClassName(OpClass c);
 
+/** Panics on an out-of-range op class; never returns. */
+[[noreturn]] void badOpClass(const char *who);
+
+/** Execution latency per class, in OpClass order. */
+inline constexpr std::uint8_t opLatencies[numOpClasses] = {
+    1,  // IntAlu
+    3,  // IntMul
+    20, // IntDiv
+    3,  // FpAdd
+    5,  // FpMul
+    20, // FpDiv
+    // Loads/stores compute their address in 1 cycle; cache time is
+    // added by the LSQ from the memory hierarchy.
+    1,  // Load
+    1,  // Store
+    1,  // BranchCond
+    1,  // BranchUncond
+    1,  // Nop
+    1,  // Pause
+};
+
 /** Execution latency of the class in cycles (cache ops excluded). */
-unsigned opLatency(OpClass c);
+inline unsigned
+opLatency(OpClass c)
+{
+    if (static_cast<unsigned>(c) >= numOpClasses)
+        badOpClass("opLatency");
+    return opLatencies[static_cast<unsigned>(c)];
+}
 
 /** True if a unit of this class accepts a new op every cycle. */
-bool opPipelined(OpClass c);
+inline bool
+opPipelined(OpClass c)
+{
+    return c != OpClass::IntDiv && c != OpClass::FpDiv;
+}
 
 /** True for Load/Store. */
 inline bool

@@ -38,6 +38,7 @@ Cache::Cache(const CacheConfig &config, MemLevel &next_level,
     setsPow2 = (numSets & (numSets - 1)) == 0;
     setMask = setsPow2 ? numSets - 1 : 0;
     lines.resize(numSets * cfg.assoc);
+    tags.assign(numSets * cfg.assoc, invalidTag);
     mshrs.resize(std::max(1u, cfg.numMshrs));
 }
 
@@ -45,10 +46,11 @@ Cache::Line *
 Cache::findLine(Addr addr)
 {
     const Addr tag = lineAddr(addr);
-    Line *set = &lines[setIndex(addr) * cfg.assoc];
+    const std::size_t base = setIndex(addr) * cfg.assoc;
+    const Addr *set = &tags[base];
     for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return &set[w];
+        if (set[w] == tag)
+            return &lines[base + w];
     }
     return nullptr;
 }
@@ -205,32 +207,31 @@ Cache::doFill(Addr line, bool dirty, bool from_prefetch)
     if (from_prefetch)
         ++prefetchFills;
 
-    Line *set = &lines[setIndex(line) * cfg.assoc];
-    Line *victim = nullptr;
-    for (unsigned w = 0; w < cfg.assoc; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
+    const std::size_t base = setIndex(line) * cfg.assoc;
+    std::size_t v = base;
+    for (std::size_t w = base; w < base + cfg.assoc; ++w) {
+        if (tags[w] == invalidTag) {
+            v = w;
             break;
         }
-        if (!victim || set[w].lruStamp < victim->lruStamp)
-            victim = &set[w];
+        if (lines[w].lruStamp < lines[v].lruStamp)
+            v = w;
     }
-    soefair_assert(victim, "no victim way");
+    Line *victim = &lines[v];
 
-    if (victim->valid && victim->dirty) {
+    if (tags[v] != invalidTag && victim->dirty) {
         ++writebacks;
         MemReq wb;
-        wb.addr = victim->tag;
+        wb.addr = tags[v];
         wb.isWrite = true;
         wb.writeback = true;
         wb.when = 0; // victim traffic is not on the critical path
         next.access(wb);
     }
 
-    victim->valid = true;
+    tags[v] = line;
     victim->dirty = dirty;
     victim->prefetched = from_prefetch;
-    victim->tag = line;
     victim->lruStamp = ++lruCounter;
 }
 
@@ -267,15 +268,16 @@ Cache::checkInvariants() const
 {
     for (std::size_t s = 0; s < numSets; ++s) {
         const Line *set = &lines[s * cfg.assoc];
+        const Addr *setTags = &tags[s * cfg.assoc];
         for (unsigned i = 0; i < cfg.assoc; ++i) {
-            if (!set[i].valid)
+            if (setTags[i] == invalidTag)
                 continue;
-            soefair_assert(setIndex(set[i].tag) == s,
+            soefair_assert(setIndex(setTags[i]) == s,
                            "line in wrong set: ", cfg.name);
             soefair_assert(set[i].lruStamp <= lruCounter,
                            "LRU stamp from the future: ", cfg.name);
             for (unsigned j = i + 1; j < cfg.assoc; ++j) {
-                soefair_assert(!set[j].valid || set[j].tag != set[i].tag,
+                soefair_assert(setTags[j] != setTags[i],
                                "duplicate tag in set: ", cfg.name);
             }
         }

@@ -82,15 +82,17 @@ class SOE_THREAD_OWNED(shared) Cache : public MemLevel
     statistics::Counter prefetchHits;
 
   private:
+    /** Per-way state; the way's tag lives in `tags`. */
     struct Line
     {
-        bool valid = false;
         bool dirty = false;
         /** Filled by a prefetch and not yet demanded. */
         bool prefetched = false;
-        Addr tag = 0;
         std::uint64_t lruStamp = 0;
     };
+
+    /** Tag of an invalid way: line addresses have their low bits clear. */
+    static constexpr Addr invalidTag = ~Addr(0);
 
     struct Mshr
     {
@@ -135,6 +137,12 @@ class SOE_THREAD_OWNED(shared) Cache : public MemLevel
     bool setsPow2 = false;
     std::size_t setMask = 0;
     std::vector<Line> lines; // numSets * assoc, set-major
+    /**
+     * Line address held by each way (invalidTag if none), parallel to
+     * `lines`. Kept apart so a lookup scans one dense run of tags
+     * rather than whole Line records.
+     */
+    std::vector<Addr> tags;
     std::vector<Mshr> mshrs;
     std::uint64_t lruCounter = 0;
 };

@@ -20,6 +20,23 @@ Tlb::Tlb(const TlbConfig &config, MemLevel &walk_level,
 {
     soefair_assert(cfg.entries > 0, "TLB needs at least one entry");
     entries.resize(cfg.entries);
+    std::size_t slots = 1;
+    while (slots < 4 * std::size_t(cfg.entries))
+        slots *= 2;
+    hint.assign(slots, 0);
+}
+
+Tlb::Entry *
+Tlb::hinted(Addr vpn)
+{
+    Entry &e = entries[hint[vpn & (hint.size() - 1)]];
+    return e.valid && e.vpn == vpn ? &e : nullptr;
+}
+
+void
+Tlb::remember(const Entry &e)
+{
+    hint[e.vpn & (hint.size() - 1)] = std::uint32_t(&e - entries.data());
 }
 
 Addr
@@ -43,11 +60,18 @@ Tlb::lookup(ThreadID tid, Addr addr, Tick when)
     // slice bits) is globally unique: no tid tag needed.
     const Addr vpn = addr >> pageShift;
 
+    if (Entry *e = hinted(vpn)) {
+        ++hits;
+        e->lruStamp = ++lruCounter;
+        return {when, false, false};
+    }
+
     Entry *victim = nullptr;
     for (auto &e : entries) {
         if (e.valid && e.vpn == vpn) {
             ++hits;
             e.lruStamp = ++lruCounter;
+            remember(e);
             return {when, false, false};
         }
         if (!e.valid) {
@@ -84,6 +108,7 @@ Tlb::lookup(ThreadID tid, Addr addr, Tick when)
     victim->valid = true;
     victim->vpn = vpn;
     victim->lruStamp = ++lruCounter;
+    remember(*victim);
     return out;
 }
 
@@ -91,10 +116,15 @@ Addr
 Tlb::warmInstall(ThreadID tid, Addr addr)
 {
     const Addr vpn = addr >> pageShift;
+    if (Entry *e = hinted(vpn)) {
+        e->lruStamp = ++lruCounter;
+        return pageTableAddr(tid, vpn);
+    }
     Entry *victim = nullptr;
     for (auto &e : entries) {
         if (e.valid && e.vpn == vpn) {
             e.lruStamp = ++lruCounter;
+            remember(e);
             return pageTableAddr(tid, vpn);
         }
         if (!victim || (!e.valid && victim->valid) ||
@@ -107,6 +137,7 @@ Tlb::warmInstall(ThreadID tid, Addr addr)
     victim->valid = true;
     victim->vpn = vpn;
     victim->lruStamp = ++lruCounter;
+    remember(*victim);
     return pageTableAddr(tid, vpn);
 }
 

@@ -84,10 +84,23 @@ class SOE_THREAD_OWNED(core_lp) Tlb
 
     Addr pageTableAddr(ThreadID tid, Addr vpn) const;
 
+    /** The hinted entry if it holds vpn, else nullptr. */
+    Entry *hinted(Addr vpn);
+    /** Point vpn's hint slot at e. */
+    void remember(const Entry &e);
+
     TlbConfig cfg;
     MemLevel &walkLevel;
     std::vector<Entry> entries;
     std::uint64_t lruCounter = 0;
+    /**
+     * Direct-mapped vpn → entry index cache that makes hits O(1).
+     * Only a hint: a slot may name an entry that was since evicted,
+     * flushed or refilled, so every use re-checks the entry, and a
+     * failed check falls back to the full scan, which alone decides
+     * misses and victims. Power-of-two sized, >= 4x the entries.
+     */
+    std::vector<std::uint32_t> hint;
 };
 
 } // namespace mem

@@ -1,6 +1,6 @@
 #include "sim/random.hh"
 
-#include <algorithm>
+#include <cmath>
 
 namespace soefair
 {
@@ -19,17 +19,9 @@ DiscreteSampler::DiscreteSampler(const std::vector<double> &weights)
     for (double &c : cumulative)
         c /= total;
     cumulative.back() = 1.0;
-}
-
-std::size_t
-DiscreteSampler::sample(Rng &rng) const
-{
-    soefair_assert(!cumulative.empty(), "sampling empty DiscreteSampler");
-    double u = rng.real();
-    auto it = std::lower_bound(cumulative.begin(), cumulative.end(), u);
-    if (it == cumulative.end())
-        --it;
-    return static_cast<std::size_t>(it - cumulative.begin());
+    bounds.reserve(cumulative.size());
+    for (double c : cumulative)
+        bounds.push_back(std::uint64_t(std::ldexp(c, 53)));
 }
 
 double

@@ -14,6 +14,7 @@
 #ifndef SOEFAIR_SIM_RANDOM_HH
 #define SOEFAIR_SIM_RANDOM_HH
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -74,8 +75,28 @@ class Rng
         return (next() >> 11) * (1.0 / 9007199254740992.0);
     }
 
+    /**
+     * Integer form of a probability for the hot draws below. real()
+     * is k·2⁻⁵³ for the integer k = next() >> 11, and that product
+     * is exact, so real() < p ⇔ k < p·2⁵³ ⇔ k < ⌈p·2⁵³⌉: comparing
+     * k against this bound consumes the same draw and gives the
+     * same answer as the floating-point test, for every p.
+     */
+    static std::uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0; // also NaN: real() < NaN is false
+        if (p >= 1.0)
+            return oneBound;
+        return std::uint64_t(std::ceil(std::ldexp(p, 53)));
+    }
+
     /** Bernoulli draw with probability p of true. */
     bool chance(double p) { return real() < p; }
+
+    /** chance(p) for bound == threshold(p). */
+    bool chanceBelow(std::uint64_t bound) { return (next() >> 11) < bound; }
 
     /**
      * Geometric draw: number of failures before the first success,
@@ -85,8 +106,18 @@ class Rng
     geometric(double p, std::uint64_t cap = 1u << 20)
     {
         soefair_assert(p > 0.0 && p <= 1.0, "geometric p out of range");
+        return geometricBelow(threshold(p), cap);
+    }
+
+    /**
+     * geometric(p, cap) for bound == threshold(p); the caller checks
+     * p ∈ (0, 1] when it computes the bound.
+     */
+    std::uint64_t
+    geometricBelow(std::uint64_t bound, std::uint64_t cap)
+    {
         std::uint64_t n = 0;
-        while (n < cap && !chance(p))
+        while (n < cap && !chanceBelow(bound))
             ++n;
         return n;
     }
@@ -96,14 +127,21 @@ class Rng
     void setRawState(std::uint64_t s) { state = s ? s : 1; }
 
   private:
+    /** threshold(1): every k = next() >> 11 lies below it. */
+    static constexpr std::uint64_t oneBound = std::uint64_t(1) << 53;
+
     std::uint64_t state;
 };
 
 /**
  * Sampler over a fixed discrete distribution (cumulative table).
  *
- * Built once from weights; draws are a binary search over the
- * cumulative weights, O(log n) per sample.
+ * Built once from weights. A draw takes k = next() >> 11 and returns
+ * the first outcome i with k ≤ ⌊cᵢ·2⁵³⌋, where cᵢ is the normalised
+ * cumulative weight. Since real() = k·2⁻⁵³ exactly, that is the
+ * first i with cᵢ ≥ real(): the index std::lower_bound over the
+ * cumulative doubles would give, without converting the draw. The
+ * search is linear; the samplers here have at most nine outcomes.
  */
 class DiscreteSampler
 {
@@ -114,7 +152,20 @@ class DiscreteSampler
     explicit DiscreteSampler(const std::vector<double> &weights);
 
     /** Draw an index distributed according to the weights. */
-    std::size_t sample(Rng &rng) const;
+    std::size_t
+    sample(Rng &rng) const
+    {
+        soefair_assert(!bounds.empty(), "sampling empty DiscreteSampler");
+        const std::uint64_t k = rng.next() >> 11;
+        // bounds is non-decreasing, so the first i with k <= bounds[i]
+        // is the number of bounds below k; counting them needs no
+        // data-dependent branch. k < 2⁵³ = bounds.back() keeps i in
+        // range.
+        std::size_t i = 0;
+        for (std::uint64_t b : bounds)
+            i += k > b;
+        return i;
+    }
 
     /** Number of outcomes. */
     std::size_t size() const { return cumulative.size(); }
@@ -124,6 +175,8 @@ class DiscreteSampler
 
   private:
     std::vector<double> cumulative;
+    /** ⌊cumulative[i]·2⁵³⌋; non-decreasing, last is 2⁵³. */
+    std::vector<std::uint64_t> bounds;
 };
 
 /**

@@ -63,16 +63,26 @@ WorkloadGenerator::enterPhase(std::uint32_t idx)
 {
     state.phaseIdx = idx % std::uint32_t(prof.numPhases());
     state.instrsInPhase = 0;
+    loadPhase();
+}
+
+void
+WorkloadGenerator::loadPhase()
+{
     const Phase &p = prof.phase(state.phaseIdx);
+    soefair_assert(p.depGeoP > 0.0 && p.depGeoP <= 1.0,
+                   "geometric p out of range");
     classSampler = DiscreteSampler(bodyWeights(p));
     addrs.setPhase(p);
+    depNoneBound = Rng::threshold(p.depNone);
+    depGeoBound = Rng::threshold(p.depGeoP);
+    phaseDuration = p.duration;
 }
 
 void
 WorkloadGenerator::maybeAdvancePhase()
 {
-    const Phase &p = prof.phase(state.phaseIdx);
-    if (p.duration != 0 && state.instrsInPhase >= p.duration)
+    if (phaseDuration != 0 && state.instrsInPhase >= phaseDuration)
         enterPhase(state.phaseIdx + 1);
 }
 
@@ -85,31 +95,30 @@ WorkloadGenerator::ringReg(std::uint64_t dyn_index) const
 RegId
 WorkloadGenerator::sampleDep()
 {
-    const Phase &p = prof.phase(state.phaseIdx);
-    if (rng.chance(p.depNone))
+    if (rng.chanceBelow(depNoneBound))
         return isa::invalidReg;
-    std::uint64_t d = 1 + rng.geometric(p.depGeoP, maxDepDist - 1);
+    std::uint64_t d = 1 + rng.geometricBelow(depGeoBound, maxDepDist - 1);
     if (d > state.dynCount)
         return isa::invalidReg; // before the start of the stream
     return ringReg(state.dynCount - d);
 }
 
-MicroOp
-WorkloadGenerator::next()
+void
+WorkloadGenerator::nextInto(MicroOp &op)
 {
     maybeAdvancePhase();
 
     const BasicBlock &blk = prog->block(state.curBlock);
     const bool isTerminator = (state.slotIdx == blk.length - 1);
 
-    MicroOp op;
+    op = MicroOp{};
     op.seqNum = state.nextSeqNum++;
     op.pc = blk.startPc + Addr(4) * state.slotIdx;
 
     if (isTerminator) {
         op.op = blk.uncondTerminator ? OpClass::BranchUncond
                                      : OpClass::BranchCond;
-        op.taken = blk.uncondTerminator || rng.chance(blk.takenBias);
+        op.taken = blk.uncondTerminator || rng.chanceBelow(blk.takenBound);
         op.target = prog->block(blk.takenSucc).startPc;
         if (op.op == OpClass::BranchCond)
             op.src0 = sampleDep();
@@ -159,7 +168,6 @@ WorkloadGenerator::next()
 
     ++state.dynCount;
     ++state.instrsInPhase;
-    return op;
 }
 
 GeneratorState
@@ -180,9 +188,7 @@ WorkloadGenerator::restoreState(const GeneratorState &s)
     rng.setRawState(s.rngState);
     addrs.restoreState(s.addrState);
     // Rebuild phase-derived samplers without resetting counters.
-    const Phase &p = prof.phase(state.phaseIdx);
-    classSampler = DiscreteSampler(bodyWeights(p));
-    addrs.setPhase(p);
+    loadPhase();
     addrs.restoreState(s.addrState);
 }
 

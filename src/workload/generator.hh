@@ -57,7 +57,15 @@ class WorkloadGenerator : public InstSource
                       std::uint64_t seed);
 
     /** Produce the next micro-op in program order. */
-    isa::MicroOp next() override;
+    isa::MicroOp
+    next() override
+    {
+        isa::MicroOp op;
+        WorkloadGenerator::nextInto(op);
+        return op;
+    }
+
+    void nextInto(isa::MicroOp &op) override;
 
     /** Total micro-ops generated so far. */
     std::uint64_t generated() const { return state.dynCount; }
@@ -75,6 +83,8 @@ class WorkloadGenerator : public InstSource
 
   private:
     void enterPhase(std::uint32_t idx);
+    /** Derive the per-phase draw state from state.phaseIdx. */
+    void loadPhase();
     void maybeAdvancePhase();
     isa::RegId sampleDep();
     isa::RegId ringReg(std::uint64_t dyn_index) const;
@@ -93,6 +103,11 @@ class WorkloadGenerator : public InstSource
     Rng rng;
     AddressStream addrs;
     DiscreteSampler classSampler;
+    /** Rng::threshold of the active phase's depNone and depGeoP. */
+    std::uint64_t depNoneBound = 0;
+    std::uint64_t depGeoBound = 0;
+    /** Active phase's duration (0 = unbounded). */
+    std::uint64_t phaseDuration = 0;
     GeneratorState state;
 };
 

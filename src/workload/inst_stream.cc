@@ -1,59 +1,48 @@
 #include "workload/inst_stream.hh"
 
-#include "sim/logging.hh"
-
 namespace soefair
 {
 namespace workload
 {
 
-const isa::MicroOp &
-InstStream::fetchNext()
+void
+InstStream::generate()
 {
-    const isa::MicroOp &op = peek();
-    ++readIdx;
-    return op;
-}
-
-const isa::MicroOp &
-InstStream::peek()
-{
-    if (readIdx == window.size())
-        window.push_back(source.next());
-    soefair_assert(readIdx < window.size(), "InstStream cursor bad");
-    return window[readIdx];
+    if (count == ring.size()) {
+        std::vector<isa::MicroOp> grown(2 * ring.size());
+        for (std::size_t i = 0; i < count; ++i)
+            grown[i] = ring[wrap(head + i)];
+        ring.swap(grown);
+        head = 0;
+    }
+    isa::MicroOp &op = ring[wrap(head + count)];
+    source.nextInto(op);
+    soefair_assert(count == 0 || op.seqNum == headSeq + count,
+                   "source seqNums not contiguous");
+    if (count == 0)
+        headSeq = op.seqNum;
+    ++count;
 }
 
 void
 InstStream::squashAfter(InstSeqNum seq)
 {
-    if (window.empty()) {
+    if (count == 0) {
         soefair_assert(seq == invalidSeqNum || readIdx == 0,
                        "squash with empty window");
         readIdx = 0;
         return;
     }
-    const InstSeqNum front = window.front().seqNum;
+    const InstSeqNum front = headSeq;
     if (seq == invalidSeqNum || seq + 1 < front) {
         readIdx = 0;
         return;
     }
     // Ops are buffered with contiguous seqNums.
     std::size_t idx = std::size_t(seq + 1 - front);
-    soefair_assert(idx <= window.size(),
+    soefair_assert(idx <= count,
                    "squashAfter(", seq, ") beyond generated stream");
     readIdx = idx;
-}
-
-void
-InstStream::commitUpTo(InstSeqNum seq)
-{
-    while (!window.empty() && window.front().seqNum <= seq) {
-        soefair_assert(readIdx > 0,
-                       "committing an op that was never fetched");
-        window.pop_front();
-        --readIdx;
-    }
 }
 
 } // namespace workload

@@ -8,14 +8,22 @@
  * squash simply rewinds the read cursor and the same ops are handed
  * out again, guaranteeing that the retired stream is independent of
  * timing. Retirement trims the buffer from the front.
+ *
+ * The window is a power-of-two ring that doubles when generation
+ * finds it full. A reference returned by peek() or fetchNext() is
+ * therefore valid only until the next call that generates, i.e. the
+ * next peek()/fetchNext() made with the cursor at the end of the
+ * window; copy the op before calling again if in doubt.
  */
 
 #ifndef SOEFAIR_WORKLOAD_INST_STREAM_HH
 #define SOEFAIR_WORKLOAD_INST_STREAM_HH
 
-#include <deque>
+#include <cstddef>
+#include <vector>
 
 #include "isa/micro_op.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 #include "workload/source.hh"
 
@@ -27,13 +35,25 @@ namespace workload
 class InstStream
 {
   public:
-    explicit InstStream(InstSource &src) : source(src) {}
+    explicit InstStream(InstSource &src) : source(src), ring(256) {}
 
     /** Next micro-op at the fetch cursor (generates on demand). */
-    const isa::MicroOp &fetchNext();
+    const isa::MicroOp &
+    fetchNext()
+    {
+        const isa::MicroOp &op = peek();
+        ++readIdx;
+        return op;
+    }
 
     /** Peek the op that fetchNext() would return, without advancing. */
-    const isa::MicroOp &peek();
+    const isa::MicroOp &
+    peek()
+    {
+        if (readIdx == count)
+            generate();
+        return ring[wrap(head + readIdx)];
+    }
 
     /**
      * Rewind the fetch cursor so the op *after* seq is fetched next.
@@ -43,25 +63,48 @@ class InstStream
     void squashAfter(InstSeqNum seq);
 
     /** Retire (drop) all buffered ops with seqNum <= seq. */
-    void commitUpTo(InstSeqNum seq);
+    void
+    commitUpTo(InstSeqNum seq)
+    {
+        // headSeq mirrors ring[head].seqNum, so retiring does not
+        // touch the (long since fetched) ring entry.
+        while (count != 0 && headSeq <= seq) {
+            soefair_assert(readIdx > 0,
+                           "committing an op that was never fetched");
+            head = wrap(head + 1);
+            ++headSeq;
+            --count;
+            --readIdx;
+        }
+    }
 
     /** Number of buffered (unretired) ops. */
-    std::size_t buffered() const { return window.size(); }
+    std::size_t buffered() const { return count; }
 
     /** Sequence number of the oldest unretired op (0 if none). */
-    InstSeqNum
-    oldestSeq() const
-    {
-        return window.empty() ? invalidSeqNum : window.front().seqNum;
-    }
+    InstSeqNum oldestSeq() const { return count == 0 ? invalidSeqNum : headSeq; }
 
     InstSource &src() { return source; }
 
   private:
+    /** Append the source's next op, doubling the ring if full. */
+    void generate();
+
+    std::size_t wrap(std::size_t i) const { return i & (ring.size() - 1); }
+
     InstSource &source;
-    std::deque<isa::MicroOp> window;
-    /** Index into window of the next op to hand to fetch. */
+    /** Buffered ops, oldest at ring[head]; size is a power of two. */
+    std::vector<isa::MicroOp> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    /** Offset from head of the next op to hand to fetch. */
     std::size_t readIdx = 0;
+    /**
+     * seqNum of ring[head] when count > 0. Buffered ops have
+     * contiguous seqNums (generate() checks), so ring[head + i]
+     * holds headSeq + i.
+     */
+    InstSeqNum headSeq = invalidSeqNum;
 };
 
 } // namespace workload

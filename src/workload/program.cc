@@ -40,6 +40,7 @@ Program::Program(const CodeShape &shape, std::uint64_t seed,
         }
         if (b.uncondTerminator)
             b.takenBias = 1.0;
+        b.takenBound = Rng::threshold(b.takenBias);
 
         // Taken targets are mostly loop-local (within a small window
         // around the block) to give the code stream temporal

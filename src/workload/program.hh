@@ -37,6 +37,8 @@ struct BasicBlock
     bool uncondTerminator = false;
     /** Probability the (conditional) terminator is taken. */
     double takenBias = 0.5;
+    /** Rng::threshold(takenBias), for the generator's draw. */
+    std::uint64_t takenBound = Rng::threshold(0.5);
     /** Block index executed when the terminator is taken. */
     std::uint32_t takenSucc = 0;
     /** Block index for fall-through (not-taken). */

@@ -26,6 +26,12 @@ class InstSource
 
     /** Produce the next micro-op in program order. */
     virtual isa::MicroOp next() = 0;
+
+    /**
+     * next(), written into `out`. A source that can build the op in
+     * place overrides this to spare the caller a copy.
+     */
+    virtual void nextInto(isa::MicroOp &out) { out = next(); }
 };
 
 } // namespace workload

@@ -5,8 +5,12 @@
  * graceful degradation), deterministically for a fixed seed.
  */
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 
 #include <gtest/gtest.h>
 
@@ -20,12 +24,37 @@ using namespace soefair::sim;
 namespace
 {
 
-/** Scratch directory for scenario artifacts (shared, overwritten). */
+/**
+ * Scratch directory for scenario artifacts, private to this process
+ * and removed at exit. ctest runs each test in its own process, in
+ * parallel under -j; a shared directory let one test rewrite the
+ * trace file another was reading.
+ */
+class ScratchDir
+{
+  public:
+    ScratchDir()
+    {
+        const std::string tmp = harness::env::getOr("TMPDIR", "");
+        path = (tmp.empty() ? std::string("/tmp") : tmp) +
+               "/soefair_faultinject_" + std::to_string(::getpid());
+        std::filesystem::create_directories(path);
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+
+    std::string path;
+};
+
 std::string
 scratchDir()
 {
-    const std::string tmp = harness::env::getOr("TMPDIR", "");
-    return tmp.empty() ? std::string("/tmp") : tmp;
+    static const ScratchDir dir;
+    return dir.path;
 }
 
 } // namespace

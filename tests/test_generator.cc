@@ -4,6 +4,7 @@
 
 #include <map>
 
+#include "sim/logging.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 
@@ -178,4 +179,36 @@ TEST(Generator, SaveRestoreResumesExactly)
         ASSERT_EQ(x.memAddr, y.memAddr);
         ASSERT_EQ(x.taken, y.taken);
     }
+}
+
+TEST(Generator, PhaseWithBadDependencyProbabilityPanics)
+{
+    // The geometric draw's p ∈ (0, 1] check runs when a phase is
+    // entered, before any op of that phase is generated.
+    for (double p : {0.0, -0.5, 1.5}) {
+        Profile prof = spec::byName("gcc");
+        for (Phase &ph : prof.phases)
+            ph.depGeoP = p;
+        EXPECT_THROW(WorkloadGenerator(prof, 0, 1), PanicError)
+            << "depGeoP " << p;
+    }
+}
+
+TEST(Generator, DependencyDrawsMatchTheProfileProbabilities)
+{
+    // Integer thresholds replace real() < p in the hot draws; the
+    // no-dependency fraction of ALU sources still tracks depNone.
+    const Profile prof = spec::byName("eon");
+    WorkloadGenerator g(prof, 0, 5);
+    int srcs = 0, none = 0;
+    for (int i = 0; i < 200 * 1000; ++i) {
+        const MicroOp op = g.next();
+        if (op.op != OpClass::IntAlu || op.seqNum < 100)
+            continue;
+        for (RegId r : {op.src0, op.src1}) {
+            ++srcs;
+            none += r == invalidReg;
+        }
+    }
+    EXPECT_NEAR(double(none) / srcs, prof.phase(0).depNone, 0.01);
 }
