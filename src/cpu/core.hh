@@ -32,14 +32,13 @@
 #include "sim/types.hh"
 #include "stats/stats.hh"
 #include "workload/inst_stream.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-struct SOE_THREAD_OWNED(config) CoreConfig
+struct CoreConfig
 {
     FetchConfig fetch;
     BranchPredictorConfig bpred;
@@ -132,7 +131,7 @@ class SwitchController
     }
 };
 
-class SOE_THREAD_OWNED(core_lp) Core
+class Core
 {
   public:
     Core(const CoreConfig &config, mem::Hierarchy &hierarchy,

@@ -27,7 +27,6 @@
 #include "cpu/branch_predictor.hh"
 #include "isa/micro_op.hh"
 #include "sim/types.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
@@ -41,7 +40,7 @@ struct DynInst;
  * index of its src slot, packed into one word (DynInsts are at least
  * 2-byte aligned, so the pointer's low bit is free for the index).
  */
-class SOE_THREAD_OWNED(value) WaiterLink
+class WaiterLink
 {
   public:
     WaiterLink() = default;
@@ -61,7 +60,7 @@ class SOE_THREAD_OWNED(value) WaiterLink
     std::uintptr_t bits = 0;
 };
 
-struct SOE_THREAD_OWNED(value) DynInst
+struct DynInst
 {
     isa::MicroOp op;
 

@@ -25,14 +25,13 @@
 #include "sim/types.hh"
 #include "stats/stats.hh"
 #include "workload/inst_stream.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace cpu
 {
 
-struct SOE_THREAD_OWNED(config) FetchConfig
+struct FetchConfig
 {
     unsigned width = 4;
     unsigned bufferEntries = 16;
@@ -42,7 +41,7 @@ struct SOE_THREAD_OWNED(config) FetchConfig
     unsigned redirectDelay = 2;
 };
 
-class SOE_THREAD_OWNED(core_lp) FetchUnit
+class FetchUnit
 {
   public:
     FetchUnit(const FetchConfig &config, mem::Hierarchy &hierarchy,

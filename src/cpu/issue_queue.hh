@@ -28,7 +28,6 @@
 
 #include "cpu/dyn_inst.hh"
 #include "cpu/rob.hh"
-#include "sim/annotations.hh"
 #include "sim/logging.hh"
 
 namespace soefair
@@ -36,7 +35,7 @@ namespace soefair
 namespace cpu
 {
 
-class SOE_THREAD_OWNED(core_lp) IssueQueue
+class IssueQueue
 {
   public:
     /** @param reorder_buffer The ROB every entry lives in. */

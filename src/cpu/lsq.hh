@@ -17,7 +17,6 @@
 #include "cpu/dyn_inst.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
@@ -25,7 +24,7 @@ namespace cpu
 {
 
 /** Occupancy-only load queue. */
-class SOE_THREAD_OWNED(core_lp) LoadQueue
+class LoadQueue
 {
   public:
     explicit LoadQueue(unsigned capacity) : cap(capacity)
@@ -54,7 +53,7 @@ class SOE_THREAD_OWNED(core_lp) LoadQueue
 };
 
 /** Searchable in-order store queue. */
-class SOE_THREAD_OWNED(core_lp) StoreQueue
+class StoreQueue
 {
   public:
     explicit StoreQueue(unsigned capacity) : cap(capacity)

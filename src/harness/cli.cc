@@ -1,6 +1,8 @@
 #include "harness/cli.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -83,12 +85,16 @@ CliOptions::getUint(const std::string &name, std::uint64_t def) const
     auto it = options.find(name);
     if (it == options.end())
         return def;
+    // strtoull would negate "-1" into 2^64 - 1 and clamp overflow to
+    // the same value; both are errors, never a huge run length.
+    const std::string &s = it->second;
     char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --", name, " expects an integer, got '",
-              it->second, "'");
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+    if (end == s.c_str() || *end != '\0' ||
+        s.find('-') != std::string::npos || errno == ERANGE)
+        fatal("option --", name, " expects a non-negative integer "
+              "below 2^64, got '", s, "'");
     return std::uint64_t(v);
 }
 
@@ -100,8 +106,8 @@ CliOptions::getDouble(const std::string &name, double def) const
         return def;
     char *end = nullptr;
     const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("option --", name, " expects a number, got '",
+    if (end == it->second.c_str() || *end != '\0' || !std::isfinite(v))
+        fatal("option --", name, " expects a finite number, got '",
               it->second, "'");
     return v;
 }

@@ -42,7 +42,7 @@ const char *exitSim =
     "12 watchdog; 13 checkpoint";
 const char *exitCampaign =
     "0 complete; 20 partial (MISSING cells); 21 nothing completed; "
-    "2 usage; 1 fatal";
+    "2 usage; 1 fatal; 10 input";
 
 /** Bare name of an option: "journal" for "--journal F". */
 std::string

@@ -1,5 +1,8 @@
 #include "harness/env.hh"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -57,6 +60,10 @@ getDouble(const char *name)
         warn("ignoring unparsable ", name, "='", *v, "'");
         return std::nullopt;
     }
+    if (!std::isfinite(d)) {
+        warn("ignoring non-finite ", name, "='", *v, "'");
+        return std::nullopt;
+    }
     return d;
 }
 
@@ -67,9 +74,17 @@ getUnsigned(const char *name)
     if (!v)
         return std::nullopt;
     char *end = nullptr;
-    const unsigned long u = std::strtoul(v->c_str(), &end, 10);
+    errno = 0;
+    const unsigned long long u = std::strtoull(v->c_str(), &end, 10);
     if (end == v->c_str() || (end && *end != '\0')) {
         warn("ignoring unparsable ", name, "='", *v, "'");
+        return std::nullopt;
+    }
+    // strtoull negates "-1" into a huge value; an unsigned cast would
+    // then truncate anything above UINT_MAX.
+    if (v->find('-') != std::string::npos || errno == ERANGE ||
+        u > UINT_MAX) {
+        warn("ignoring out-of-range ", name, "='", *v, "'");
         return std::nullopt;
     }
     return unsigned(u);

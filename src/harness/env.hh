@@ -44,8 +44,10 @@ bool isSet(const char *name);
 std::optional<bool> getBool(const char *name);
 
 /**
- * Numeric read: unset or unparsable -> nullopt (a warning is logged
- * for set-but-unparsable values, naming the variable).
+ * Numeric read: unset, unparsable or out of range -> nullopt (a
+ * warning naming the variable is logged for set-but-rejected
+ * values). getDouble rejects non-finite values; getUnsigned rejects
+ * a sign and anything above UINT_MAX.
  */
 std::optional<double> getDouble(const char *name);
 std::optional<unsigned> getUnsigned(const char *name);

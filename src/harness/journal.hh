@@ -36,10 +36,6 @@
  * its appends.
  */
 
-// detlint: conc-optin — journal state crosses the fork boundary;
-// members carry ownership-domain tags (CONC-001, see
-// src/sim/annotations.hh).
-
 #ifndef SOEFAIR_HARNESS_JOURNAL_HH
 #define SOEFAIR_HARNESS_JOURNAL_HH
 
@@ -48,7 +44,6 @@
 #include <set>
 #include <string>
 
-#include "sim/annotations.hh"
 
 namespace soefair
 {
@@ -61,17 +56,17 @@ constexpr int journalVersion = 2;
 /** One job state transition. */
 struct JournalRecord
 {
-    std::string job SOE_THREAD_OWNED(supervisor);
+    std::string job;
     /** "running" | "done" | "failed" */
-    std::string state SOE_THREAD_OWNED(supervisor);
+    std::string state;
     /** 1-based attempt that made the transition. */
-    unsigned attempt SOE_THREAD_OWNED(supervisor) = 0;
+    unsigned attempt = 0;
     /** done: the job's result payload. */
-    std::string payload SOE_THREAD_OWNED(supervisor);
+    std::string payload;
     /** failed: failure class (see supervisor). */
-    std::string errClass SOE_THREAD_OWNED(supervisor);
+    std::string errClass;
     /** failed: human-readable diagnostic. */
-    std::string detail SOE_THREAD_OWNED(supervisor);
+    std::string detail;
 };
 
 /**
@@ -116,23 +111,20 @@ class JournalWriter
     void lockedOpen(const std::string &path, int flags);
     void writeLine(const std::string &line);
 
-    int fd SOE_THREAD_OWNED(supervisor) = -1;
-    std::string filePath SOE_THREAD_OWNED(supervisor);
+    int fd = -1;
+    std::string filePath;
 };
 
 /** Parsed journal contents, reduced to per-job final state. */
 struct JournalState
 {
-    std::string key SOE_THREAD_OWNED(supervisor);
+    std::string key;
     /** Jobs with a committed `done` record (id -> record). */
-    std::map<std::string, JournalRecord>
-        done SOE_THREAD_OWNED(supervisor);
+    std::map<std::string, JournalRecord> done;
     /** Jobs whose *latest* record is `failed` (id -> record). */
-    std::map<std::string, JournalRecord>
-        failed SOE_THREAD_OWNED(supervisor);
+    std::map<std::string, JournalRecord> failed;
     /** Attempts started per job (max attempt seen in any record). */
-    std::map<std::string, unsigned>
-        attempts SOE_THREAD_OWNED(supervisor);
+    std::map<std::string, unsigned> attempts;
 };
 
 /**

@@ -24,11 +24,6 @@
  * the journal replays `done` payloads without re-running the jobs.
  */
 
-// detlint: conc-optin — supervisor state is owned by the one parent
-// process that forks the job children; the ownership-domain tags
-// keep any later sharing an annotation change the compiler checks
-// (CONC-001).
-
 #ifndef SOEFAIR_HARNESS_SUPERVISOR_HH
 #define SOEFAIR_HARNESS_SUPERVISOR_HH
 
@@ -38,7 +33,6 @@
 #include <vector>
 
 #include "harness/journal.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
@@ -52,46 +46,45 @@ constexpr int exitCampaignFailed = 21;  ///< no cell completed
 /** One unit of isolated work. */
 struct SupervisorJob
 {
-    std::string id SOE_THREAD_OWNED(supervisor);
+    std::string id;
     /**
      * Job body, executed in the forked child. Returns the result
      * payload recorded in the journal. `attempt` is 1-based; retried
      * attempts may use it to derive a jittered seed. Throwing a
      * SimError exits the child with that class's exit code.
      */
-    std::function<std::string(unsigned attempt)>
-        run SOE_THREAD_OWNED(supervisor);
+    std::function<std::string(unsigned attempt)> run;
 };
 
 struct SupervisorConfig
 {
     /** Wall-clock deadline per attempt; expired children get
      *  SIGKILL. <= 0 disables the deadline. */
-    double deadlineSeconds SOE_THREAD_OWNED(supervisor) = 600.0;
+    double deadlineSeconds = 600.0;
     /** Max attempts per job with a transient failure (>= 1). */
-    unsigned maxAttempts SOE_THREAD_OWNED(supervisor) = 3;
+    unsigned maxAttempts = 3;
     /** Backoff before retry k is base * 2^(k-2) seconds. */
-    double backoffBaseSeconds SOE_THREAD_OWNED(supervisor) = 0.25;
+    double backoffBaseSeconds = 0.25;
     /** Concurrent forked children (the `--jobs N` slots). */
-    unsigned jobSlots SOE_THREAD_OWNED(supervisor) = 1;
+    unsigned jobSlots = 1;
     /** Optional stream for per-job progress lines. */
-    std::ostream *progress SOE_THREAD_OWNED(supervisor) = nullptr;
+    std::ostream *progress = nullptr;
 };
 
 /** Final state of one job after supervision. */
 struct JobOutcome
 {
-    std::string id SOE_THREAD_OWNED(supervisor);
-    bool done SOE_THREAD_OWNED(supervisor) = false;
+    std::string id;
+    bool done = false;
     /** True when the result was replayed from the journal. */
-    bool fromJournal SOE_THREAD_OWNED(supervisor) = false;
-    std::string payload SOE_THREAD_OWNED(supervisor);
+    bool fromJournal = false;
+    std::string payload;
     /** Failure class when !done: "input", "estimator", "watchdog",
      *  "checkpoint", "fatal", "usage", "panic", "signal",
      *  "deadline" or "exit". */
-    std::string failClass SOE_THREAD_OWNED(supervisor);
-    std::string detail SOE_THREAD_OWNED(supervisor);
-    unsigned attempts SOE_THREAD_OWNED(supervisor) = 0;
+    std::string failClass;
+    std::string detail;
+    unsigned attempts = 0;
 };
 
 class SweepSupervisor
@@ -130,7 +123,7 @@ class SweepSupervisor
     static double backoffSeconds(double base, unsigned failed_attempt);
 
   private:
-    SupervisorConfig cfg SOE_THREAD_OWNED(supervisor);
+    SupervisorConfig cfg;
 };
 
 } // namespace harness

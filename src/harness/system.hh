@@ -4,10 +4,6 @@
  * SOE engine into a runnable simulated machine.
  */
 
-// detlint: conc-optin — System owns the exact state step() mutates;
-// every member is tagged with the logical-process domain PDES will
-// shard it into (CONC-001, see src/sim/annotations.hh).
-
 #ifndef SOEFAIR_HARNESS_SYSTEM_HH
 #define SOEFAIR_HARNESS_SYSTEM_HH
 
@@ -18,7 +14,6 @@
 #include "cpu/core.hh"
 #include "harness/machine_config.hh"
 #include "mem/hierarchy.hh"
-#include "sim/annotations.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 #include "workload/generator.hh"
@@ -32,16 +27,16 @@ namespace harness
 {
 
 /** One hardware thread's workload. */
-struct SOE_THREAD_OWNED(config) ThreadSpec
+struct ThreadSpec
 {
-    workload::Profile profile SOE_THREAD_OWNED(sim);
-    std::uint64_t seed SOE_THREAD_OWNED(sim) = 1;
+    workload::Profile profile;
+    std::uint64_t seed = 1;
     /**
      * If set, the thread replays this binary trace file instead of
      * running the generator (trace-driven mode); profile and seed
      * are then ignored.
      */
-    std::string tracePath SOE_THREAD_OWNED(sim);
+    std::string tracePath;
 
     static ThreadSpec
     benchmark(const std::string &name, std::uint64_t seed_)
@@ -61,7 +56,7 @@ struct SOE_THREAD_OWNED(config) ThreadSpec
     }
 };
 
-class SOE_THREAD_OWNED(supervisor) System
+class System
 {
   public:
     System(const MachineConfig &config,
@@ -115,25 +110,23 @@ class SOE_THREAD_OWNED(supervisor) System
     void dumpStats(std::ostream &os) const { root.dump(os); }
 
   private:
-    statistics::Group root SOE_THREAD_OWNED(sim);
-    MachineConfig cfg SOE_THREAD_OWNED(sim);
-    EventQueue eventQueue SOE_THREAD_OWNED(sim);
-    std::unique_ptr<mem::Hierarchy> hier SOE_THREAD_OWNED(sim);
-    std::unique_ptr<cpu::Core> coreInst SOE_THREAD_OWNED(sim);
-    std::vector<std::unique_ptr<workload::InstSource>>
-        sources SOE_THREAD_OWNED(sim);
-    std::vector<std::unique_ptr<workload::InstStream>>
-        streams SOE_THREAD_OWNED(sim);
-    Tick currentTick SOE_THREAD_OWNED(sim) = 0;
-    bool started SOE_THREAD_OWNED(sim) = false;
+    statistics::Group root;
+    MachineConfig cfg;
+    EventQueue eventQueue;
+    std::unique_ptr<mem::Hierarchy> hier;
+    std::unique_ptr<cpu::Core> coreInst;
+    std::vector<std::unique_ptr<workload::InstSource>> sources;
+    std::vector<std::unique_ptr<workload::InstStream>> streams;
+    Tick currentTick = 0;
+    bool started = false;
     /**
      * Deliberately not part of MachineConfig: fast-forward changes
      * wall-clock speed only, never results, so it must not perturb
      * config fingerprints (sweep journals, eval caches).
      */
-    bool fastForward SOE_THREAD_OWNED(sim) = true;
-    std::uint64_t ffJumps SOE_THREAD_OWNED(sim) = 0;
-    std::uint64_t ffCycles SOE_THREAD_OWNED(sim) = 0;
+    bool fastForward = true;
+    std::uint64_t ffJumps = 0;
+    std::uint64_t ffCycles = 0;
 };
 
 } // namespace harness

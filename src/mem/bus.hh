@@ -8,14 +8,9 @@
  * slot. This is where co-running threads' memory traffic contends.
  */
 
-// detlint: conc-optin — the bus is the contention point PDES will
-// turn into a shared logical process; its members are tagged with
-// their ownership domain (CONC-001, see src/sim/annotations.hh).
-
 #ifndef SOEFAIR_MEM_BUS_HH
 #define SOEFAIR_MEM_BUS_HH
 
-#include "sim/annotations.hh"
 #include "sim/types.hh"
 #include "stats/stats.hh"
 
@@ -24,7 +19,7 @@ namespace soefair
 namespace mem
 {
 
-class SOE_THREAD_OWNED(shared) Bus
+class Bus
 {
   public:
     Bus(unsigned occupancy_cycles, statistics::Group *stats_parent);
@@ -40,13 +35,13 @@ class SOE_THREAD_OWNED(shared) Bus
 
     unsigned occupancy() const { return occCycles; }
 
-    statistics::Group statsGroup SOE_THREAD_OWNED(sim);
-    statistics::Counter transfers SOE_THREAD_OWNED(sim);
-    statistics::Counter queuedCycles SOE_THREAD_OWNED(sim);
+    statistics::Group statsGroup;
+    statistics::Counter transfers;
+    statistics::Counter queuedCycles;
 
   private:
-    unsigned occCycles SOE_THREAD_OWNED(sim) = 0;
-    Tick busFree SOE_THREAD_OWNED(sim) = 0;
+    unsigned occCycles = 0;
+    Tick busFree = 0;
 };
 
 } // namespace mem

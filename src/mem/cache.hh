@@ -24,7 +24,6 @@
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
 #include "stats/stats.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
@@ -32,7 +31,7 @@ namespace mem
 {
 
 /** Static cache geometry and timing. */
-struct SOE_THREAD_OWNED(config) CacheConfig
+struct CacheConfig
 {
     std::string name = "cache";
     std::uint64_t sizeBytes = 32 * 1024;
@@ -41,7 +40,7 @@ struct SOE_THREAD_OWNED(config) CacheConfig
     unsigned numMshrs = 8;
 };
 
-class SOE_THREAD_OWNED(shared) Cache : public MemLevel
+class Cache : public MemLevel
 {
   public:
     Cache(const CacheConfig &config, MemLevel &next_level,

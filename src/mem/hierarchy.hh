@@ -7,10 +7,6 @@
  * never flushed on a thread switch (Section 4.1).
  */
 
-// detlint: conc-optin — the hierarchy is shared between all hardware
-// threads today and becomes the memory-side logical process under
-// PDES; members carry ownership-domain tags (CONC-001).
-
 #ifndef SOEFAIR_MEM_HIERARCHY_HH
 #define SOEFAIR_MEM_HIERARCHY_HH
 
@@ -21,7 +17,6 @@
 #include "mem/memory.hh"
 #include "mem/prefetcher.hh"
 #include "mem/tlb.hh"
-#include "sim/annotations.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
@@ -30,41 +25,40 @@ namespace soefair
 namespace mem
 {
 
-struct SOE_THREAD_OWNED(config) HierarchyConfig
+struct HierarchyConfig
 {
-    CacheConfig l1i SOE_THREAD_OWNED(sim){"l1i", 32 * 1024, 8, 3, 4};
-    CacheConfig l1d SOE_THREAD_OWNED(sim){"l1d", 32 * 1024, 8, 3, 8};
-    CacheConfig l2 SOE_THREAD_OWNED(sim){
-        "l2", 2 * 1024 * 1024, 16, 12, 16};
-    TlbConfig itlb SOE_THREAD_OWNED(sim){"itlb", 64, 10};
-    TlbConfig dtlb SOE_THREAD_OWNED(sim){"dtlb", 64, 10};
+    CacheConfig l1i{"l1i", 32 * 1024, 8, 3, 4};
+    CacheConfig l1d{"l1d", 32 * 1024, 8, 3, 8};
+    CacheConfig l2{"l2", 2 * 1024 * 1024, 16, 12, 16};
+    TlbConfig itlb{"itlb", 64, 10};
+    TlbConfig dtlb{"dtlb", 64, 10};
     /** Hardware prefetcher into the L2 (paper machine: disabled). */
-    PrefetcherConfig prefetch SOE_THREAD_OWNED(sim){};
-    unsigned busOccupancy SOE_THREAD_OWNED(sim) = 4;
+    PrefetcherConfig prefetch{};
+    unsigned busOccupancy = 4;
     /** Array latency; total L2-miss cost ~= bus + this (+L1+L2). */
-    unsigned memLatency SOE_THREAD_OWNED(sim) = 281;
+    unsigned memLatency = 281;
 };
 
 /** Combined outcome of a data or fetch access (TLB + caches). */
-struct SOE_THREAD_OWNED(value) HierAccessResult
+struct HierAccessResult
 {
-    Tick completion SOE_THREAD_OWNED(sim) = 0;
-    bool retry SOE_THREAD_OWNED(sim) = false;
+    Tick completion = 0;
+    bool retry = false;
     /**
      * The access (or its TLB walk) reached main memory: the paper's
      * last-level cache miss, i.e. the SOE switch event.
      */
-    bool l2Miss SOE_THREAD_OWNED(sim) = false;
+    bool l2Miss = false;
     /**
      * The access missed the first-level cache (it may still have
      * hit the L2). Used by the extended switch-on-L1-miss mode the
      * paper sketches in Section 6.
      */
-    bool l1Miss SOE_THREAD_OWNED(sim) = false;
-    bool tlbWalked SOE_THREAD_OWNED(sim) = false;
+    bool l1Miss = false;
+    bool tlbWalked = false;
 };
 
-class SOE_THREAD_OWNED(shared) Hierarchy
+class Hierarchy
 {
   public:
     Hierarchy(const HierarchyConfig &config, EventQueue &event_queue,
@@ -99,16 +93,16 @@ class SOE_THREAD_OWNED(shared) Hierarchy
     HierAccessResult dataAccess(ThreadID tid, Addr addr, Tick when,
                                 bool is_write);
 
-    HierarchyConfig cfg SOE_THREAD_OWNED(sim);
-    statistics::Group statsGroup SOE_THREAD_OWNED(sim);
-    std::unique_ptr<Bus> frontBus SOE_THREAD_OWNED(sim);
-    std::unique_ptr<Memory> mainMem SOE_THREAD_OWNED(sim);
-    std::unique_ptr<Cache> l2Cache SOE_THREAD_OWNED(sim);
-    std::unique_ptr<Cache> l1iCache SOE_THREAD_OWNED(sim);
-    std::unique_ptr<Cache> l1dCache SOE_THREAD_OWNED(sim);
-    std::unique_ptr<Tlb> iTlb SOE_THREAD_OWNED(sim);
-    std::unique_ptr<Tlb> dTlb SOE_THREAD_OWNED(sim);
-    std::unique_ptr<StridePrefetcher> pf SOE_THREAD_OWNED(sim);
+    HierarchyConfig cfg;
+    statistics::Group statsGroup;
+    std::unique_ptr<Bus> frontBus;
+    std::unique_ptr<Memory> mainMem;
+    std::unique_ptr<Cache> l2Cache;
+    std::unique_ptr<Cache> l1iCache;
+    std::unique_ptr<Cache> l1dCache;
+    std::unique_ptr<Tlb> iTlb;
+    std::unique_ptr<Tlb> dTlb;
+    std::unique_ptr<StridePrefetcher> pf;
 };
 
 } // namespace mem

@@ -23,14 +23,13 @@
 
 #include "mem/request.hh"
 #include "stats/stats.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace mem
 {
 
-struct SOE_THREAD_OWNED(config) PrefetcherConfig
+struct PrefetcherConfig
 {
     bool enabled = false;
     unsigned tableEntries = 64;
@@ -40,7 +39,7 @@ struct SOE_THREAD_OWNED(config) PrefetcherConfig
     unsigned confidence = 2;
 };
 
-class SOE_THREAD_OWNED(shared) StridePrefetcher
+class StridePrefetcher
 {
   public:
     StridePrefetcher(const PrefetcherConfig &config,

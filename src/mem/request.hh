@@ -14,7 +14,6 @@
 #define SOEFAIR_MEM_REQUEST_HH
 
 #include "sim/types.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
@@ -22,7 +21,7 @@ namespace mem
 {
 
 /** One memory request presented to a level of the hierarchy. */
-struct SOE_THREAD_OWNED(value) MemReq
+struct MemReq
 {
     Addr addr = 0;
     bool isWrite = false;
@@ -43,7 +42,7 @@ struct SOE_THREAD_OWNED(value) MemReq
 };
 
 /** Outcome of presenting a MemReq. */
-struct SOE_THREAD_OWNED(value) AccessResult
+struct AccessResult
 {
     /** Data-available tick (writes: accepted/complete tick). */
     Tick completion = 0;

@@ -15,10 +15,6 @@
  * harness asks nextEventTick() before jumping over quiescent cycles.
  */
 
-// detlint: conc-optin — every mutable member below carries an
-// ownership-domain or capability annotation (CONC-001); this queue is
-// the per-logical-process structure PDES will shard first.
-
 #ifndef SOEFAIR_SIM_EVENT_QUEUE_HH
 #define SOEFAIR_SIM_EVENT_QUEUE_HH
 
@@ -26,7 +22,6 @@
 #include <functional>
 #include <vector>
 
-#include "sim/annotations.hh"
 #include "sim/types.hh"
 
 namespace soefair
@@ -75,9 +70,9 @@ class EventQueue
      */
     struct Entry
     {
-        Tick when SOE_THREAD_OWNED(sim) = 0;
-        std::uint64_t order SOE_THREAD_OWNED(sim) = 0;
-        std::uint32_t slot SOE_THREAD_OWNED(sim) = 0;
+        Tick when = 0;
+        std::uint64_t order = 0;
+        std::uint32_t slot = 0;
 
         bool
         before(const Entry &o) const
@@ -92,11 +87,11 @@ class EventQueue
     void siftDown(std::size_t i);
     Entry popTop();
 
-    std::vector<Entry> heap SOE_THREAD_OWNED(sim);
+    std::vector<Entry> heap;
     /** Callback pool; slots of fired events return to freeSlots. */
-    std::vector<Callback> pool SOE_THREAD_OWNED(sim);
-    std::vector<std::uint32_t> freeSlots SOE_THREAD_OWNED(sim);
-    std::uint64_t nextOrder SOE_THREAD_OWNED(sim) = 0;
+    std::vector<Callback> pool;
+    std::vector<std::uint32_t> freeSlots;
+    std::uint64_t nextOrder = 0;
 };
 
 } // namespace soefair

@@ -44,11 +44,9 @@ extern bool verbose;
 void printMessage(const char *prefix, const std::string &msg);
 
 /**
- * Write one complete line to `os` under the same process-wide sink
- * mutex printMessage() holds, then flush. Harness progress lines go
- * through this so concurrent threads can never interleave output
- * mid-line — every message, warn() and progress line is one atomic
- * write against the shared sink.
+ * Write one complete line to `os`, then flush. Harness progress lines
+ * go through this so each one reaches the stream before the
+ * supervisor forks its next job child.
  */
 void printLine(std::ostream &os, const std::string &line);
 

@@ -28,14 +28,13 @@
 #include "soe/policies.hh"
 #include "soe/thread_context.hh"
 #include "stats/stats.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace soe
 {
 
-struct SOE_THREAD_OWNED(config) SoeConfig
+struct SoeConfig
 {
     /** Sampling / recalculation period (Section 3.1). */
     Tick delta = 250 * 1000;
@@ -66,7 +65,7 @@ struct SOE_THREAD_OWNED(config) SoeConfig
 };
 
 /** One delta window's worth of observable state (Figure 5 data). */
-struct SOE_THREAD_OWNED(value) SampleWindowRecord
+struct SampleWindowRecord
 {
     Tick endTick = 0;
     Tick windowCycles = 0;
@@ -94,7 +93,7 @@ struct SOE_THREAD_OWNED(value) SampleWindowRecord
     double measuredMissLat = 0.0;
 };
 
-class SOE_THREAD_OWNED(core_lp) SoeEngine : public cpu::SwitchController
+class SoeEngine : public cpu::SwitchController
 {
   public:
     SoeEngine(const SoeConfig &config, SchedulingPolicy &policy,

@@ -16,14 +16,13 @@
 #include "core/deficit.hh"
 #include "core/estimator.hh"
 #include "sim/types.hh"
-#include "sim/annotations.hh"
 
 namespace soefair
 {
 namespace soe
 {
 
-struct SOE_THREAD_OWNED(core_lp) ThreadContext
+struct ThreadContext
 {
     ThreadID tid = 0;
 

@@ -75,6 +75,22 @@ TEST(Cli, MalformedNumbersAreFatal)
     auto o = parse({"cmd", "--instrs", "abc", "--F", "x1"});
     EXPECT_THROW(o.getUint("instrs", 0), FatalError);
     EXPECT_THROW(o.getDouble("F", 0.0), FatalError);
+
+    // strtoull would read "-1" as 2^64 - 1 and clamp overflow there.
+    for (const char *bad : {"-1", "-0", " -5", "18446744073709551616"}) {
+        auto u = parse({"cmd", "--warmup", bad});
+        EXPECT_THROW(u.getUint("warmup", 0), FatalError) << bad;
+    }
+    EXPECT_EQ(parse({"cmd", "--warmup", "18446744073709551615"})
+                  .getUint("warmup", 0),
+              18446744073709551615ull);
+
+    for (const char *bad : {"nan", "inf", "-inf", "1e999"}) {
+        auto d = parse({"cmd", "--deadline", bad});
+        EXPECT_THROW(d.getDouble("deadline", 0.0), FatalError) << bad;
+    }
+    EXPECT_DOUBLE_EQ(parse({"cmd", "--F", "-0.5"}).getDouble("F", 0.0),
+                     -0.5);
 }
 
 TEST(Cli, MissingValueIsFatal)

@@ -5,18 +5,29 @@
  * contract, and the rendered help must actually show them. Adding a
  * verb without documenting it is a test failure, not a silent gap;
  * an option a verb does not register is a usage error (exit 2).
+ * The last tests run the built soefair_cli and check that bad
+ * numeric input fails with its documented code before any work
+ * starts.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/cli_verbs.hh"
+#include "harness/env.hh"
+#include "sim/errors.hh"
 
 using namespace soefair::harness;
+using soefair::InputError;
 
 namespace
 {
@@ -32,6 +43,38 @@ usageCheck(const std::vector<const char *> &args)
     std::ostringstream err;
     return verb ? checkCliOptions(*verb, opts, err) : -1;
 }
+
+/** Exit code of the built soefair_cli run with `args` (output
+ *  discarded); -1 when it did not exit normally. */
+int
+cliExit(const std::string &args)
+{
+    const std::string cmd =
+        std::string(SOEFAIR_CLI) + " " + args + " >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** A per-process scratch directory, removed at exit. */
+class ScratchDir
+{
+  public:
+    ScratchDir()
+    {
+        const std::string tmp = env::getOr("TMPDIR", "");
+        path = (tmp.empty() ? std::string("/tmp") : tmp) +
+               "/soefair_cli_verbs_" + std::to_string(::getpid());
+        std::filesystem::create_directories(path);
+    }
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+
+    std::string path;
+};
 
 } // namespace
 
@@ -143,4 +186,30 @@ TEST(CliVerbs, FlagsAreTheOptionsWithoutAValue)
                                           "l1-switch", "windows",
                                           "stats", "raw"}));
     EXPECT_EQ(got.size(), flags.size()); // no duplicates
+}
+
+TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
+{
+    // A bad item is a usage error before the journal exists: read
+    // leniently, "abc" would add an F = 0 cell and a level outside
+    // [0, 1] would fail every job of its cell.
+    const ScratchDir dir;
+    const std::string journal = dir.path + "/sweep.journal";
+    for (const char *levels :
+         {"0.5,abc", "2", "-0.25", "0.5,1.5", "nan", "0.5,,1"}) {
+        EXPECT_EQ(cliExit(std::string("sweep --pairs gcc:eon ") +
+                          "--instrs 2000 --warmup 0 --levels " +
+                          levels + " --journal " + journal +
+                          " --out " + dir.path + "/sweep.csv"),
+                  2)
+            << levels;
+        EXPECT_FALSE(std::filesystem::exists(journal)) << levels;
+    }
+}
+
+TEST(CliVerbs, EmptyMeasurementWindowIsAnInputError)
+{
+    // No instructions means no IPC and no fairness to report.
+    EXPECT_EQ(cliExit("run-st gcc --instrs 0"), InputError::code);
+    EXPECT_EQ(cliExit("run-soe gcc eon --instrs 0"), InputError::code);
 }

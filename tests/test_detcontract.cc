@@ -1,8 +1,8 @@
 /**
  * @file
- * Runtime determinism contract (docs/correctness.md, "Determinism &
- * concurrency contracts"): the same seed run twice in-process — a
- * fresh System/Runner each time — must produce byte-identical sweep
+ * Runtime determinism contract (docs/correctness.md, "Determinism
+ * contracts"): the same seed run twice in-process — a fresh
+ * System/Runner each time — must produce byte-identical sweep
  * payloads (the exact strings the journal records and the CSV
  * emitters aggregate). detlint (DET-001..004) catches the *static*
  * ways this breaks; this test catches what no linter can see:
@@ -18,11 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
-#include "sim/annotations.hh"
 #include "soe/policies.hh"
 
 using namespace soefair;
@@ -110,30 +108,4 @@ TEST(DetContract, PayloadsRoundTripThroughCodecs)
     harness::StRunResult st_decoded;
     ASSERT_TRUE(harness::decodeStPayload(st, st_decoded));
     EXPECT_EQ(harness::encodeStPayload(st_decoded), st);
-}
-
-TEST(DetContract, AnnotatedMutexHasLockSemantics)
-{
-    // The annotation layer's capability-carrying lock wrappers
-    // (sim/annotations.hh) must behave like the std::mutex they wrap
-    // on every compiler, not only under clang's analysis.
-    AnnotatedMutex m;
-    bool acquired = false;
-    {
-        AnnotatedLock lock(m);
-        // Contend from another thread: the probe must fail while the
-        // scoped lock is held. (Same-thread try-lock would be both
-        // UB on std::mutex and a thread-safety-analysis error.)
-        std::thread probe([&m, &acquired] {
-            acquired = m.tryLock();
-            if (acquired)
-                m.unlock();
-        });
-        probe.join();
-        EXPECT_FALSE(acquired);
-    }
-    acquired = m.tryLock();
-    EXPECT_TRUE(acquired);
-    if (acquired)
-        m.unlock();
 }

@@ -99,6 +99,21 @@ TEST(Env, NumericParsesAndRejectsGarbage)
         EXPECT_FALSE(env::getDouble(var).has_value()) << bad;
         EXPECT_FALSE(env::getUnsigned(var).has_value()) << bad;
     }
+    // Out of range for the type: a sign, or more than 32 bits.
+    for (const char *bad : {"-1", "-0", "4294967296",
+                            "18446744073709551616"}) {
+        ScopedEnv e(var, bad);
+        EXPECT_FALSE(env::getUnsigned(var).has_value()) << bad;
+    }
+    {
+        ScopedEnv e(var, "4294967295");
+        ASSERT_TRUE(env::getUnsigned(var).has_value());
+        EXPECT_EQ(*env::getUnsigned(var), 4294967295u);
+    }
+    for (const char *bad : {"nan", "inf", "-inf", "1e999"}) {
+        ScopedEnv e(var, bad);
+        EXPECT_FALSE(env::getDouble(var).has_value()) << bad;
+    }
 }
 
 TEST(Env, PrecedenceCliBeatsEnvBeatsDefault)
@@ -161,5 +176,14 @@ TEST(Env, RunConfigFromEnvUsesAccessor)
         const RunConfig rc = RunConfig::fromEnv(base);
         EXPECT_TRUE(rc.fastForward);
         EXPECT_EQ(rc.measureInstrs, base.measureInstrs / 2);
+    }
+    // A non-finite scale warns and falls back to the unscaled run.
+    for (const char *bad : {"nan", "inf"}) {
+        ScopedEnv ff("SOEFAIR_FASTFORWARD", nullptr);
+        ScopedEnv sc("SOEFAIR_SCALE", bad);
+        RunConfig base;
+        EXPECT_EQ(RunConfig::fromEnv(base).measureInstrs,
+                  base.measureInstrs)
+            << bad;
     }
 }

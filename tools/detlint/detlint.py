@@ -4,7 +4,7 @@
 Enforces the simulator's load-bearing contracts as named, baselined
 rules (see docs/correctness.md, "soelint rule families"):
 
-Determinism & concurrency (PR "detlint"):
+Determinism:
   DET-001  no wall-clock / rand() / locale / PID-dependent values in
            model code (src/{sim,cpu,mem,soe,workload}).
   DET-002  no std::getenv outside the single whitelisted accessor.
@@ -12,9 +12,6 @@ Determinism & concurrency (PR "detlint"):
            in code that feeds statistics::, payload codecs or CSV.
   DET-004  no uninitialized scalar/pointer members in aggregate
            structs declared in src/ headers.
-  CONC-001 in files opted in with `// detlint: conc-optin`, every
-           mutable data member must carry a capability annotation
-           (SOE_GUARDED_BY / SOE_PT_GUARDED_BY / SOE_THREAD_OWNED).
 
 Fast-forward contract (docs/performance.md):
   FF-001   every class declaring tick() in src/cpu, src/mem, src/soe
@@ -47,16 +44,6 @@ Stats determinism:
   STAT-002 each statistics counter (parent, "name", "desc") is
            registered at most once per (parent, name) in a file.
 
-PDES ownership manifest:
-  OWN-001  every mutable class in src/cpu, src/mem, src/soe and
-           src/harness/system.* must carry a class-level
-           SOE_THREAD_OWNED(domain) sharding domain
-           (core_lp | shared | supervisor | value | config).
-  OWN-002  the `todo` placeholder domain (written by --fix) must not
-           survive into the tree.
-  `--emit-ownership PATH` writes the machine-readable manifest the
-  PDES decomposition consumes (see docs/correctness.md for schema).
-
 Backends
 --------
 The default backend is a dependency-free token analysis: comments and
@@ -77,14 +64,11 @@ Suppressions
   // detlint: allow(ERR-001)       suppress rule(s) on this line
   // NOLINT(DET-004)               same, clang-tidy spelling
   // detlint: skip-file            exempt the whole file
-  // detlint: conc-optin           opt the file into CONC-001
 
 Autofix
 -------
 `--fix` rewrites mechanical findings in place: DET-004 member
-initializers, and missing SOE_THREAD_OWNED tags (OWN-001 / CONC-001)
-with the `todo` placeholder domain, which OWN-002 keeps flagging
-until a human picks the real domain. Fixing is idempotent.
+initializers. Fixing is idempotent.
 
 Exit status: 0 clean (or all findings baselined), 1 new findings,
 2 usage/setup error.
@@ -105,8 +89,6 @@ RULES = {
     "DET-003": "no unordered/pointer-keyed containers feeding "
                "deterministic output",
     "DET-004": "no uninitialized scalar members in aggregate structs",
-    "CONC-001": "mutable members need capability/ownership "
-                "annotations in opted-in files",
     "FF-001": "ticking classes must declare nextWakeTick()",
     "FF-002": "per-cycle stall counters must be bulk-credited in "
               "creditSkippedCycles()",
@@ -119,9 +101,6 @@ RULES = {
     "STAT-001": "floating point feeding payload/CSV goes through the "
                 "statfmt codec",
     "STAT-002": "each statistics counter registered at most once",
-    "OWN-001": "mutable classes in the PDES scope carry a "
-               "SOE_THREAD_OWNED sharding domain",
-    "OWN-002": "no `todo` placeholder ownership domains in the tree",
 }
 
 # --- rule scopes (paths are '/'-separated, relative to the repo) ----
@@ -153,22 +132,6 @@ STAT001_WHITELIST = (
     "src/harness/table.cc",
 )
 STAT002_PREFIXES = ("src/",)
-OWN_DIRS = ("src/cpu/", "src/mem/", "src/soe/")
-OWN_EXTRA = ("src/harness/system.hh",)
-
-#: Sharding-domain vocabulary for the PDES ownership manifest.
-OWN_DOMAINS = {
-    "core_lp": "per-core logical process: state advanced only by the "
-               "LP that owns the core (fetch/ROB/LSQ/L1/TLB...)",
-    "shared": "bus/LLC-shared state crossed by multiple core LPs "
-              "under the conservative lookahead window",
-    "supervisor": "supervisor/harness state: job control and "
-                  "journals",
-    "value": "value type passed between owners by copy/move; no "
-             "resident owner",
-    "config": "set before the run starts, immutable while LPs run",
-}
-OWN_PLACEHOLDER = "todo"
 
 #: Anchor files for the cross-file rules.
 ERRORS_HH = "src/sim/errors.hh"
@@ -178,12 +141,6 @@ CLI_MAIN_CC = "tools/soefair_cli.cc"
 #: Exit codes any soefair process can produce regardless of verb
 #: (ok / fatal / usage / panic); implicitly documented everywhere.
 BUILTIN_EXIT_CODES = {0, 1, 2, 3}
-
-ANNOTATION_MACROS = (
-    "SOE_GUARDED_BY",
-    "SOE_PT_GUARDED_BY",
-    "SOE_THREAD_OWNED",
-)
 
 DET001_PATTERNS = [
     (re.compile(r"\b(time|clock|clock_gettime|gettimeofday|"
@@ -225,7 +182,6 @@ IDENT = re.compile(r"[A-Za-z_]\w*")
 ALLOW_DIRECTIVE = re.compile(
     r"(?:detlint:\s*allow|NOLINT)\(([^)]*)\)")
 SKIP_FILE_DIRECTIVE = "detlint: skip-file"
-CONC_OPTIN_DIRECTIVE = "detlint: conc-optin"
 
 #: ERR-001 process-terminating calls. Member calls (preceded by
 #: '.'/'->') are not process exits and are skipped at the match site.
@@ -268,8 +224,8 @@ class Finding:
     line: int
     rule: str
     message: str
-    #: Optional autofix hint, e.g. ("init", " = 0") or
-    #: ("class-tag",) / ("member-tag",). Not part of identity.
+    #: Optional autofix hint, e.g. ("init", " = 0"). Not part of
+    #: identity.
     fixhint: tuple | None = None
 
     def format(self) -> str:
@@ -282,7 +238,6 @@ class Finding:
 @dataclass
 class FileDirectives:
     skip_file: bool = False
-    conc_optin: bool = False
     #: line number -> set of rule ids allowed (empty set = all)
     allowed: dict = dataclass_field(default_factory=dict)
 
@@ -299,8 +254,6 @@ def scan_directives(raw: str) -> FileDirectives:
     d = FileDirectives()
     if SKIP_FILE_DIRECTIVE in raw:
         d.skip_file = True
-    if CONC_OPTIN_DIRECTIVE in raw:
-        d.conc_optin = True
     for lineno, line in enumerate(raw.splitlines(), start=1):
         m = ALLOW_DIRECTIVE.search(line)
         if m:
@@ -532,7 +485,7 @@ def check_stat002(path: str, text_keep: str):
             seen[key] = line
 
 
-# --- member parser (DET-004 / CONC-001 / FF-001 / OWN) --------------
+# --- member parser (DET-004 / FF-001) ------------------------------
 
 
 @dataclass
@@ -547,7 +500,6 @@ class Member:
     is_const: bool
     is_reference: bool
     is_bitfield: bool
-    has_annotation: bool
     is_float: bool = False
     is_array: bool = False
 
@@ -562,7 +514,6 @@ class ClassInfo:
     members: list = dataclass_field(default_factory=list)
     methods: list = dataclass_field(default_factory=list)
     parent: "ClassInfo | None" = None
-    domain: str | None = None  # class-level SOE_THREAD_OWNED domain
 
     def qualified_name(self) -> str:
         parts = []
@@ -571,64 +522,6 @@ class ClassInfo:
             parts.append(node.name)
             node = node.parent
         return "::".join(reversed(parts))
-
-    def effective_domain(self):
-        """(domain, inherited) walking up enclosing classes."""
-        node = self
-        inherited = False
-        while node is not None:
-            if node.domain is not None:
-                return node.domain, inherited
-            node = node.parent
-            inherited = True
-        return None, False
-
-    def mutable_members(self):
-        return [m for m in self.members
-                if not m.is_static and not m.is_const]
-
-
-_ANN_MARKER = {
-    "SOE_GUARDED_BY": "__DETLINT_ANN_GUARDED__",
-    "SOE_PT_GUARDED_BY": "__DETLINT_ANN_PTGUARDED__",
-}
-_ANN_OWNED_PREFIX = "__DETLINT_ANN_OWNED_"
-_ANN_OWNED_SUFFIX = "_DOM__"
-_ANN_OWNED_RE = re.compile(
-    re.escape(_ANN_OWNED_PREFIX) + r"(\w+?)" +
-    re.escape(_ANN_OWNED_SUFFIX))
-_ANN_CAPABILITY_MARKS = tuple(_ANN_MARKER.values()) + (
-    _ANN_OWNED_PREFIX,)
-
-
-def _mask_annotations(text: str) -> str:
-    """Replace annotation macros (and their parenthesized argument)
-    with paren-free marker tokens, so '(' detection in the member
-    parser is not confused. SOE_THREAD_OWNED keeps its domain inside
-    the marker (__DETLINT_ANN_OWNED_<domain>_DOM__) so class-level
-    ownership extraction still sees it. Newlines inside a masked span
-    are kept so line numbers stay stable."""
-    def make_repl(marker):
-        def repl(m):
-            return marker + "\n" * m.group(0).count("\n")
-        return repl
-
-    def owned_repl(m):
-        arg = re.sub(r"\W+", "_", m.group(1).strip()).strip("_")
-        marker = (_ANN_OWNED_PREFIX + (arg or "none") +
-                  _ANN_OWNED_SUFFIX)
-        return marker + "\n" * m.group(0).count("\n")
-
-    text = re.sub(r"\bSOE_THREAD_OWNED\s*\(([^()]*)\)",
-                  owned_repl, text)
-    for macro, marker in _ANN_MARKER.items():
-        text = re.sub(r"\b" + macro + r"\s*\([^()]*\)",
-                      make_repl(marker), text)
-    # Mask remaining SOE_* attribute macros (SOE_REQUIRES etc.) the
-    # same way so their parens don't look like function declarators.
-    text = re.sub(r"\bSOE_[A-Z_]+\s*\([^()]*\)",
-                  make_repl("__DETLINT_ANN_OTHER__"), text)
-    return text
 
 
 def strip_preprocessor(text: str) -> str:
@@ -717,15 +610,11 @@ def _analyze_chunk(chunk: str, line: int, had_brace_init: bool,
         return None
     if re.match(r"^(class|struct|union)\b[^;]*$", s):
         return None  # forward declaration remnants
-    has_annotation = (any(m in s for m in _ANN_MARKER.values()) or
-                      _ANN_OWNED_PREFIX in s)
     s_norm = _normalize_operators(s)
     parens = _top_level_positions(s_norm, "(")
     eqs = _top_level_positions(s_norm, "=")
     if parens and (not eqs or parens[0] < eqs[0]):
-        before = s_norm[:parens[0]]
-        before = re.sub(r"__DETLINT_ANN\w*", " ", before)
-        ids = IDENT.findall(before)
+        ids = IDENT.findall(s_norm[:parens[0]])
         return ("function", ids[-1] if ids else "")
     is_static = bool(re.search(r"\b(static|constexpr|constinit)\b",
                                s_norm))
@@ -736,11 +625,9 @@ def _analyze_chunk(chunk: str, line: int, had_brace_init: bool,
     is_pointer = "*" in head
     is_array = bool(re.search(r"\[[^\]]*\]", head))
     has_init = bool(eqs) or had_brace_init
-    # Name: last identifier of the declarator head, ignoring the
-    # annotation markers and array brackets.
-    head_clean = head
-    head_clean = re.sub(r"__DETLINT_ANN\w*", " ", head_clean)
-    head_clean = re.sub(r"\[[^\]]*\]", " ", head_clean)
+    # Name: last identifier of the declarator head, ignoring array
+    # brackets.
+    head_clean = re.sub(r"\[[^\]]*\]", " ", head)
     ids = IDENT.findall(head_clean)
     if not ids:
         return None
@@ -763,16 +650,14 @@ def _analyze_chunk(chunk: str, line: int, had_brace_init: bool,
         is_scalar=is_scalar, is_pointer=is_pointer,
         is_static=is_static, is_const=is_const,
         is_reference=is_reference, is_bitfield=is_bitfield,
-        has_annotation=has_annotation, is_float=is_float,
-        is_array=is_array))
+        is_float=is_float, is_array=is_array))
 
 
 def parse_classes(text: str):
-    """Brace-tracking scan of (stripped, annotation-masked) C++
-    yielding ClassInfo for every class/struct/union body, including
-    nested ones. Records members, method names (declarations and
-    in-class definitions), the enclosing class, the head-chunk line
-    and any class-level SOE_THREAD_OWNED domain."""
+    """Brace-tracking scan of stripped C++ yielding ClassInfo for
+    every class/struct/union body, including nested ones. Records
+    members, method names (declarations and in-class definitions),
+    the enclosing class and the head-chunk line."""
     classes = []
     # Scope stack entries: dict(kind=..., cls=ClassInfo or None)
     stack = [{"kind": "top", "cls": None}]
@@ -875,18 +760,13 @@ def parse_classes(text: str):
                     # base-clause colon.
                     after = after.split(":", 1)[0]
                     ids = IDENT.findall(after)
-                    # Skip 'final' and masked attribute macros.
-                    ids = [x for x in ids if x != "final" and
-                           not x.startswith("__DETLINT_ANN")]
+                    ids = [x for x in ids if x != "final"]
                     cname = ids[0] if ids else "<anonymous>"
-                    dm = _ANN_OWNED_RE.search(chunk_norm)
                     cls = ClassInfo(cname, cm[-1].group(1),
                                     line_of(text, i),
                                     head_line=line_of(text,
                                                       buf_start),
-                                    parent=enclosing_class(),
-                                    domain=(dm.group(1) if dm
-                                            else None))
+                                    parent=enclosing_class())
                     classes.append(cls)
                 elif starts_fn:
                     kind = "block"
@@ -994,23 +874,6 @@ def check_det004(path: str, text: str):
                              if _init_token_for(m) else None))
 
 
-def check_conc001(path: str, text: str):
-    for cls in parse_classes(text):
-        for m in cls.members:
-            # References cannot be reseated; ownership is annotated
-            # where the referent itself is declared.
-            if (m.is_static or m.is_const or m.is_reference or
-                    m.has_annotation):
-                continue
-            yield Finding(
-                path, m.line, "CONC-001",
-                f"mutable member '{cls.name}::{m.name}' lacks a "
-                "capability/ownership annotation (SOE_GUARDED_BY / "
-                "SOE_PT_GUARDED_BY / SOE_THREAD_OWNED); this file is "
-                "conc-optin",
-                fixhint=("member-tag",))
-
-
 def check_ff001(path: str, text: str):
     """Ticking classes must declare a wake horizon: a tick() without
     nextWakeTick() means the fast-forward engine cannot know when the
@@ -1072,80 +935,6 @@ def check_ff002(path: str, text: str):
                 "(docs/performance.md)")
 
 
-def _own_in_scope(relpath: str) -> bool:
-    p = relpath.replace(os.sep, "/")
-    return ((p.startswith(OWN_DIRS) or p in OWN_EXTRA) and
-            p.endswith(HEADER_EXTENSIONS))
-
-
-def _own_classes(text: str):
-    """Classes the ownership manifest covers: anything mutable
-    (>= 1 non-static, non-const data member). Unions are storage
-    tricks, not LP state."""
-    for cls in parse_classes(text):
-        if cls.kind == "union":
-            continue
-        if not cls.mutable_members():
-            continue
-        yield cls
-
-
-def check_own(path: str, text: str):
-    for cls in _own_classes(text):
-        domain, inherited = cls.effective_domain()
-        if domain is None:
-            yield Finding(
-                path, cls.head_line, "OWN-001",
-                f"mutable class '{cls.qualified_name()}' has no "
-                "SOE_THREAD_OWNED(domain) sharding domain; the PDES "
-                "ownership manifest needs one of: " +
-                ", ".join(sorted(OWN_DOMAINS)),
-                fixhint=("class-tag",))
-        elif domain == OWN_PLACEHOLDER:
-            yield Finding(
-                path, cls.head_line, "OWN-002",
-                f"class '{cls.qualified_name()}' carries the 'todo' "
-                "placeholder domain"
-                + (" (inherited)" if inherited else "") +
-                "; replace it with the real sharding domain: " +
-                ", ".join(sorted(OWN_DOMAINS)))
-        elif domain not in OWN_DOMAINS:
-            yield Finding(
-                path, cls.head_line, "OWN-001",
-                f"class '{cls.qualified_name()}' declares unknown "
-                f"sharding domain '{domain}'; valid domains: " +
-                ", ".join(sorted(OWN_DOMAINS)))
-
-
-def ownership_manifest(records) -> dict:
-    """Machine-readable sharding-domain map for the PDES
-    decomposition (--emit-ownership). Covers every mutable class in
-    the OWN scope, including ones still missing a domain (domain
-    null) — the OWN-001 gate keeps those out of a green tree."""
-    classes = []
-    for rec in records:
-        if not _own_in_scope(rec.relpath):
-            continue
-        for cls in _own_classes(rec.masked):
-            domain, inherited = cls.effective_domain()
-            classes.append({
-                "class": cls.qualified_name(),
-                "kind": cls.kind,
-                "file": rec.relpath.replace(os.sep, "/"),
-                "line": cls.head_line,
-                "domain": domain,
-                "inherited": inherited,
-                "mutable_members": len(cls.mutable_members()),
-            })
-    classes.sort(key=lambda c: (c["file"], c["line"], c["class"]))
-    return {
-        "version": 1,
-        "generator": "detlint --emit-ownership",
-        "domains": OWN_DOMAINS,
-        "classes": classes,
-    }
-
-
 # --- tree context & cross-file rules (ERR-002 / ERR-003) ------------
 
 
@@ -1192,7 +981,7 @@ def build_tree_context(records) -> TreeContext:
             ctx.exit_constants[m.group(1)] = int(m.group(2))
         if rec.relpath.endswith(HEADER_EXTENSIONS) and \
                 rec.relpath.replace(os.sep, "/").startswith("src/"):
-            for cls in parse_classes(rec.masked):
+            for cls in parse_classes(rec.stripped):
                 for mem in cls.members:
                     if mem.is_float:
                         ctx.float_members.add(mem.name)
@@ -1514,8 +1303,8 @@ def libclang_available() -> bool:
         return False
 
 
-def check_file_libclang(root, relpath, compile_db, directives):
-    """AST-based member checks (DET-004 / CONC-001). Best-effort:
+def check_file_libclang(root, relpath, compile_db):
+    """AST-based member checks (DET-004). Best-effort:
     any libclang failure returns None so the caller falls back to
     the token backend."""
     try:
@@ -1534,18 +1323,6 @@ def check_file_libclang(root, relpath, compile_db, directives):
                 pass
         tu = index.parse(os.path.join(root, relpath), args=args)
         findings = []
-        raw_lines = None
-
-        def field_has_annotation(cursor):
-            nonlocal raw_lines
-            if raw_lines is None:
-                with open(os.path.join(root, relpath),
-                          encoding="utf-8",
-                          errors="replace") as f:
-                    raw_lines = f.read().splitlines()
-            ln = cursor.location.line
-            seg = " ".join(raw_lines[max(0, ln - 1):ln + 1])
-            return any(m in seg for m in ANNOTATION_MACROS)
 
         def record_is_aggregate(cursor):
             import clang.cindex as cci
@@ -1592,8 +1369,7 @@ def check_file_libclang(root, relpath, compile_db, directives):
                             if (aggregate and scalarish and
                                     not has_init and
                                     rule_applies("DET-004",
-                                                 relpath,
-                                                 directives)):
+                                                 relpath)):
                                 findings.append(Finding(
                                     relpath, f_.location.line,
                                     "DET-004",
@@ -1601,15 +1377,6 @@ def check_file_libclang(root, relpath, compile_db, directives):
                                     f"'{ch.spelling}::{f_.spelling}'"
                                     " of an aggregate has no "
                                     "initializer (libclang)"))
-                            if (directives.conc_optin and
-                                    not field_has_annotation(f_)):
-                                findings.append(Finding(
-                                    relpath, f_.location.line,
-                                    "CONC-001",
-                                    f"mutable member "
-                                    f"'{ch.spelling}::{f_.spelling}'"
-                                    " lacks a capability/ownership "
-                                    "annotation (libclang)"))
                 walk(ch)
 
         walk(tu.cursor)
@@ -1621,8 +1388,7 @@ def check_file_libclang(root, relpath, compile_db, directives):
 # --- scoping --------------------------------------------------------
 
 
-def rule_applies(rule: str, relpath: str,
-                 directives: FileDirectives | None = None) -> bool:
+def rule_applies(rule: str, relpath: str) -> bool:
     p = relpath.replace(os.sep, "/")
     is_header = p.endswith(HEADER_EXTENSIONS)
     if rule == "DET-001":
@@ -1633,8 +1399,6 @@ def rule_applies(rule: str, relpath: str,
         return p.startswith(DET003_PREFIXES)
     if rule == "DET-004":
         return p.startswith(DET004_PREFIXES) and is_header
-    if rule == "CONC-001":
-        return directives is not None and directives.conc_optin
     if rule == "FF-001":
         return p.startswith(FF_DIRS) and is_header
     if rule == "FF-002":
@@ -1647,8 +1411,6 @@ def rule_applies(rule: str, relpath: str,
             p not in STAT001_WHITELIST
     if rule == "STAT-002":
         return p.startswith(STAT002_PREFIXES)
-    if rule in ("OWN-001", "OWN-002"):
-        return _own_in_scope(p)
     return False
 
 
@@ -1662,7 +1424,6 @@ class FileRecord:
     directives: FileDirectives
     stripped: str       # comments+strings blanked, directives blanked
     stripped_keep: str  # comments blanked, strings kept
-    masked: str         # stripped + annotation macros masked
 
 
 def load_record(root: str, relpath: str) -> FileRecord | None:
@@ -1681,15 +1442,14 @@ def load_record(root: str, relpath: str) -> FileRecord | None:
     return FileRecord(relpath=relpath, raw=raw,
                       directives=scan_directives(raw),
                       stripped=stripped,
-                      stripped_keep=stripped_keep,
-                      masked=_mask_annotations(stripped))
+                      stripped_keep=stripped_keep)
 
 
 def check_record(rec: FileRecord, root: str, backend: str,
                  compile_db, ctx: TreeContext):
     """All per-file rules for one record (unfiltered by allow()
     directives; the caller filters)."""
-    relpath, directives = rec.relpath, rec.directives
+    relpath = rec.relpath
     findings = []
     if rule_applies("DET-001", relpath):
         findings.extend(check_det001(relpath, rec.stripped))
@@ -1705,16 +1465,14 @@ def check_record(rec: FileRecord, root: str, backend: str,
     if rule_applies("STAT-002", relpath):
         findings.extend(check_stat002(relpath, rec.stripped_keep))
     if rule_applies("FF-001", relpath):
-        findings.extend(check_ff001(relpath, rec.masked))
+        findings.extend(check_ff001(relpath, rec.stripped))
     if rule_applies("FF-002", relpath):
         findings.extend(check_ff002(relpath, rec.stripped))
-    if rule_applies("OWN-001", relpath):
-        findings.extend(check_own(relpath, rec.masked))
 
     member_findings = None
     if backend == "libclang":
-        member_findings = check_file_libclang(
-            root, relpath, compile_db, directives)
+        member_findings = check_file_libclang(root, relpath,
+                                              compile_db)
         if member_findings is None:
             print(f"detlint: libclang failed on {relpath}; "
                   "falling back to the token backend",
@@ -1722,10 +1480,8 @@ def check_record(rec: FileRecord, root: str, backend: str,
     if member_findings is None:
         member_findings = []
         if rule_applies("DET-004", relpath):
-            member_findings.extend(check_det004(relpath, rec.masked))
-        if rule_applies("CONC-001", relpath, directives):
-            member_findings.extend(
-                check_conc001(relpath, rec.masked))
+            member_findings.extend(check_det004(relpath,
+                                                rec.stripped))
     findings.extend(member_findings)
     return findings
 
@@ -1791,38 +1547,13 @@ def discover_files(root: str):
 # --- autofix (--fix) ------------------------------------------------
 
 
-_CLASS_KEYWORD = re.compile(r"\b(class|struct)\b(?![^<]*>)")
-
-
-def _fix_line(kind, payload, content: str) -> str | None:
-    """Apply one fix to a line's content (no EOL); None = not
-    fixable here."""
-    if kind == "init":
-        if "=" in content or ";" not in content:
-            return None
-        semi = content.find(";")
-        return content[:semi] + payload + content[semi:]
-    if kind == "member-tag":
-        if "SOE_THREAD_OWNED" in content or \
-                "SOE_GUARDED_BY" in content:
-            return None
-        tag = f" SOE_THREAD_OWNED({OWN_PLACEHOLDER})"
-        if " = " in content:
-            return content.replace(" = ", tag + " = ", 1)
-        if ";" in content:
-            semi = content.find(";")
-            return content[:semi] + tag + content[semi:]
+def _fix_line(init: str, content: str) -> str | None:
+    """Append a DET-004 initializer to a line's content (no EOL);
+    None = not fixable here."""
+    if "=" in content or ";" not in content:
         return None
-    if kind == "class-tag":
-        if "SOE_THREAD_OWNED" in content:
-            return None
-        m = _CLASS_KEYWORD.search(content)
-        if not m:
-            return None
-        return (content[:m.end()] +
-                f" SOE_THREAD_OWNED({OWN_PLACEHOLDER})" +
-                content[m.end():])
-    return None
+    semi = content.find(";")
+    return content[:semi] + init + content[semi:]
 
 
 def apply_fixes(root: str, findings):
@@ -1846,32 +1577,18 @@ def apply_fixes(root: str, findings):
             if not f.fixhint:
                 unfixable += 1
                 continue
-            kind, *rest = f.fixhint
-            payload = rest[0] if rest else None
-            # class-tag: the head line may be a `template <...>`
-            # line; scan forward for the class keyword.
-            target = None
-            if kind == "class-tag":
-                for ln in range(f.line, min(f.line + 5,
-                                            len(lines) + 1)):
-                    raw_line = lines[ln - 1]
-                    content = raw_line.rstrip("\r\n")
-                    if _CLASS_KEYWORD.search(content):
-                        target = ln
-                        break
-            else:
-                target = f.line
-            if target is None or target > len(lines):
+            _kind, init = f.fixhint
+            if f.line > len(lines):
                 unfixable += 1
                 continue
-            raw_line = lines[target - 1]
+            raw_line = lines[f.line - 1]
             eol = raw_line[len(raw_line.rstrip("\r\n")):]
             content = raw_line.rstrip("\r\n")
-            new_content = _fix_line(kind, payload, content)
+            new_content = _fix_line(init, content)
             if new_content is None:
                 unfixable += 1
                 continue
-            lines[target - 1] = new_content + eol
+            lines[f.line - 1] = new_content + eol
             changed = True
             fixed += 1
         if changed:
@@ -1952,7 +1669,7 @@ def main(argv=None) -> int:
         prog="detlint",
         description="cross-layer contract checker for soefair "
                     "(determinism, fast-forward, error-taxonomy, "
-                    "stats, PDES ownership)")
+                    "stats)")
     ap.add_argument("files", nargs="*",
                     help="files to check (default: the whole tree; "
                          "cross-file rules need their anchor files "
@@ -1975,13 +1692,9 @@ def main(argv=None) -> int:
                     help="rewrite the baseline with current findings")
     ap.add_argument("--json", default=None, metavar="PATH",
                     help="write findings as machine-readable JSON")
-    ap.add_argument("--emit-ownership", default=None, metavar="PATH",
-                    help="write the PDES ownership manifest "
-                         "(sharding domain per mutable class)")
     ap.add_argument("--fix", action="store_true",
                     help="rewrite mechanically fixable findings in "
-                         "place (DET-004 initializers, missing "
-                         "SOE_THREAD_OWNED tags)")
+                         "place (DET-004 initializers)")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -2010,20 +1723,8 @@ def main(argv=None) -> int:
     else:
         relpaths = discover_files(root)
 
-    findings, records = scan_tree(root, relpaths, backend,
-                                  args.compile_db)
-
-    if args.emit_ownership:
-        manifest = ownership_manifest(records)
-        os.makedirs(os.path.dirname(
-            os.path.abspath(args.emit_ownership)), exist_ok=True)
-        with open(args.emit_ownership, "w",
-                  encoding="utf-8") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"detlint: ownership manifest with "
-              f"{len(manifest['classes'])} class(es) -> "
-              f"{args.emit_ownership}")
+    findings, _records = scan_tree(root, relpaths, backend,
+                                   args.compile_db)
 
     if args.fix:
         fixed, unfixable = apply_fixes(root, findings)

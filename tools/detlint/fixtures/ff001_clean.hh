@@ -3,13 +3,12 @@
 #ifndef DETLINT_FIXTURE_FF001_CLEAN_HH
 #define DETLINT_FIXTURE_FF001_CLEAN_HH
 
-#include "sim/annotations.hh"
 #include "sim/types.hh"
 
 namespace soefair
 {
 
-class SOE_THREAD_OWNED(core_lp) DripCounter
+class DripCounter
 {
   public:
     void tick(Tick now);
@@ -21,7 +20,7 @@ class SOE_THREAD_OWNED(core_lp) DripCounter
     Tick drips = 0;
 };
 
-struct SOE_THREAD_OWNED(value) DripSnapshot
+struct DripSnapshot
 {
     Tick total = 0;
 };

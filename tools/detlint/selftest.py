@@ -37,12 +37,8 @@ PLACEMENTS = {
     "det002_clean.cc": ("src/harness/det002_clean.cc", "DET-002"),
     "det003_bad.cc": ("src/stats/det003_bad.cc", "DET-003"),
     "det003_clean.cc": ("src/stats/det003_clean.cc", "DET-003"),
-    # src/workload keeps DET-004 in scope without dragging in the
-    # OWN-001 ownership gate (src/cpu|mem|soe only).
     "det004_bad.hh": ("src/workload/det004_bad.hh", "DET-004"),
     "det004_clean.hh": ("src/workload/det004_clean.hh", "DET-004"),
-    "conc001_bad.hh": ("src/sim/conc001_bad.hh", "CONC-001"),
-    "conc001_clean.hh": ("src/sim/conc001_clean.hh", "CONC-001"),
     "ff001_bad.hh": ("src/soe/ff001_bad.hh", "FF-001"),
     "ff001_clean.hh": ("src/soe/ff001_clean.hh", "FF-001"),
     "ff002_bad.cc": ("src/cpu/ff002_bad.cc", "FF-002"),
@@ -53,10 +49,6 @@ PLACEMENTS = {
     "stat001_clean.cc": ("src/stats/stat001_clean.cc", "STAT-001"),
     "stat002_bad.cc": ("src/stats/stat002_bad.cc", "STAT-002"),
     "stat002_clean.cc": ("src/stats/stat002_clean.cc", "STAT-002"),
-    "own001_bad.hh": ("src/mem/own001_bad.hh", "OWN-001"),
-    "own001_clean.hh": ("src/mem/own001_clean.hh", "OWN-001"),
-    "own002_bad.hh": ("src/mem/own002_bad.hh", "OWN-002"),
-    "own002_clean.hh": ("src/mem/own002_clean.hh", "OWN-002"),
     "rawstring_bad.cc": ("src/sim/rawstring_bad.cc", "ERR-001"),
     "rawstring_clean.cc": ("src/sim/rawstring_clean.cc", "ERR-001"),
 }
@@ -120,9 +112,6 @@ class BadFixturesFire(TreeFixture):
     def test_det004(self):
         self.assert_golden("det004_bad.hh")
 
-    def test_conc001(self):
-        self.assert_golden("conc001_bad.hh")
-
     def test_ff001(self):
         self.assert_golden("ff001_bad.hh")
 
@@ -137,12 +126,6 @@ class BadFixturesFire(TreeFixture):
 
     def test_stat002(self):
         self.assert_golden("stat002_bad.cc")
-
-    def test_own001(self):
-        self.assert_golden("own001_bad.hh")
-
-    def test_own002(self):
-        self.assert_golden("own002_bad.hh")
 
     def test_rawstring(self):
         # Raw string literals full of violation-looking text are
@@ -208,18 +191,6 @@ class ScopingAndSuppression(TreeFixture):
                     "{\n"
                     "    return time(nullptr); // NOLINT(DET-001)\n"
                     "}\n")
-        self.assertEqual([], self.scan(dest))
-
-    def test_conc001_requires_optin(self):
-        # The same partially-annotated class without the opt-in
-        # directive: CONC-001 stays quiet (DET-004 still applies but
-        # the fixture's members are initialized).
-        text = fixture_text("conc001_bad.hh").replace(
-            "// detlint: conc-optin", "//")
-        dest = "src/sim/conc001_not_opted.hh"
-        with open(os.path.join(self.root, dest), "w",
-                  encoding="utf-8") as f:
-            f.write(text)
         self.assertEqual([], self.scan(dest))
 
 
@@ -364,13 +335,10 @@ class CrlfRegression(unittest.TestCase):
 
 
 class AutofixMode(unittest.TestCase):
-    """--fix rewrites DET-004 initializers and missing
-    SOE_THREAD_OWNED class tags (with the todo placeholder), is
-    idempotent, and preserves line endings."""
+    """--fix rewrites DET-004 initializers, is idempotent, and
+    preserves line endings."""
 
-    SRC = ("#include \"sim/annotations.hh\"\n"
-           "\n"
-           "namespace soefair\n"
+    SRC = ("namespace soefair\n"
            "{\n"
            "\n"
            "struct Sample\n"
@@ -392,13 +360,12 @@ class AutofixMode(unittest.TestCase):
             f.write(text)
         return root, dest, full
 
-    def test_fix_initializers_and_class_tag(self):
+    def test_fix_initializers(self):
         root, dest, full = self.make_tree(self.SRC)
         before = detlint.check_file(root, dest, "text", None)
-        self.assertEqual(
-            {"DET-004", "OWN-001"}, {f.rule for f in before})
+        self.assertEqual(["DET-004"] * 4, [f.rule for f in before])
         fixed, unfixable = detlint.apply_fixes(root, before)
-        self.assertEqual(5, fixed)  # 4 initializers + 1 class tag
+        self.assertEqual(4, fixed)
         self.assertEqual(0, unfixable)
         with open(full, encoding="utf-8") as f:
             text = f.read()
@@ -406,12 +373,8 @@ class AutofixMode(unittest.TestCase):
         self.assertIn("double mean = 0.0;", text)
         self.assertIn("bool valid = false;", text)
         self.assertIn("void *cookie = nullptr;", text)
-        self.assertIn("struct SOE_THREAD_OWNED(todo) Sample", text)
-        # DET-004 and OWN-001 are gone; only the OWN-002 todo
-        # placeholder remains, keeping the gate red until a human
-        # assigns a real domain.
-        after = detlint.check_file(root, dest, "text", None)
-        self.assertEqual(["OWN-002"], [f.rule for f in after])
+        self.assertEqual(
+            [], detlint.check_file(root, dest, "text", None))
 
     def test_fix_is_idempotent(self):
         root, dest, full = self.make_tree(self.SRC)
@@ -440,8 +403,8 @@ class AutofixMode(unittest.TestCase):
 
 
 class ReportArtifacts(unittest.TestCase):
-    """--json, --emit-ownership and the $GITHUB_STEP_SUMMARY drift
-    diff, end-to-end through main()."""
+    """--json and the $GITHUB_STEP_SUMMARY drift diff, end-to-end
+    through main()."""
 
     def setUp(self):
         self.root = tempfile.mkdtemp(prefix="detlint_report_")
@@ -492,31 +455,6 @@ class ReportArtifacts(unittest.TestCase):
         self.assertIn("detlint baseline drift", text)
         self.assertIn("new finding(s)", text)
         self.assertIn("+ src/core/err001_bad.cc", text)
-
-    def test_emit_ownership_manifest(self):
-        import json
-        src = os.path.join(self.root, "src", "mem")
-        os.makedirs(src)
-        shutil.copyfile(os.path.join(FIXTURES, "own001_clean.hh"),
-                        os.path.join(src, "own001_clean.hh"))
-        out = os.path.join(self.root, "ownership.json")
-        # err001_bad.cc still makes the scan exit 1; the manifest
-        # must be written regardless.
-        self.assertEqual(1, self.run_main("--emit-ownership", out))
-        with open(out, encoding="utf-8") as f:
-            manifest = json.load(f)
-        classes = {c["class"]: c for c in manifest["classes"]}
-        self.assertEqual("shared",
-                         classes["MshrLedger"]["domain"])
-        self.assertFalse(classes["MshrLedger"]["inherited"])
-        self.assertEqual("shared",
-                         classes["MshrLedger::Waiter"]["domain"])
-        self.assertTrue(classes["MshrLedger::Waiter"]["inherited"])
-        self.assertEqual("core_lp",
-                         classes["LedgerIndex"]["domain"])
-        # const-only classes are immutable: no manifest entry.
-        self.assertNotIn("LedgerLimits", classes)
-        self.assertIn("core_lp", manifest["domains"])
 
 
 class BaselineGate(unittest.TestCase):

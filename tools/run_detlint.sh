@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Run detlint/soelint (determinism rules DET-001..004, CONC-001,
-# fast-forward contracts FF-001/002, error-taxonomy contracts
-# ERR-001..003, stats-determinism STAT-001/002 and the PDES
-# ownership gate OWN-001/002 — see tools/detlint/README.md and
+# Run detlint/soelint (determinism rules DET-001..004, fast-forward
+# contracts FF-001/002, error-taxonomy contracts ERR-001..003 and
+# stats-determinism STAT-001/002 — see tools/detlint/README.md and
 # docs/correctness.md) over the tree and diff the findings against
 # the checked-in baseline (tools/detlint/baseline.txt).
 #
@@ -10,14 +9,8 @@
 #
 # Useful extra args (passed straight through to detlint.py):
 #   --fix                      rewrite mechanically fixable findings
-#                              in place (DET-004 member initializers,
-#                              missing SOE_THREAD_OWNED class tags —
-#                              tagged with the `todo` placeholder,
-#                              which OWN-002 keeps red until a human
-#                              picks the real domain)
+#                              in place (DET-004 member initializers)
 #   --json PATH                machine-readable findings report
-#   --emit-ownership PATH      PDES ownership manifest (class ->
-#                              sharding domain)
 #   --update-baseline          rewrite the baseline from the scan
 #
 # Exit status (mirrors tools/run_lint.sh):

@@ -79,8 +79,10 @@
  *   --swlat N         model Switch_lat (25)
  */
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <optional>
 #include <fstream>
 #include <iostream>
@@ -123,6 +125,9 @@ runConfigFrom(const CliOptions &opts)
     if (opts.hasOption("scale"))
         rc = rc.scaled(opts.getDouble("scale", 1.0));
     rc.measureInstrs = opts.getUint("instrs", rc.measureInstrs);
+    if (rc.measureInstrs == 0)
+        raiseError<InputError>("--instrs 0 leaves an empty "
+                               "measurement window");
     rc.warmupInstrs = opts.getUint("warmup", rc.warmupInstrs);
     if (opts.hasFlag("stats"))
         rc.statsDump = &std::cerr;
@@ -140,14 +145,25 @@ specFor(const std::string &name, std::uint64_t seed)
     return ThreadSpec::benchmark(name, seed);
 }
 
-std::vector<double>
-parseList(const std::string &csv)
+/** Parse option `name` as a comma-separated list of finite
+ *  numbers; nullopt after printing a usage error. */
+std::optional<std::vector<double>>
+parseList(const CliOptions &opts, const std::string &name,
+          const std::string &def)
 {
     std::vector<double> vals;
-    std::stringstream ss(csv);
+    std::stringstream ss(opts.getString(name, def));
     std::string item;
-    while (std::getline(ss, item, ','))
-        vals.push_back(std::atof(item.c_str()));
+    while (std::getline(ss, item, ',')) {
+        char *end = nullptr;
+        const double v = std::strtod(item.c_str(), &end);
+        if (end == item.c_str() || *end != '\0' || !std::isfinite(v)) {
+            std::cerr << "--" << name << " expects finite numbers "
+                      << "a,b,..., got '" << item << "'\n";
+            return std::nullopt;
+        }
+        vals.push_back(v);
+    }
     return vals;
 }
 
@@ -390,11 +406,23 @@ campaignFromOpts(const CliOptions &opts)
     }
 
     std::vector<double> levels = EvaluationSweep::standardLevels();
-    if (opts.hasOption("levels"))
-        levels = parseList(opts.getString("levels", ""));
+    if (opts.hasOption("levels")) {
+        auto parsed = parseList(opts, "levels", "");
+        if (!parsed)
+            return std::nullopt;
+        levels = std::move(*parsed);
+    }
     if (levels.empty()) {
         std::cerr << "--levels expects a,b,...\n";
         return std::nullopt;
+    }
+    for (double f : levels) {
+        if (f < 0.0 || f > 1.0) {
+            std::cerr << "--levels: every level must lie in [0, 1], "
+                      << "got '" << opts.getString("levels", "")
+                      << "'\n";
+            return std::nullopt;
+        }
     }
     return SweepCampaign(MachineConfig::benchDefault(),
                          runConfigFrom(opts), std::move(pairs),
@@ -464,10 +492,12 @@ cmdSweep(const CliOptions &opts)
 int
 cmdAnalytic(const CliOptions &opts)
 {
-    const auto ipcs =
-        parseList(opts.getString("ipc", "2.5,2.5"));
-    const auto ipms =
-        parseList(opts.getString("ipm", "15000,1000"));
+    const auto ipcList = parseList(opts, "ipc", "2.5,2.5");
+    const auto ipmList = parseList(opts, "ipm", "15000,1000");
+    if (!ipcList || !ipmList)
+        return 2;
+    const std::vector<double> &ipcs = *ipcList;
+    const std::vector<double> &ipms = *ipmList;
     if (ipcs.size() != ipms.size() || ipcs.size() < 2) {
         std::cerr << "--ipc and --ipm need matching lists of >= 2 "
                   << "values\n";
