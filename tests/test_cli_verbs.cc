@@ -6,8 +6,7 @@
  * verb without documenting it is a test failure, not a silent gap;
  * an option a verb does not register is a usage error (exit 2).
  * The last tests run the built soefair_cli and check that bad
- * numeric input fails with its documented code before any work
- * starts.
+ * input fails with its documented code before any work starts.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +16,12 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/cli_verbs.hh"
@@ -44,13 +46,15 @@ usageCheck(const std::vector<const char *> &args)
     return verb ? checkCliOptions(*verb, opts, err) : -1;
 }
 
-/** Exit code of the built soefair_cli run with `args` (output
- *  discarded); -1 when it did not exit normally. */
+/** Exit code of the built soefair_cli run with `args`; -1 when it
+ *  did not exit normally. Stdout is discarded, and so is stderr
+ *  unless `err_path` names a file to write it to. */
 int
-cliExit(const std::string &args)
+cliExit(const std::string &args, const std::string &err_path = "")
 {
-    const std::string cmd =
-        std::string(SOEFAIR_CLI) + " " + args + " >/dev/null 2>&1";
+    const std::string cmd = std::string(SOEFAIR_CLI) + " " + args +
+        " >/dev/null 2>" +
+        (err_path.empty() ? std::string("&1") : err_path);
     const int status = std::system(cmd.c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
@@ -191,25 +195,60 @@ TEST(CliVerbs, FlagsAreTheOptionsWithoutAValue)
 TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
 {
     // A bad item is a usage error before the journal exists: read
-    // leniently, "abc" would add an F = 0 cell and a level outside
-    // [0, 1] would fail every job of its cell.
+    // leniently, "abc" would add an F = 0 cell, a level outside
+    // [0, 1] would fail every job of its cell, and an unknown
+    // benchmark would fail every job of its pair.
     const ScratchDir dir;
     const std::string journal = dir.path + "/sweep.journal";
-    for (const char *levels :
-         {"0.5,abc", "2", "-0.25", "0.5,1.5", "nan", "0.5,,1"}) {
-        EXPECT_EQ(cliExit(std::string("sweep --pairs gcc:eon ") +
-                          "--instrs 2000 --warmup 0 --levels " +
-                          levels + " --journal " + journal +
-                          " --out " + dir.path + "/sweep.csv"),
+    for (const char *selection :
+         {"--pairs gcc:eon --levels 0.5,abc", "--pairs gcc:eon --levels 2",
+          "--pairs gcc:eon --levels -0.25",
+          "--pairs gcc:eon --levels 0.5,1.5",
+          "--pairs gcc:eon --levels nan",
+          "--pairs gcc:eon --levels 0.5,,1",
+          "--pairs gcc:nosuch --levels 0", "--pairs gcc: --levels 0",
+          "--pairs gcc:eon,nosuch:eon --levels 0"}) {
+        EXPECT_EQ(cliExit(std::string("sweep ") + selection +
+                          " --instrs 2000 --warmup 0 --journal " +
+                          journal + " --out " + dir.path +
+                          "/sweep.csv"),
                   2)
-            << levels;
-        EXPECT_FALSE(std::filesystem::exists(journal)) << levels;
+            << selection;
+        EXPECT_FALSE(std::filesystem::exists(journal)) << selection;
+    }
+}
+
+TEST(CliVerbs, BadPolicyFailsBeforeAnyReferenceRun)
+{
+    // Bad input must cost no simulation: run-soe builds its policy
+    // before the single-thread reference runs.
+    const ScratchDir dir;
+    const std::string errPath = dir.path + "/stderr";
+    const std::pair<const char *, int> cases[] = {
+        {"--policy bogus", 2},
+        {"--F 1.5", InputError::code},
+    };
+    for (const auto &[args, code] : cases) {
+        EXPECT_EQ(cliExit(std::string("run-soe gcc eon --instrs 2000 "
+                                      "--warmup 0 ") +
+                              args,
+                          errPath),
+                  code)
+            << args;
+        std::ifstream in(errPath);
+        const std::string err{std::istreambuf_iterator<char>(in), {}};
+        EXPECT_EQ(err.find("reference run"), std::string::npos)
+            << args << ": " << err;
     }
 }
 
 TEST(CliVerbs, EmptyMeasurementWindowIsAnInputError)
 {
-    // No instructions means no IPC and no fairness to report.
+    // No instructions means no IPC and no fairness to report. A
+    // non-positive --scale comes from the user too, so it is exit
+    // 10, not an internal panic (3).
     EXPECT_EQ(cliExit("run-st gcc --instrs 0"), InputError::code);
     EXPECT_EQ(cliExit("run-soe gcc eon --instrs 0"), InputError::code);
+    EXPECT_EQ(cliExit("run-st gcc --scale 0"), InputError::code);
+    EXPECT_EQ(cliExit("run-st gcc --scale -1"), InputError::code);
 }

@@ -6,12 +6,17 @@
  * byte-for-byte comparisons across seeds, pairs and all enforcement
  * levels; under the ci-asan preset they also run with SOE_AUDIT
  * enabled, which exercises the jump-past-event and sample-boundary
- * audits on every jump.
+ * audits on every jump. The last tests check that fast-forward pays:
+ * it must cover nearly every cycle of a serial pointer chase, and in
+ * an optimized build make that chase at least 5x faster to simulate.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,8 +25,10 @@
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
+#include "sim/invariant.hh"
 #include "soe/engine.hh"
 #include "soe/policies.hh"
+#include "workload/profile.hh"
 
 using namespace soefair;
 using harness::MachineConfig;
@@ -80,6 +87,66 @@ soeGolden(const std::string &bench_a, const std::string &bench_b,
     }
     return harness::encodeSoePayload(r) + "\n" + os.str();
 }
+
+/**
+ * Serial pointer chase: almost every instruction is a load into a
+ * 256 MB chase region that depends on the previous load, so execution
+ * is a chain of back-to-back misses with nothing to overlap. About
+ * 99% of its simulated cycles are quiescent stalls, the case
+ * fast-forward exists for.
+ */
+ThreadSpec
+pointerChase()
+{
+    workload::Profile p;
+    p.name = "pchase";
+    // Tiny straight-line code: the I-side must never stall.
+    p.code = {64, 6, 10, 0.30, 0.0};
+    workload::Phase ph;
+    ph.wIntAlu = 0.15;
+    ph.wLoad = 1.0;
+    ph.wStore = 0.0;
+    ph.depGeoP = 0.85;
+    ph.depNone = 0.02;
+    ph.hotBytes = 4 * 1024;
+    ph.chaseBytes = 256ull * 1024 * 1024;
+    ph.wRegion[unsigned(workload::RegionKind::Hot)] = 0.05;
+    ph.wRegion[unsigned(workload::RegionKind::Stream)] = 0.0;
+    ph.wRegion[unsigned(workload::RegionKind::Strided)] = 0.0;
+    ph.wRegion[unsigned(workload::RegionKind::Chase)] = 1.0;
+    p.phases = {ph};
+    ThreadSpec s;
+    s.profile = p;
+    s.seed = 1;
+    return s;
+}
+
+/** One thread under the miss-only SOE engine, caches warmed. */
+struct SoeSim
+{
+    SoeSim(const ThreadSpec &spec, bool fast_forward)
+        : mc(MachineConfig::benchDefault()), sys(mc, {spec}),
+          eng(mc.soe, pol, 1, &sys.stats())
+    {
+        sys.setFastForward(fast_forward);
+        sys.warmCaches(20 * 1000);
+        sys.start(&eng);
+    }
+
+    /** Step until `instrs` more instructions have retired. */
+    void
+    run(std::uint64_t instrs)
+    {
+        const std::uint64_t target = sys.core().retired(0) + instrs;
+        while (sys.core().retired(0) < target)
+            sys.step(1000);
+    }
+
+    MachineConfig mc;
+    harness::System sys;
+    soe::MissOnlyPolicy pol;
+    soe::SoeEngine eng;
+};
 
 } // namespace
 
@@ -144,21 +211,71 @@ TEST(FastForward, EvaluationCsvGolden)
 TEST(FastForward, EngineActuallySkipsCycles)
 {
     // Guard the guard: the golden comparisons above are vacuous if
-    // fast-forward never engages on these workloads.
-    auto jumps = [](bool ff) {
-        MachineConfig mc = MachineConfig::benchDefault();
-        harness::System sys(mc, {ThreadSpec::benchmark("mcf", 3)});
-        sys.setFastForward(ff);
-        sys.warmCaches(20 * 1000);
-        soe::MissOnlyPolicy pol;
-        soe::SoeEngine eng(mc.soe, pol, 1, &sys.stats());
-        sys.start(&eng);
-        sys.step(50 * 1000);
-        EXPECT_EQ(sys.fastForwardEnabled(), ff);
-        return sys.fastForwardJumps();
+    // fast-forward never engages on these workloads. On the pointer
+    // chase it must also cover nearly every cycle (0.99 today).
+    struct Case
+    {
+        const char *name;
+        ThreadSpec spec;
+        std::uint64_t cycles;
+        double minSkippedFrac;
     };
-    EXPECT_GT(jumps(true), 0u);
-    EXPECT_EQ(jumps(false), 0u);
+    const Case cases[] = {
+        {"mcf", ThreadSpec::benchmark("mcf", 3), 50 * 1000, 0.0},
+        {"pointer chase", pointerChase(), 200 * 1000, 0.95},
+    };
+    for (const Case &c : cases) {
+        for (bool ff : {true, false}) {
+            SoeSim sim(c.spec, ff);
+            sim.sys.step(c.cycles);
+            EXPECT_EQ(sim.sys.fastForwardEnabled(), ff) << c.name;
+            if (!ff) {
+                EXPECT_EQ(sim.sys.fastForwardJumps(), 0u) << c.name;
+                continue;
+            }
+            EXPECT_GT(sim.sys.fastForwardJumps(), 0u) << c.name;
+            EXPECT_GE(double(sim.sys.fastForwardCycles()) /
+                          double(sim.sys.now()),
+                      c.minSkippedFrac)
+                << c.name;
+        }
+    }
+}
+
+TEST(FastForward, PointerChaseRunsAtLeastFiveTimesFaster)
+{
+    // Wall time means something only in an optimized build without
+    // audits; the sanitizer and Debug builds turn audits on.
+#ifdef NDEBUG
+    constexpr bool optimized = !sim::auditsEnabled();
+#else
+    constexpr bool optimized = false;
+#endif
+    if (!optimized)
+        GTEST_SKIP() << "timed only in optimized builds without audits";
+
+    constexpr std::uint64_t instrs = 20 * 1000;
+    auto instrsPerSec = [](bool ff) {
+        SoeSim sim(pointerChase(), ff);
+        sim.run(instrs / 10); // untimed: keep cold host caches out
+        const auto t0 = std::chrono::steady_clock::now();
+        sim.run(instrs);
+        return double(instrs) /
+               std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    };
+    // Alternate on and off so load on the host hits both alike.
+    std::vector<double> ratios;
+    for (int pair = 0; pair < 3; ++pair) {
+        const double on = instrsPerSec(true);
+        ratios.push_back(on / instrsPerSec(false));
+    }
+    std::sort(ratios.begin(), ratios.end());
+    std::cout << "pointer chase, fast-forward on/off instrs/s: "
+              << ratios[0] << "x " << ratios[1] << "x " << ratios[2]
+              << "x\n";
+    EXPECT_GE(ratios[1], 5.0) << "median on/off ratio";
 }
 
 TEST(FastForward, EnvironmentToggle)

@@ -79,6 +79,7 @@
  *   --swlat N         model Switch_lat (25)
  */
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
@@ -122,8 +123,13 @@ RunConfig
 runConfigFrom(const CliOptions &opts)
 {
     RunConfig rc = RunConfig::fromEnv();
-    if (opts.hasOption("scale"))
-        rc = rc.scaled(opts.getDouble("scale", 1.0));
+    if (opts.hasOption("scale")) {
+        const double scale = opts.getDouble("scale", 1.0);
+        if (scale <= 0.0)
+            raiseError<InputError>("--scale must be positive, got ",
+                                   scale);
+        rc = rc.scaled(scale);
+    }
     rc.measureInstrs = opts.getUint("instrs", rc.measureInstrs);
     if (rc.measureInstrs == 0)
         raiseError<InputError>("--instrs 0 leaves an empty "
@@ -224,18 +230,6 @@ cmdRunSoe(const CliOptions &opts)
     Runner runner(mc);
     RunConfig rc = runConfigFrom(opts);
 
-    std::vector<ThreadSpec> specs;
-    std::vector<StRunResult> sts;
-    for (unsigned i = 0; i < n; ++i) {
-        specs.push_back(specFor(pos[1 + i], seed + i));
-        std::cerr << "[cli] reference run: " << pos[1 + i] << "\n";
-        // Reference runs never dump stats or traces.
-        RunConfig refRc = rc;
-        refRc.statsDump = nullptr;
-        refRc.retireTracePath.clear();
-        sts.push_back(runner.runSingleThread(specs.back(), refRc));
-    }
-
     const std::string polName =
         opts.getString("policy", "fairness");
     std::unique_ptr<soe::SchedulingPolicy> policy;
@@ -254,6 +248,18 @@ cmdRunSoe(const CliOptions &opts)
     } else {
         std::cerr << "unknown policy '" << polName << "'\n";
         return 2;
+    }
+
+    std::vector<ThreadSpec> specs;
+    std::vector<StRunResult> sts;
+    for (unsigned i = 0; i < n; ++i) {
+        specs.push_back(specFor(pos[1 + i], seed + i));
+        std::cerr << "[cli] reference run: " << pos[1 + i] << "\n";
+        // Reference runs never dump stats or traces.
+        RunConfig refRc = rc;
+        refRc.statsDump = nullptr;
+        refRc.retireTracePath.clear();
+        sts.push_back(runner.runSingleThread(specs.back(), refRc));
     }
 
     std::cerr << "[cli] SOE run (" << policy->name() << ")\n";
@@ -402,6 +408,17 @@ campaignFromOpts(const CliOptions &opts)
             }
             pairs.emplace_back(item.substr(0, colon),
                                item.substr(colon + 1));
+        }
+    }
+    const std::vector<std::string> known = workload::spec::allNames();
+    for (const auto &[a, b] : pairs) {
+        for (const std::string &name : {a, b}) {
+            if (std::find(known.begin(), known.end(), name) ==
+                known.end()) {
+                std::cerr << "--pairs: unknown benchmark '" << name
+                          << "' (see 'soefair_cli list')\n";
+                return std::nullopt;
+            }
         }
     }
 
