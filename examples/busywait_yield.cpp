@@ -59,7 +59,7 @@ run(bool honour_pause)
 {
     MachineConfig mc = MachineConfig::benchDefault();
     mc.soe.switchOnPause = honour_pause;
-    System sys(mc, {ThreadSpec{spinnerProfile(), 1, {}},
+    System sys(mc, {ThreadSpec{spinnerProfile(), 1},
                     ThreadSpec::benchmark("bzip2", 2)});
     sys.warmCaches(100 * 1000);
     soe::MissOnlyPolicy policy;

@@ -39,10 +39,10 @@ concat(std::vector<CliVerbOption> a,
 const char *exitBasic = "0 ok; 2 usage; 1 fatal; 3 internal panic";
 const char *exitSim =
     "0 ok; 1 fatal; 2 usage; 3 panic; 10 input; 11 estimator; "
-    "12 watchdog; 13 checkpoint";
+    "12 watchdog";
 const char *exitCampaign =
     "0 complete; 20 partial (MISSING cells); 21 nothing completed; "
-    "2 usage; 1 fatal; 10 input";
+    "2 usage; 1 fatal; 10 input; 13 journal unreadable or corrupt";
 
 /** Bare name of an option: "journal" for "--journal F". */
 std::string
@@ -83,8 +83,7 @@ buildVerbs()
 
     verbs.push_back(
         {"run-soe", "run-soe <benchA> <benchB>... [options]",
-         "run 2+ benchmarks under SOE; trace:<path> replays a "
-         "recorded trace",
+         "run 2+ benchmarks under SOE",
          concat(runOptions(),
                 {{"--policy P",
                   "miss-only | fairness | timeshare | quota"},
@@ -100,13 +99,6 @@ buildVerbs()
                  {"--stats", "dump the statistics tree to stderr"},
                  {"--retire-trace F",
                   "write a text retirement trace to file F"}}),
-         exitSim});
-
-    verbs.push_back(
-        {"record-trace", "record-trace <bench> [options]",
-         "record a workload to a trace file",
-         concat(runOptions(),
-                {{"--out F", "output path (default <bench>.soetrace)"}}),
          exitSim});
 
     verbs.push_back(
@@ -155,12 +147,11 @@ buildVerbs()
          "fault-injection harness: run one scenario (or all) and "
          "report pass/fail",
          {{"--seed N", "scenario seed (default 1)"},
-          {"--dir D", "scratch directory for fault files"},
           {"--raw",
            "run the bare faulting path so the process exits with "
            "the SimError's code"}},
          "0 all passed; 1 scenario failed; 2 usage; with --raw, the "
-         "provoked class's exit code (10..13)"});
+         "provoked class's exit code (10..12)"});
 
     return verbs;
 }

@@ -20,37 +20,20 @@ System::System(const MachineConfig &config,
     coreInst = std::make_unique<cpu::Core>(cfg.core, *hier, &root);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        if (!specs[i].tracePath.empty()) {
-            sources.push_back(
-                std::make_unique<workload::TraceReplaySource>(
-                    specs[i].tracePath));
-        } else {
-            sources.push_back(
-                std::make_unique<workload::WorkloadGenerator>(
-                    specs[i].profile, ThreadID(i), specs[i].seed));
-        }
+        generators.push_back(std::make_unique<workload::WorkloadGenerator>(
+            specs[i].profile, ThreadID(i), specs[i].seed));
         streams.push_back(
-            std::make_unique<workload::InstStream>(*sources.back()));
+            std::make_unique<workload::InstStream>(*generators.back()));
         coreInst->addThread(streams.back().get());
     }
-}
-
-workload::InstSource &
-System::source(ThreadID tid)
-{
-    soefair_assert(tid >= 0 && std::size_t(tid) < sources.size(),
-                   "source() bad tid");
-    return *sources[std::size_t(tid)];
 }
 
 workload::WorkloadGenerator &
 System::generator(ThreadID tid)
 {
-    auto *gen = dynamic_cast<workload::WorkloadGenerator *>(
-        &source(tid));
-    if (!gen)
-        fatal("thread ", tid, " is trace-driven; it has no generator");
-    return *gen;
+    soefair_assert(tid >= 0 && std::size_t(tid) < generators.size(),
+                   "generator() bad tid");
+    return *generators[std::size_t(tid)];
 }
 
 void
@@ -110,18 +93,18 @@ System::warmCaches(std::uint64_t instrs_per_thread)
     soefair_assert(!started,
                    "warmCaches must run before System::start");
     constexpr std::uint64_t chunk = 4096;
-    std::vector<std::uint64_t> remaining(sources.size(),
+    std::vector<std::uint64_t> remaining(generators.size(),
                                          instrs_per_thread);
     bool any = true;
     while (any) {
         any = false;
-        for (std::size_t t = 0; t < sources.size(); ++t) {
+        for (std::size_t t = 0; t < generators.size(); ++t) {
             const std::uint64_t n = std::min(chunk, remaining[t]);
             remaining[t] -= n;
             if (remaining[t] > 0)
                 any = true;
             for (std::uint64_t i = 0; i < n; ++i) {
-                const isa::MicroOp op = sources[t]->next();
+                const isa::MicroOp op = generators[t]->next();
                 hier->warmFetch(ThreadID(t), op.pc);
                 if (op.isLoad())
                     hier->warmData(ThreadID(t), op.memAddr, false);

@@ -19,7 +19,6 @@
 #include "workload/generator.hh"
 #include "workload/inst_stream.hh"
 #include "workload/profile.hh"
-#include "workload/trace_file.hh"
 
 namespace soefair
 {
@@ -31,12 +30,6 @@ struct ThreadSpec
 {
     workload::Profile profile;
     std::uint64_t seed = 1;
-    /**
-     * If set, the thread replays this binary trace file instead of
-     * running the generator (trace-driven mode); profile and seed
-     * are then ignored.
-     */
-    std::string tracePath;
 
     static ThreadSpec
     benchmark(const std::string &name, std::uint64_t seed_)
@@ -44,14 +37,6 @@ struct ThreadSpec
         ThreadSpec s;
         s.profile = workload::spec::byName(name);
         s.seed = seed_;
-        return s;
-    }
-
-    static ThreadSpec
-    trace(const std::string &path)
-    {
-        ThreadSpec s;
-        s.tracePath = path;
         return s;
     }
 };
@@ -65,13 +50,11 @@ class System
     cpu::Core &core() { return *coreInst; }
     mem::Hierarchy &hierarchy() { return *hier; }
     EventQueue &events() { return eventQueue; }
-    /** The thread's generator; fatal() for trace-driven threads. */
+    /** The thread's workload generator. */
     workload::WorkloadGenerator &generator(ThreadID tid);
-    /** The thread's instruction source (generator or trace). */
-    workload::InstSource &source(ThreadID tid);
     statistics::Group &stats() { return root; }
 
-    unsigned numThreads() const { return unsigned(sources.size()); }
+    unsigned numThreads() const { return unsigned(generators.size()); }
     Tick now() const { return currentTick; }
 
     /** Install the switch controller and begin with thread 0. */
@@ -115,7 +98,7 @@ class System
     EventQueue eventQueue;
     std::unique_ptr<mem::Hierarchy> hier;
     std::unique_ptr<cpu::Core> coreInst;
-    std::vector<std::unique_ptr<workload::InstSource>> sources;
+    std::vector<std::unique_ptr<workload::WorkloadGenerator>> generators;
     std::vector<std::unique_ptr<workload::InstStream>> streams;
     Tick currentTick = 0;
     bool started = false;

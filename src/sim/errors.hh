@@ -6,17 +6,18 @@
  * so that callers (the CLI, the fault-injection harness, tests) can
  * tell *why* a run died without parsing messages:
  *
- *  - InputError:      malformed external input — trace files,
- *                     checkpoints' containers, machine configuration,
- *                     workload parameters. The run never started.
+ *  - InputError:      malformed external input — machine
+ *                     configuration, workload parameters, run
+ *                     lengths. The run never started.
  *  - EstimatorError:  the runtime estimator (Eqs. 11-13) received
  *                     structurally impossible counter samples and
  *                     guardrails were not allowed to degrade.
  *  - WatchdogTimeout: the no-progress watchdog detected a livelock
  *                     or whole-machine starvation (zero retirement
  *                     across K consecutive delta windows).
- *  - CheckpointError: a LIT checkpoint failed to parse (bad magic,
- *                     underrun, trailing bytes).
+ *  - CheckpointError: a sweep journal cannot be read, locked or
+ *                     written, is corrupt, or belongs to another
+ *                     campaign.
  *
  * All SimErrors derive from FatalError, so existing handlers (and
  * tests) that treat bad input as fatal keep working; the CLI maps
@@ -94,7 +95,7 @@ class WatchdogTimeout : public SimError
     {}
 };
 
-/** A checkpoint container failed to parse. */
+/** A sweep journal is unusable (see the taxonomy above). */
 class CheckpointError : public SimError
 {
   public:

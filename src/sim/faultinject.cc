@@ -1,7 +1,6 @@
 #include "sim/faultinject.hh"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -10,16 +9,11 @@
 #include "core/estimator.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
-#include "isa/micro_op.hh"
 #include "sim/errors.hh"
 #include "sim/random.hh"
 #include "soe/engine.hh"
 #include "soe/policies.hh"
 #include "stats/stats.hh"
-#include "workload/checkpoint.hh"
-#include "workload/generator.hh"
-#include "workload/profile.hh"
-#include "workload/trace_file.hh"
 
 namespace soefair
 {
@@ -29,129 +23,8 @@ namespace sim
 namespace
 {
 
-// ---- file plumbing ------------------------------------------------
-
-std::vector<unsigned char>
-readFileBytes(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        // Harness failure, deliberately outside the SimError
-        // taxonomy: it must map to the generic fatal exit, not a
-        // provoked class.
-        // detlint: allow(ERR-001)
-        throw std::runtime_error("fault harness cannot read " + path);
-    return std::vector<unsigned char>(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
-}
-
 void
-writeFileBytes(const std::string &path,
-               const std::vector<unsigned char> &bytes)
-{
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os.write(reinterpret_cast<const char *>(bytes.data()),
-             std::streamsize(bytes.size()));
-    if (!os)
-        // detlint: allow(ERR-001)
-        throw std::runtime_error("fault harness cannot write " + path);
-}
-
-/** Trace container geometry (mirrors workload/trace_file.cc). */
-constexpr std::size_t traceHeaderBytes = 24;
-constexpr std::size_t traceRecordBytes = 33;
-
-/** Write a well-formed trace of `n` records; returns its path. */
-std::string
-writeValidTrace(const std::string &dir, std::uint64_t n)
-{
-    const std::string path = dir + "/fault.soetrace";
-    workload::TraceWriter w(path, 0);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        isa::MicroOp op;
-        op.pc = 0x400000 + 4 * i;
-        op.op = (i % 3 == 0) ? isa::OpClass::Load
-                             : isa::OpClass::IntAlu;
-        if (op.op == isa::OpClass::Load) {
-            op.memAddr = 0x10000 + 64 * i;
-            op.memSize = 8;
-        }
-        op.dest = isa::RegId(i % 16);
-        op.src0 = isa::RegId((i + 1) % 16);
-        w.append(op);
-    }
-    w.close();
-    return path;
-}
-
-// ---- scenarios ----------------------------------------------------
-
-void
-provokeTruncatedTrace(Rng &rng, const std::string &dir)
-{
-    const std::string path = writeValidTrace(dir, 64);
-    auto bytes = readFileBytes(path);
-    // Cut anywhere after the header: mid-record or on a record
-    // boundary, both leave fewer bytes than the header promises.
-    const std::size_t cut = traceHeaderBytes + 1 +
-        std::size_t(rng.below(bytes.size() - traceHeaderBytes - 1));
-    bytes.resize(cut);
-    writeFileBytes(path, bytes);
-    workload::TraceReplaySource src(path); // must raise InputError
-}
-
-void
-provokeCorruptTraceHeader(Rng &rng, const std::string &dir)
-{
-    const std::string path = writeValidTrace(dir, 64);
-    auto bytes = readFileBytes(path);
-    switch (rng.below(4)) {
-      case 0: // magic
-        bytes[std::size_t(rng.below(8))] ^= 0xFF;
-        break;
-      case 1: // version
-        bytes[8] = 0x7F;
-        break;
-      case 2: // thread id < 0
-        for (std::size_t i = 12; i < 16; ++i)
-            bytes[i] = 0xFF;
-        break;
-      default: // record count beyond any possible file
-        for (std::size_t i = 16; i < 24; ++i)
-            bytes[i] = 0xFF;
-        break;
-    }
-    writeFileBytes(path, bytes);
-    workload::TraceReplaySource src(path); // must raise InputError
-}
-
-void
-provokeCorruptTraceRecord(Rng &rng, const std::string &dir)
-{
-    const std::uint64_t n = 64;
-    const std::string path = writeValidTrace(dir, n);
-    auto bytes = readFileBytes(path);
-    const std::size_t rec = traceHeaderBytes +
-        std::size_t(rng.below(n)) * traceRecordBytes;
-    if (rng.below(2) == 0) {
-        // Op class byte (after pc/memAddr/target) out of range.
-        bytes[rec + 24] = 0xEE;
-    } else {
-        // PC above the canonical range (or zero).
-        const unsigned char fill = rng.below(2) ? 0xFF : 0x00;
-        for (std::size_t i = 0; i < 8; ++i)
-            bytes[rec + i] = fill;
-    }
-    writeFileBytes(path, bytes);
-
-    workload::TraceReplaySource src(path);
-    for (std::uint64_t i = 0; i < n; ++i)
-        src.next(); // must raise InputError at the corrupt record
-}
-
-void
-provokeGarbageConfig(Rng &rng, const std::string &)
+provokeGarbageConfig(Rng &rng)
 {
     harness::MachineConfig mc = harness::MachineConfig::benchDefault();
     switch (rng.below(7)) {
@@ -257,7 +130,7 @@ checkGuardedDegradation(Rng &rng)
 }
 
 void
-provokeCounterCorruption(Rng &rng, const std::string &)
+provokeCounterCorruption(Rng &rng)
 {
     // First the graceful half; a violation is a harness failure,
     // not a SimError.
@@ -277,7 +150,7 @@ provokeCounterCorruption(Rng &rng, const std::string &)
 }
 
 void
-provokeStuckMiss(Rng &rng, const std::string &)
+provokeStuckMiss(Rng &rng)
 {
     statistics::Group root("faultinject");
     soe::MissOnlyPolicy pol;
@@ -309,48 +182,15 @@ provokeStuckMiss(Rng &rng, const std::string &)
         eng.onCycle(1, t); // must raise WatchdogTimeout
 }
 
-void
-provokeCorruptCheckpoint(Rng &rng, const std::string &)
-{
-    workload::WorkloadGenerator gen(
-        workload::spec::byName("mgrid"), 0, rng.next() | 1);
-    const std::uint64_t steps = 100 + rng.below(900);
-    for (std::uint64_t i = 0; i < steps; ++i)
-        gen.next();
-    auto bytes = workload::LitCheckpoint::capture(gen).serialize();
-
-    switch (rng.below(4)) {
-      case 0: // magic
-        bytes[std::size_t(rng.below(8))] ^= 0xFF;
-        break;
-      case 1: // profile-name length field inflated past the buffer
-        for (std::size_t i = 8; i < 12; ++i)
-            bytes[i] = 0xFF;
-        break;
-      case 2: // truncated tail
-        bytes.resize(bytes.size() - 1 - std::size_t(rng.below(8)));
-        break;
-      default: // trailing garbage
-        for (unsigned i = 0; i < 1 + rng.below(16); ++i)
-            bytes.push_back(std::uint8_t(rng.next()));
-        break;
-    }
-    workload::LitCheckpoint::deserialize(bytes); // CheckpointError
-}
-
 } // namespace
 
 const std::vector<FaultClass> &
 allFaultClasses()
 {
     static const std::vector<FaultClass> all = {
-        FaultClass::TruncatedTrace,
-        FaultClass::CorruptTraceHeader,
-        FaultClass::CorruptTraceRecord,
         FaultClass::GarbageConfig,
         FaultClass::CounterCorruption,
         FaultClass::StuckMiss,
-        FaultClass::CorruptCheckpoint,
     };
     return all;
 }
@@ -359,20 +199,12 @@ const char *
 faultName(FaultClass f)
 {
     switch (f) {
-      case FaultClass::TruncatedTrace:
-        return "truncated-trace";
-      case FaultClass::CorruptTraceHeader:
-        return "corrupt-trace-header";
-      case FaultClass::CorruptTraceRecord:
-        return "corrupt-trace-record";
       case FaultClass::GarbageConfig:
         return "garbage-config";
       case FaultClass::CounterCorruption:
         return "counter-corruption";
       case FaultClass::StuckMiss:
         return "stuck-miss";
-      case FaultClass::CorruptCheckpoint:
-        return "corrupt-checkpoint";
     }
     return "unknown";
 }
@@ -393,61 +225,42 @@ int
 expectedExitCode(FaultClass f)
 {
     switch (f) {
-      case FaultClass::TruncatedTrace:
-      case FaultClass::CorruptTraceHeader:
-      case FaultClass::CorruptTraceRecord:
       case FaultClass::GarbageConfig:
         return InputError::code;
       case FaultClass::CounterCorruption:
         return EstimatorError::code;
       case FaultClass::StuckMiss:
         return WatchdogTimeout::code;
-      case FaultClass::CorruptCheckpoint:
-        return CheckpointError::code;
     }
     return 0;
 }
 
 void
-provokeFault(FaultClass f, std::uint64_t seed,
-             const std::string &scratch_dir)
+provokeFault(FaultClass f, std::uint64_t seed)
 {
     Rng rng(deriveSeed(seed, std::uint64_t(f) + 1));
     switch (f) {
-      case FaultClass::TruncatedTrace:
-        provokeTruncatedTrace(rng, scratch_dir);
-        break;
-      case FaultClass::CorruptTraceHeader:
-        provokeCorruptTraceHeader(rng, scratch_dir);
-        break;
-      case FaultClass::CorruptTraceRecord:
-        provokeCorruptTraceRecord(rng, scratch_dir);
-        break;
       case FaultClass::GarbageConfig:
-        provokeGarbageConfig(rng, scratch_dir);
+        provokeGarbageConfig(rng);
         break;
       case FaultClass::CounterCorruption:
-        provokeCounterCorruption(rng, scratch_dir);
+        provokeCounterCorruption(rng);
         break;
       case FaultClass::StuckMiss:
-        provokeStuckMiss(rng, scratch_dir);
-        break;
-      case FaultClass::CorruptCheckpoint:
-        provokeCorruptCheckpoint(rng, scratch_dir);
+        provokeStuckMiss(rng);
         break;
     }
 }
 
 FaultReport
-runFaultScenario(FaultClass f, std::uint64_t seed,
-                 const std::string &scratch_dir)
+runFaultScenario(FaultClass f, std::uint64_t seed)
 {
     FaultReport rep;
     rep.fault = f;
     rep.scenario = faultName(f);
     const int want = expectedExitCode(f);
     try {
-        provokeFault(f, seed, scratch_dir);
+        provokeFault(f, seed);
         std::ostringstream os;
         os << "completed without the expected "
            << "SimError (exit code " << want << ")";

@@ -4,9 +4,9 @@
  *
  * Each FaultClass names one way the outside world (or a broken
  * hardware counter) can hand the simulator garbage. A scenario
- * builds a valid artifact, corrupts it under a seeded Rng (no wall
- * clock anywhere, so the same seed replays the same fault bytes),
- * then runs the code path that consumes it and checks the contract
+ * builds a valid input, corrupts it under a seeded Rng (no wall
+ * clock anywhere, so the same seed replays the same fault), then
+ * runs the code path that consumes it and checks the contract
  * of the error taxonomy (sim/errors.hh): the simulator must either
  *
  *  - reject the input with the *right* SimError subclass, or
@@ -31,29 +31,25 @@ namespace soefair
 namespace sim
 {
 
-/** The injectable fault classes. */
+/**
+ * The injectable fault classes. A class's value salts its scenario's
+ * seed, so the values stay fixed: a seed replays the same fault in
+ * every version.
+ */
 enum class FaultClass
 {
-    /** Trace file cut short mid-stream (header promises more). */
-    TruncatedTrace,
-    /** Trace header corrupted: magic, version, tid or count. */
-    CorruptTraceHeader,
-    /** One trace record corrupted: op class or impossible PC. */
-    CorruptTraceRecord,
     /** Machine configuration with out-of-range values. */
-    GarbageConfig,
+    GarbageConfig = 3,
     /** Hardware counter samples corrupted mid-run. */
-    CounterCorruption,
+    CounterCorruption = 4,
     /** A miss that never resolves starves the whole machine. */
-    StuckMiss,
-    /** LIT checkpoint bytes corrupted or truncated. */
-    CorruptCheckpoint,
+    StuckMiss = 5,
 };
 
 /** All classes, in a fixed order (the `faults all` sweep order). */
 const std::vector<FaultClass> &allFaultClasses();
 
-/** Stable scenario name ("truncated-trace", ...). */
+/** Stable scenario name ("garbage-config", ...). */
 const char *faultName(FaultClass f);
 
 /** Parse a scenario name; returns false if unknown. */
@@ -69,7 +65,7 @@ int expectedExitCode(FaultClass f);
 /** Outcome of one checked scenario run. */
 struct FaultReport
 {
-    FaultClass fault = FaultClass::TruncatedTrace;
+    FaultClass fault = FaultClass::GarbageConfig;
     /** faultName(fault), for printing. */
     std::string scenario;
     /** The scenario's contract held. */
@@ -81,20 +77,16 @@ struct FaultReport
 /**
  * Run one scenario under the harness's contract check.
  *
- * @param seed        Seeds every random choice in the scenario.
- * @param scratch_dir Existing writable directory for the scenario's
- *                    artifact files (traces, checkpoints).
+ * @param seed Seeds every random choice in the scenario.
  */
-FaultReport runFaultScenario(FaultClass f, std::uint64_t seed,
-                             const std::string &scratch_dir);
+FaultReport runFaultScenario(FaultClass f, std::uint64_t seed);
 
 /**
  * Run the scenario's faulting path bare: the typed SimError (if the
  * contract holds) propagates to the caller. Scenarios whose contract
  * is graceful degradation simply return.
  */
-void provokeFault(FaultClass f, std::uint64_t seed,
-                  const std::string &scratch_dir);
+void provokeFault(FaultClass f, std::uint64_t seed);
 
 } // namespace sim
 } // namespace soefair

@@ -122,7 +122,7 @@ class Rng
         return n;
     }
 
-    /** Serializable state access (for workload checkpoints). */
+    /** Raw state access (tests compare generators by it). */
     std::uint64_t rawState() const { return state; }
     void setRawState(std::uint64_t s) { state = s ? s : 1; }
 

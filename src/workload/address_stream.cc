@@ -111,20 +111,5 @@ AddressStream::chaseAddr()
     return base + chaseOffset + 64 * chaseCursor;
 }
 
-AddressStreamState
-AddressStream::saveState() const
-{
-    return {rng.rawState(), streamCursor, stridedCursor, chaseCursor};
-}
-
-void
-AddressStream::restoreState(const AddressStreamState &s)
-{
-    rng.setRawState(s.rngState);
-    streamCursor = s.streamCursor;
-    stridedCursor = s.stridedCursor;
-    chaseCursor = s.chaseCursor;
-}
-
 } // namespace workload
 } // namespace soefair

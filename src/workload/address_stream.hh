@@ -25,15 +25,6 @@ namespace soefair
 namespace workload
 {
 
-/** Serialized AddressStream state (for checkpoints). */
-struct AddressStreamState
-{
-    std::uint64_t rngState = 0;
-    std::uint64_t streamCursor = 0;
-    std::uint64_t stridedCursor = 0;
-    std::uint64_t chaseCursor = 0;
-};
-
 class AddressStream
 {
   public:
@@ -67,9 +58,6 @@ class AddressStream
 
     /** Base of this thread's data slice (tests use this). */
     Addr dataBase() const { return base; }
-
-    AddressStreamState saveState() const;
-    void restoreState(const AddressStreamState &s);
 
   private:
     Access draw(bool isLoad);

@@ -63,12 +63,6 @@ WorkloadGenerator::enterPhase(std::uint32_t idx)
 {
     state.phaseIdx = idx % std::uint32_t(prof.numPhases());
     state.instrsInPhase = 0;
-    loadPhase();
-}
-
-void
-WorkloadGenerator::loadPhase()
-{
     const Phase &p = prof.phase(state.phaseIdx);
     soefair_assert(p.depGeoP > 0.0 && p.depGeoP <= 1.0,
                    "geometric p out of range");
@@ -168,28 +162,6 @@ WorkloadGenerator::nextInto(MicroOp &op)
 
     ++state.dynCount;
     ++state.instrsInPhase;
-}
-
-GeneratorState
-WorkloadGenerator::saveState() const
-{
-    GeneratorState s = state;
-    s.rngState = rng.rawState();
-    s.addrState = addrs.saveState();
-    return s;
-}
-
-void
-WorkloadGenerator::restoreState(const GeneratorState &s)
-{
-    soefair_assert(s.curBlock < prog->numBlocks(),
-                   "checkpoint block index out of range");
-    state = s;
-    rng.setRawState(s.rngState);
-    addrs.restoreState(s.addrState);
-    // Rebuild phase-derived samplers without resetting counters.
-    loadPhase();
-    addrs.restoreState(s.addrState);
 }
 
 } // namespace workload

@@ -24,14 +24,13 @@
 #include "workload/address_stream.hh"
 #include "workload/profile.hh"
 #include "workload/program.hh"
-#include "workload/source.hh"
 
 namespace soefair
 {
 namespace workload
 {
 
-/** Serializable generator state (see checkpoint.hh). */
+/** The generator's position in its program and phase schedule. */
 struct GeneratorState
 {
     InstSeqNum nextSeqNum = 1;
@@ -40,12 +39,10 @@ struct GeneratorState
     std::uint32_t slotIdx = 0;
     std::uint32_t phaseIdx = 0;
     std::uint64_t instrsInPhase = 0;
-    std::uint64_t rngState = 0;
     std::uint64_t chaseDepth = 0;
-    AddressStreamState addrState;
 };
 
-class WorkloadGenerator : public InstSource
+class WorkloadGenerator
 {
   public:
     /**
@@ -58,14 +55,15 @@ class WorkloadGenerator : public InstSource
 
     /** Produce the next micro-op in program order. */
     isa::MicroOp
-    next() override
+    next()
     {
         isa::MicroOp op;
-        WorkloadGenerator::nextInto(op);
+        nextInto(op);
         return op;
     }
 
-    void nextInto(isa::MicroOp &op) override;
+    /** next(), built in place in `op` (spares the caller a copy). */
+    void nextInto(isa::MicroOp &op);
 
     /** Total micro-ops generated so far. */
     std::uint64_t generated() const { return state.dynCount; }
@@ -78,13 +76,8 @@ class WorkloadGenerator : public InstSource
     /** Active phase index (tests/calibration peek at this). */
     std::uint32_t phaseIndex() const { return state.phaseIdx; }
 
-    GeneratorState saveState() const;
-    void restoreState(const GeneratorState &s);
-
   private:
     void enterPhase(std::uint32_t idx);
-    /** Derive the per-phase draw state from state.phaseIdx. */
-    void loadPhase();
     void maybeAdvancePhase();
     isa::RegId sampleDep();
     isa::RegId ringReg(std::uint64_t dyn_index) const;

@@ -16,9 +16,9 @@ InstStream::generate()
         head = 0;
     }
     isa::MicroOp &op = ring[wrap(head + count)];
-    source.nextInto(op);
+    gen.nextInto(op);
     soefair_assert(count == 0 || op.seqNum == headSeq + count,
-                   "source seqNums not contiguous");
+                   "generator seqNums not contiguous");
     if (count == 0)
         headSeq = op.seqNum;
     ++count;

@@ -25,7 +25,7 @@
 #include "isa/micro_op.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
-#include "workload/source.hh"
+#include "workload/generator.hh"
 
 namespace soefair
 {
@@ -35,7 +35,7 @@ namespace workload
 class InstStream
 {
   public:
-    explicit InstStream(InstSource &src) : source(src), ring(256) {}
+    explicit InstStream(WorkloadGenerator &g) : gen(g), ring(256) {}
 
     /** Next micro-op at the fetch cursor (generates on demand). */
     const isa::MicroOp &
@@ -84,15 +84,13 @@ class InstStream
     /** Sequence number of the oldest unretired op (0 if none). */
     InstSeqNum oldestSeq() const { return count == 0 ? invalidSeqNum : headSeq; }
 
-    InstSource &src() { return source; }
-
   private:
-    /** Append the source's next op, doubling the ring if full. */
+    /** Append the generator's next op, doubling the ring if full. */
     void generate();
 
     std::size_t wrap(std::size_t i) const { return i & (ring.size() - 1); }
 
-    InstSource &source;
+    WorkloadGenerator &gen;
     /** Buffered ops, oldest at ring[head]; size is a power of two. */
     std::vector<isa::MicroOp> ring;
     std::size_t head = 0;

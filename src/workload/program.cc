@@ -9,7 +9,7 @@ namespace workload
 
 Program::Program(const CodeShape &shape, std::uint64_t seed,
                  Addr code_base)
-    : codeShape(shape), buildSeed(seed), base(code_base)
+    : base(code_base)
 {
     soefair_assert(shape.numBlocks >= 2, "program needs >= 2 blocks");
     soefair_assert(shape.blockLenMin >= 2,

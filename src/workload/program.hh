@@ -73,13 +73,7 @@ class Program
 
     Addr codeBase() const { return base; }
 
-    /** Construction parameters (for checkpoint reconstruction). */
-    const CodeShape &shape() const { return codeShape; }
-    std::uint64_t seed() const { return buildSeed; }
-
   private:
-    CodeShape codeShape;
-    std::uint64_t buildSeed;
     Addr base;
     std::vector<BasicBlock> blocks;
     std::uint64_t instrCount = 0;

@@ -111,25 +111,6 @@ TEST(AddressStream, MixedWeightsRoughlyRespected)
     EXPECT_NEAR(streamCount / double(n), 0.2, 0.02);
 }
 
-TEST(AddressStream, StateRoundTrip)
-{
-    AddressStream a(0, 8);
-    a.setPhase(phaseWith(0.5, 0.3, 0.1, 0.1));
-    for (int i = 0; i < 500; ++i)
-        a.nextLoad();
-    auto st = a.saveState();
-
-    AddressStream b(0, 8);
-    b.setPhase(phaseWith(0.5, 0.3, 0.1, 0.1));
-    b.restoreState(st);
-    for (int i = 0; i < 500; ++i) {
-        auto x = a.nextLoad();
-        auto y = b.nextLoad();
-        EXPECT_EQ(x.addr, y.addr);
-        EXPECT_EQ(x.kind, y.kind);
-    }
-}
-
 TEST(AddressStream, RejectsDegenerateRegions)
 {
     AddressStream s(0, 9);

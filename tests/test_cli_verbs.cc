@@ -29,6 +29,7 @@
 #include "sim/errors.hh"
 
 using namespace soefair::harness;
+using soefair::CheckpointError;
 using soefair::InputError;
 
 namespace
@@ -59,6 +60,14 @@ cliExit(const std::string &args, const std::string &err_path = "")
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+/** Contents of the file at `path`; empty if it cannot be read. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
 /** A per-process scratch directory, removed at exit. */
 class ScratchDir
 {
@@ -85,9 +94,8 @@ class ScratchDir
 TEST(CliVerbs, RegistryCoversEveryDispatchedVerb)
 {
     const char *expected[] = {
-        "help",    "list",  "machine",      "run-st",
-        "run-soe", "sweep", "record-trace", "analytic",
-        "faults",
+        "help",  "list",     "machine", "run-st", "run-soe",
+        "sweep", "analytic", "faults",
     };
     std::set<std::string> names;
     for (const auto &verb : cliVerbs())
@@ -197,7 +205,9 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
     // A bad item is a usage error before the journal exists: read
     // leniently, "abc" would add an F = 0 cell, a level outside
     // [0, 1] would fail every job of its cell, and an unknown
-    // benchmark would fail every job of its pair.
+    // benchmark would fail every job of its pair. An --inject that
+    // can never fire, or a count that would wrap to 0 in an
+    // unsigned field, is refused the same way.
     const ScratchDir dir;
     const std::string journal = dir.path + "/sweep.journal";
     for (const char *selection :
@@ -207,7 +217,18 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
           "--pairs gcc:eon --levels nan",
           "--pairs gcc:eon --levels 0.5,,1",
           "--pairs gcc:nosuch --levels 0", "--pairs gcc: --levels 0",
-          "--pairs gcc:eon,nosuch:eon --levels 0"}) {
+          "--pairs gcc:eon,nosuch:eon --levels 0",
+          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@abc",
+          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@0",
+          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@-1",
+          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@+1",
+          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@",
+          "--pairs gcc:eon --levels 0 "
+          "--inject soe:gcc:eon:F=0@input@4294967296",
+          "--pairs gcc:eon --levels 0 --inject st:gcc:1@input@1",
+          "--pairs gcc:eon --levels 0 --inject nosuch@hang",
+          "--pairs gcc:eon --levels 0 --jobs 4294967296",
+          "--pairs gcc:eon --levels 0 --retries 4294967296"}) {
         EXPECT_EQ(cliExit(std::string("sweep ") + selection +
                           " --instrs 2000 --warmup 0 --journal " +
                           journal + " --out " + dir.path +
@@ -221,25 +242,57 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
 TEST(CliVerbs, BadPolicyFailsBeforeAnyReferenceRun)
 {
     // Bad input must cost no simulation: run-soe builds its policy
-    // before the single-thread reference runs.
+    // and resolves every benchmark name before the single-thread
+    // reference runs.
     const ScratchDir dir;
     const std::string errPath = dir.path + "/stderr";
     const std::pair<const char *, int> cases[] = {
-        {"--policy bogus", 2},
-        {"--F 1.5", InputError::code},
+        {"gcc eon --policy bogus", 2},
+        {"gcc eon --F 1.5", InputError::code},
+        {"gcc nosuch", 1},
     };
     for (const auto &[args, code] : cases) {
-        EXPECT_EQ(cliExit(std::string("run-soe gcc eon --instrs 2000 "
+        EXPECT_EQ(cliExit(std::string("run-soe --instrs 2000 "
                                       "--warmup 0 ") +
                               args,
                           errPath),
                   code)
             << args;
-        std::ifstream in(errPath);
-        const std::string err{std::istreambuf_iterator<char>(in), {}};
+        const std::string err = readFile(errPath);
         EXPECT_EQ(err.find("reference run"), std::string::npos)
             << args << ": " << err;
     }
+}
+
+TEST(CliVerbs, UnwritableSweepOutputFailsBeforeAnyJobRuns)
+{
+    // The CSV goes out after the whole campaign; an unwritable
+    // --out must not throw that campaign away.
+    const ScratchDir dir;
+    const std::string journal = dir.path + "/sweep.journal";
+    const std::string errPath = dir.path + "/stderr";
+    EXPECT_EQ(cliExit("sweep --pairs gcc:eon --levels 0 --instrs 2000 "
+                      "--warmup 0 --journal " + journal + " --out " +
+                          dir.path + "/no/such/dir/sweep.csv",
+                      errPath),
+              1);
+    EXPECT_FALSE(std::filesystem::exists(journal));
+    const std::string err = readFile(errPath);
+    EXPECT_EQ(err.find("[supervisor]"), std::string::npos) << err;
+}
+
+TEST(CliVerbs, ResumingAMissingJournalIsACheckpointError)
+{
+    const ScratchDir dir;
+    const std::string errPath = dir.path + "/stderr";
+    EXPECT_EQ(cliExit("sweep --pairs gcc:eon --levels 0 --instrs 2000 "
+                      "--warmup 0 --resume " + dir.path +
+                          "/missing.journal --out " + dir.path +
+                          "/sweep.csv",
+                      errPath),
+              CheckpointError::code);
+    const std::string err = readFile(errPath);
+    EXPECT_EQ(err.find("[supervisor]"), std::string::npos) << err;
 }
 
 TEST(CliVerbs, EmptyMeasurementWindowIsAnInputError)

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "harness/cli_verbs.hh"
-#include "harness/env.hh"
 #include "sim/errors.hh"
 #include "sim/faultinject.hh"
 #include "sim/invariant.hh"
@@ -87,13 +86,6 @@ documentedCodes(const std::string &contract)
         }
     }
     return codes;
-}
-
-std::string
-scratchDir()
-{
-    const std::string tmp = harness::env::getOr("TMPDIR", "");
-    return tmp.empty() ? std::string("/tmp") : tmp;
 }
 
 } // namespace
@@ -200,7 +192,7 @@ TEST(ExitCodes, FaultScenariosDieWithTheirDeclaredCode)
     for (sim::FaultClass f : sim::allFaultClasses()) {
         const int want = sim::expectedExitCode(f);
         const int got = runWithExitCodeMapping([&]() -> int {
-            sim::provokeFault(f, 1, scratchDir());
+            sim::provokeFault(f, 1);
             return 0;
         });
         EXPECT_EQ(got, want) << sim::faultName(f);

@@ -162,25 +162,6 @@ TEST(Generator, ThreadsUseDisjointAddressSpaces)
     }
 }
 
-TEST(Generator, SaveRestoreResumesExactly)
-{
-    WorkloadGenerator a(spec::byName("apsi"), 0, 10);
-    for (int i = 0; i < 12345; ++i)
-        a.next();
-    auto state = a.saveState();
-
-    WorkloadGenerator b(spec::byName("apsi"), 0, 10);
-    b.restoreState(state);
-    for (int i = 0; i < 5000; ++i) {
-        MicroOp x = a.next(), y = b.next();
-        ASSERT_EQ(x.seqNum, y.seqNum);
-        ASSERT_EQ(x.pc, y.pc);
-        ASSERT_EQ(x.op, y.op);
-        ASSERT_EQ(x.memAddr, y.memAddr);
-        ASSERT_EQ(x.taken, y.taken);
-    }
-}
-
 TEST(Generator, PhaseWithBadDependencyProbabilityPanics)
 {
     // The geometric draw's p ∈ (0, 1] check runs when a phase is

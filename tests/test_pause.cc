@@ -86,7 +86,7 @@ TEST(Pause, SpinThreadYieldsToWorker)
     // A spinning thread paired with real work: with pause switching
     // the spinner yields and the worker keeps most of the core.
     auto mc = MachineConfig::benchDefault();
-    System sys(mc, {ThreadSpec{spinProfile(0.15), 1, {}},
+    System sys(mc, {ThreadSpec{spinProfile(0.15), 1},
                     ThreadSpec::benchmark("bzip2", 2)});
     sys.warmCaches(50 * 1000);
     soe::MissOnlyPolicy pol;
@@ -103,7 +103,7 @@ TEST(Pause, WithoutPauseSwitchingSpinnerHogsCore)
 {
     auto mc = MachineConfig::benchDefault();
     mc.soe.switchOnPause = false;
-    System sys(mc, {ThreadSpec{spinProfile(0.15), 1, {}},
+    System sys(mc, {ThreadSpec{spinProfile(0.15), 1},
                     ThreadSpec::benchmark("bzip2", 2)});
     sys.warmCaches(50 * 1000);
     soe::MissOnlyPolicy pol;

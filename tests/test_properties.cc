@@ -113,8 +113,8 @@ TEST(Properties, RetiredStreamUnderSoeMatchesGeneratedStream)
     // Run the same workload under SOE against eon and record every
     // retired op of thread 0.
     auto mc = MachineConfig::benchDefault();
-    System sys(mc, {ThreadSpec{workload::spec::byName("gcc"), 7, {}},
-                    ThreadSpec{workload::spec::byName("eon"), 8, {}}});
+    System sys(mc, {ThreadSpec{workload::spec::byName("gcc"), 7},
+                    ThreadSpec{workload::spec::byName("eon"), 8}});
     soe::FairnessPolicy pol(0.5, 300.0, 2);
     soe::SoeEngine eng(mc.soe, pol, 2, &sys.stats());
 

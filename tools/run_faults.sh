@@ -5,13 +5,16 @@
 # hardened-runtime contract:
 #
 #   1. every scenario's bare run (--raw) exits with exactly the exit
-#      code of its SimError class (10..13) -- never a crash (>= 128),
+#      code of its SimError class (10..12) -- never a crash (>= 128),
 #      never a hang (timeout), never success;
 #   2. the checked sweep (`faults all`) reports every scenario as
 #      passing, across several seeds;
 #   3. same-seed runs are bit-identical (determinism: no wall clock
 #      or unseeded randomness anywhere in the harness);
-#   4. a smoke SOE run on the same binary emits no NaN.
+#   4. a smoke SOE run on the same binary emits no NaN;
+#   5. the sweep supervisor survives hangs, torn journals and
+#      SIGKILL, and refuses a journal of another campaign (exit 13)
+#      without touching it.
 #
 # Usage: tools/run_faults.sh [build-dir]   (default: build)
 # The binary is <build-dir>/tools/soefair_cli; pass the directory of
@@ -49,21 +52,15 @@ fail() {
 # --- 1. raw exit-code matrix ----------------------------------------
 
 declare -A EXPECT=(
-    [truncated-trace]=10
-    [corrupt-trace-header]=10
-    [corrupt-trace-record]=10
     [garbage-config]=10
     [counter-corruption]=11
     [stuck-miss]=12
-    [corrupt-checkpoint]=13
 )
 
-for scenario in truncated-trace corrupt-trace-header \
-                corrupt-trace-record garbage-config \
-                counter-corruption stuck-miss corrupt-checkpoint; do
+for scenario in garbage-config counter-corruption stuck-miss; do
     want=${EXPECT[$scenario]}
     timeout "$TIMEOUT_S" "$CLI" faults "$scenario" --raw \
-        --seed 1 --dir "$SCRATCH" >/dev/null 2>&1
+        --seed 1 >/dev/null 2>&1
     got=$?
     if [ "$got" -eq 124 ]; then
         fail "$scenario: hung (killed after ${TIMEOUT_S}s)"
@@ -81,7 +78,7 @@ done
 for seed in $SEEDS; do
     out="$SCRATCH/sweep.$seed.out"
     if ! timeout "$TIMEOUT_S" "$CLI" faults all --seed "$seed" \
-            --dir "$SCRATCH" >"$out" 2>"$out.err"; then
+            >"$out" 2>"$out.err"; then
         fail "faults all --seed $seed exited nonzero"
         sed 's/^/    /' "$out" "$out.err" >&2
     elif grep -q "FAIL" "$out"; then
@@ -96,10 +93,8 @@ done
 
 a="$SCRATCH/det.a"
 b="$SCRATCH/det.b"
-timeout "$TIMEOUT_S" "$CLI" faults all --seed 7 --dir "$SCRATCH" \
-    >"$a" 2>/dev/null
-timeout "$TIMEOUT_S" "$CLI" faults all --seed 7 --dir "$SCRATCH" \
-    >"$b" 2>/dev/null
+timeout "$TIMEOUT_S" "$CLI" faults all --seed 7 >"$a" 2>/dev/null
+timeout "$TIMEOUT_S" "$CLI" faults all --seed 7 >"$b" 2>/dev/null
 if cmp -s "$a" "$b"; then
     echo "ok: same-seed runs are bit-identical"
 else
@@ -225,6 +220,22 @@ elif ! cmp -s "$ref" "$killres"; then
     diff "$ref" "$killres" | sed 's/^/    /' >&2
 else
     echo "ok: supervisor resume after SIGKILL matches reference"
+fi
+
+# 5d. Journal of another campaign: resuming the reference journal
+# with a different level set is a CheckpointError (exit 13), and the
+# refused journal is left byte-identical.
+mj="$SCRATCH/ref.journal"
+cp "$mj" "$SCRATCH/ref.journal.before"
+timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" sweep --pairs gcc:eon --levels 0 \
+    --resume "$mj" --out "$SCRATCH/sweep_mismatch.csv" >/dev/null 2>&1
+got=$?
+if [ "$got" -ne 13 ]; then
+    fail "supervisor mismatch: --resume exit $got, expected 13"
+elif ! cmp -s "$SCRATCH/ref.journal.before" "$mj"; then
+    fail "supervisor mismatch: the refused journal was modified"
+else
+    echo "ok: supervisor refuses another campaign's journal untouched"
 fi
 
 # --------------------------------------------------------------------

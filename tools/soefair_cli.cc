@@ -4,89 +4,21 @@
  *
  *   soefair_cli <command> [args] [options]
  *
- * Commands:
- *   list                         list the available benchmarks
- *   machine                      print the simulated machine (Table 3)
- *   run-st <bench>               run one benchmark alone
- *   run-soe <benchA> <benchB>..  run 2+ benchmarks under SOE;
- *                                a name of the form trace:<path>
- *                                replays a recorded trace file
- *   record-trace <bench>         record a workload to a trace file
- *                                (--out file, --instrs N, --seed S)
- *   sweep                        run benchmark pairs across F levels
- *                                under the crash-isolated supervisor
- *                                and emit CSV (--pairs a:b,c:d
- *                                defaults to the paper's 16; --out
- *                                file defaults to stdout). Exits 0
- *                                when every cell completed, 20 when
- *                                results are partial (gaps appear as
- *                                MISSING(...) lines), 21 when no
- *                                cell completed.
- *   help [verb]                  the full verb registry: options and
- *                                exit codes per verb
- *   analytic                     evaluate the analytical model
- *   faults [scenario|all]        fault-injection harness: run one
- *                                scenario (or all) and report
- *                                pass/fail (--seed N, --dir D for
- *                                scratch files; --raw runs the bare
- *                                faulting path so the process exits
- *                                with the SimError's code — see
- *                                docs/robustness.md)
- *
- * Common options:
- *   --seed N          master seed base (default 1)
- *   --instrs N        measured instructions per thread
- *   --warmup N        functional warmup instructions per thread
- *   --scale X         scale all run lengths (like SOEFAIR_SCALE)
- *   --no-fastforward  tick every stall cycle instead of jumping
- *                     quiescent runs (results are byte-identical
- *                     either way; see docs/performance.md). The
- *                     SOEFAIR_FASTFORWARD=0 environment variable
- *                     does the same.
- *
- * sweep options (see docs/robustness.md for the supervisor):
- *   --levels a,b,..   enforcement levels (default 0,0.25,0.5,1)
- *   --journal F       write-ahead journal path (default
- *                     soefair_sweep.journal; recreated per run)
- *   --resume F        resume from an existing journal: completed
- *                     jobs are replayed, the rest re-run
- *   --jobs N          parallel forked job slots (default 1)
- *   --deadline S      per-attempt wall-clock deadline in seconds;
- *                     expired jobs are SIGKILLed (default 600)
- *   --retries N       max attempts per transiently-failing job (3)
- *   --backoff S       base retry backoff in seconds (default 0.25)
- *   --inject SPEC     test hook: job@action[@maxAttempt] provokes
- *                     `action` (hang | kill | input | watchdog) in
- *                     the named job's child for attempts up to
- *                     maxAttempt (default: all); repeatable
- *
- * run-soe options:
- *   --policy P        miss-only | fairness | timeshare | quota
- *   --F X             target fairness for the fairness policy (0.5)
- *   --tsquota N       cycle quantum for timeshare (2000)
- *   --iquota N        instruction quota for the quota policy (2000)
- *   --measured        use measured Miss_lat (Section 6 extension)
- *   --l1-switch       also switch on L1 misses (Section 6 extension)
- *   --windows         print the per-delta-window table
- *   --stats           dump the full statistics tree to stderr
- *   --retire-trace F  write a text retirement trace to file F
- *
- * analytic options:
- *   --ipc a,b[,c...]  per-thread IPC_no_miss (default 2.5,2.5)
- *   --ipm a,b[,c...]  per-thread instructions per miss (15000,1000)
- *   --F X             target fairness (sweeps 0,1/4,1/2,1 if absent)
- *   --misslat N       model Miss_lat (300)
- *   --swlat N         model Switch_lat (25)
+ * Every verb with its options and exit codes is declared once, in
+ * the registry in harness/cli_verbs.cc; `soefair_cli help [verb]`
+ * renders it. docs/robustness.md describes the failure taxonomy.
  */
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <optional>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <set>
 #include <sstream>
 
 #include "core/analytic.hh"
@@ -104,7 +36,6 @@
 #include "soe/policies.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
-#include "workload/trace_file.hh"
 
 using namespace soefair;
 using namespace soefair::harness;
@@ -141,14 +72,6 @@ runConfigFrom(const CliOptions &opts)
     if (opts.hasFlag("no-fastforward"))
         rc.fastForward = false;
     return rc;
-}
-
-ThreadSpec
-specFor(const std::string &name, std::uint64_t seed)
-{
-    if (name.rfind("trace:", 0) == 0)
-        return ThreadSpec::trace(name.substr(6));
-    return ThreadSpec::benchmark(name, seed);
 }
 
 /** Parse option `name` as a comma-separated list of finite
@@ -250,16 +173,20 @@ cmdRunSoe(const CliOptions &opts)
         return 2;
     }
 
+    // Resolve every benchmark name before the first reference run,
+    // so a bad name costs no simulation.
     std::vector<ThreadSpec> specs;
+    for (unsigned i = 0; i < n; ++i)
+        specs.push_back(ThreadSpec::benchmark(pos[1 + i], seed + i));
+
     std::vector<StRunResult> sts;
     for (unsigned i = 0; i < n; ++i) {
-        specs.push_back(specFor(pos[1 + i], seed + i));
         std::cerr << "[cli] reference run: " << pos[1 + i] << "\n";
         // Reference runs never dump stats or traces.
         RunConfig refRc = rc;
         refRc.statsDump = nullptr;
         refRc.retireTracePath.clear();
-        sts.push_back(runner.runSingleThread(specs.back(), refRc));
+        sts.push_back(runner.runSingleThread(specs[i], refRc));
     }
 
     std::cerr << "[cli] SOE run (" << policy->name() << ")\n";
@@ -306,28 +233,6 @@ cmdRunSoe(const CliOptions &opts)
     return 0;
 }
 
-int
-cmdRecordTrace(const CliOptions &opts)
-{
-    if (opts.positional().size() < 2) {
-        std::cerr << "record-trace needs a benchmark name\n";
-        return 2;
-    }
-    const std::string bench = opts.positional()[1];
-    const std::string out =
-        opts.getString("out", bench + ".soetrace");
-    const std::uint64_t instrs =
-        opts.getUint("instrs", 1000 * 1000);
-    workload::WorkloadGenerator gen(
-        workload::spec::byName(bench), 0, opts.getUint("seed", 1));
-    workload::TraceWriter writer(out, 0);
-    writer.record(gen, instrs);
-    writer.close();
-    std::cout << "wrote " << writer.written() << " ops to " << out
-              << "\n";
-    return 0;
-}
-
 /** One --inject spec: provoke `action` in `job`'s forked child for
  *  attempts up to `maxAttempt` (the supervisor test hook). */
 struct InjectSpec
@@ -337,8 +242,11 @@ struct InjectSpec
     unsigned maxAttempt = ~0u;
 };
 
+/** Parse every --inject spec; each must name one of `jobs`.
+ *  False after printing a usage error. */
 bool
-parseInjects(const CliOptions &opts, std::vector<InjectSpec> &out)
+parseInjects(const CliOptions &opts, const std::set<std::string> &jobs,
+             std::vector<InjectSpec> &out)
 {
     for (const auto &spec : opts.getStrings("inject")) {
         std::vector<std::string> parts;
@@ -346,6 +254,8 @@ parseInjects(const CliOptions &opts, std::vector<InjectSpec> &out)
         std::string item;
         while (std::getline(ss, item, '@'))
             parts.push_back(item);
+        if (!spec.empty() && spec.back() == '@')
+            parts.emplace_back(); // "job@hang@" has an empty count
         if (parts.size() < 2 || parts.size() > 3) {
             std::cerr << "--inject expects job@action[@maxAttempt], "
                       << "got '" << spec << "'\n";
@@ -354,6 +264,11 @@ parseInjects(const CliOptions &opts, std::vector<InjectSpec> &out)
         InjectSpec is;
         is.job = parts[0];
         is.action = parts[1];
+        if (!jobs.count(is.job)) {
+            std::cerr << "--inject: no job '" << is.job
+                      << "' in this campaign\n";
+            return false;
+        }
         if (is.action != "hang" && is.action != "kill" &&
             is.action != "input" && is.action != "watchdog") {
             std::cerr << "--inject action must be hang | kill | "
@@ -361,8 +276,20 @@ parseInjects(const CliOptions &opts, std::vector<InjectSpec> &out)
                       << "'\n";
             return false;
         }
-        if (parts.size() == 3)
-            is.maxAttempt = unsigned(std::atoi(parts[2].c_str()));
+        if (parts.size() == 3) {
+            // Up to 10 digits cannot overflow stoull; anything
+            // longer is above UINT_MAX anyway.
+            const std::string &n = parts[2];
+            const bool digits = !n.empty() && n.size() <= 10 &&
+                n.find_first_not_of("0123456789") == std::string::npos;
+            const unsigned long long v = digits ? std::stoull(n) : 0;
+            if (v == 0 || v > UINT_MAX) {
+                std::cerr << "--inject maxAttempt must be a positive "
+                          << "integer, got '" << n << "'\n";
+                return false;
+            }
+            is.maxAttempt = unsigned(v);
+        }
         out.push_back(std::move(is));
     }
     return true;
@@ -454,7 +381,7 @@ cmdSweep(const CliOptions &opts)
         return 2;
 
     std::vector<InjectSpec> injects;
-    if (!parseInjects(opts, injects))
+    if (!parseInjects(opts, campaign->jobIds(), injects))
         return 2;
 
     if (!injects.empty()) {
@@ -469,10 +396,35 @@ cmdSweep(const CliOptions &opts)
 
     SupervisorConfig scfg;
     scfg.deadlineSeconds = opts.getDouble("deadline", 600.0);
-    scfg.maxAttempts = unsigned(opts.getUint("retries", 3));
     scfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
-    scfg.jobSlots = unsigned(opts.getUint("jobs", 1));
     scfg.progress = &std::cerr;
+    // A count above UINT_MAX would wrap (2^32 retries -> 0).
+    auto countOpt = [&](const char *name, unsigned def,
+                        unsigned &field) {
+        const std::uint64_t v = opts.getUint(name, def);
+        if (v > UINT_MAX) {
+            std::cerr << "--" << name << " must be at most "
+                      << UINT_MAX << ", got " << v << "\n";
+            return false;
+        }
+        field = unsigned(v);
+        return true;
+    };
+    if (!countOpt("retries", 3, scfg.maxAttempts) ||
+        !countOpt("jobs", 1, scfg.jobSlots))
+        return 2;
+
+    // Open the CSV output before the campaign, so an unwritable
+    // path fails before any job runs.
+    const std::string out = opts.getString("out", "");
+    std::ofstream outFile;
+    if (!out.empty()) {
+        outFile.open(out);
+        if (!outFile) {
+            std::cerr << "cannot write '" << out << "'\n";
+            return 1;
+        }
+    }
 
     const bool resume = opts.hasOption("resume");
     const std::string journal = resume
@@ -481,16 +433,10 @@ cmdSweep(const CliOptions &opts)
 
     CampaignResult agg = campaign->run(scfg, journal, resume);
 
-    const std::string out = opts.getString("out", "");
     if (out.empty()) {
         writeCampaignCsv(std::cout, agg);
     } else {
-        std::ofstream os(out);
-        if (!os) {
-            std::cerr << "cannot write '" << out << "'\n";
-            return 1;
-        }
-        writeCampaignCsv(os, agg);
+        writeCampaignCsv(outFile, agg);
         std::cout << "wrote " << agg.results.size() << " pairs to "
                   << out << "\n";
     }
@@ -557,7 +503,6 @@ cmdFaults(const CliOptions &opts)
         ? opts.positional()[1]
         : "all";
     const std::uint64_t seed = opts.getUint("seed", 1);
-    const std::string dir = opts.getString("dir", ".");
 
     std::vector<soefair::sim::FaultClass> faults;
     if (which == "all") {
@@ -582,14 +527,14 @@ cmdFaults(const CliOptions &opts)
         }
         // The typed SimError escapes to main(), which maps it to
         // the class's exit code; completion means exit 0.
-        soefair::sim::provokeFault(faults[0], seed, dir);
+        soefair::sim::provokeFault(faults[0], seed);
         return 0;
     }
 
     TextTable t({"scenario", "expected exit", "result", "detail"});
     unsigned failed = 0;
     for (auto f : faults) {
-        auto rep = soefair::sim::runFaultScenario(f, seed, dir);
+        auto rep = soefair::sim::runFaultScenario(f, seed);
         if (!rep.passed)
             ++failed;
         // Keep the table single-line per scenario.
@@ -670,8 +615,6 @@ main(int argc, char **argv)
             return cmdRunSt(opts);
         if (cmd == "run-soe")
             return cmdRunSoe(opts);
-        if (cmd == "record-trace")
-            return cmdRecordTrace(opts);
         if (cmd == "sweep")
             return cmdSweep(opts);
         if (cmd == "analytic")
