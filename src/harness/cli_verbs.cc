@@ -113,11 +113,7 @@ buildVerbs()
                  {"--jobs N", "parallel forked job slots (default 1)"},
                  {"--deadline S",
                   "per-attempt wall-clock deadline in seconds "
-                  "(default 600)"},
-                 {"--retries N",
-                  "max attempts per transiently-failing job "
-                  "(default 3)"},
-                 {"--backoff S", "base retry backoff in seconds (0.25)"},
+                  "(default 600; 0 means no deadline)"},
                  {"--inject SPEC",
                   "test hook: job@action[@maxAttempt] provokes hang | "
                   "kill | input | watchdog in the job's child; "

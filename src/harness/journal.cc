@@ -50,12 +50,6 @@ field(const std::map<std::string, std::string> &fields,
 
 } // namespace
 
-std::string
-journalEscape(const std::string &s)
-{
-    return jsonlEscape(s);
-}
-
 JournalWriter::~JournalWriter()
 {
     close();
@@ -102,7 +96,7 @@ JournalWriter::create(const std::string &path, const std::string &key)
     }
     std::ostringstream os;
     os << "{\"journal\":\"soefair-sweep\",\"v\":" << journalVersion
-       << ",\"key\":\"" << journalEscape(key) << "\"}";
+       << ",\"key\":\"" << jsonlEscape(key) << "\"}";
     writeLine(jsonlSealLine(os.str()));
 }
 
@@ -170,14 +164,14 @@ void
 JournalWriter::append(const JournalRecord &rec)
 {
     std::ostringstream os;
-    os << "{\"job\":\"" << journalEscape(rec.job) << "\",\"state\":\""
-       << journalEscape(rec.state) << "\",\"attempt\":" << rec.attempt;
+    os << "{\"job\":\"" << jsonlEscape(rec.job) << "\",\"state\":\""
+       << jsonlEscape(rec.state) << "\",\"attempt\":" << rec.attempt;
     if (!rec.payload.empty() || rec.state == "done")
-        os << ",\"payload\":\"" << journalEscape(rec.payload) << "\"";
+        os << ",\"payload\":\"" << jsonlEscape(rec.payload) << "\"";
     if (!rec.errClass.empty())
-        os << ",\"class\":\"" << journalEscape(rec.errClass) << "\"";
+        os << ",\"class\":\"" << jsonlEscape(rec.errClass) << "\"";
     if (!rec.detail.empty())
-        os << ",\"detail\":\"" << journalEscape(rec.detail) << "\"";
+        os << ",\"detail\":\"" << jsonlEscape(rec.detail) << "\"";
     os << "}";
     writeLine(jsonlSealLine(os.str()));
 }

@@ -123,7 +123,8 @@ struct JournalState
     std::map<std::string, JournalRecord> done;
     /** Jobs whose *latest* record is `failed` (id -> record). */
     std::map<std::string, JournalRecord> failed;
-    /** Attempts started per job (max attempt seen in any record). */
+    /** Attempts started per job (max attempt seen in any record);
+     *  the supervisor runs a resumed job as the next one. */
     std::map<std::string, unsigned> attempts;
 };
 
@@ -147,9 +148,6 @@ JournalState loadJournal(const std::string &path,
                          bool tolerate_torn_tail,
                          const std::set<std::string> *known_jobs
                              = nullptr);
-
-/** Escape a string for embedding in a journal JSON line. */
-std::string journalEscape(const std::string &s);
 
 } // namespace harness
 } // namespace soefair

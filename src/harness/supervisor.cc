@@ -15,7 +15,6 @@
 
 #include "sim/errors.hh"
 #include "sim/logging.hh"
-#include "stats/statfmt.hh"
 
 namespace soefair
 {
@@ -66,12 +65,11 @@ struct Child
     std::string payload;
 };
 
-/** An attempt waiting for a slot (and possibly for its backoff). */
+/** An attempt waiting for a slot. */
 struct Pending
 {
     std::size_t jobIdx = 0;
     unsigned attempt = 1;
-    Clock::time_point eligible;
 };
 
 } // namespace
@@ -95,29 +93,12 @@ SweepSupervisor::classifyStatus(int status, bool deadline_kill)
     }
 }
 
-bool
-SweepSupervisor::isTransient(const std::string &fail_class)
-{
-    return fail_class == "estimator" || fail_class == "watchdog" ||
-           fail_class == "panic" || fail_class == "signal" ||
-           fail_class == "deadline" || fail_class == "fork";
-}
-
-double
-SweepSupervisor::backoffSeconds(double base, unsigned failed_attempt)
-{
-    if (failed_attempt == 0)
-        return 0.0;
-    return base * double(1ull << std::min(failed_attempt - 1, 62u));
-}
-
 std::vector<JobOutcome>
 SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
                      JournalWriter *journal,
                      const JournalState *prior)
 {
     const unsigned slots = std::max(1u, cfg.jobSlots);
-    const unsigned maxAttempts = std::max(1u, cfg.maxAttempts);
 
     std::vector<JobOutcome> outcomes(jobs.size());
     std::deque<Pending> pending;
@@ -125,6 +106,7 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         outcomes[i].id = jobs[i].id;
+        unsigned attempt = 1;
         if (prior) {
             auto it = prior->done.find(jobs[i].id);
             if (it != prior->done.end()) {
@@ -141,8 +123,11 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
                 }
                 continue;
             }
+            auto att = prior->attempts.find(jobs[i].id);
+            if (att != prior->attempts.end())
+                attempt = att->second + 1;
         }
-        pending.push_back({i, 1, Clock::now()});
+        pending.push_back({i, attempt});
     }
 
     auto journalAppend = [&](const JournalRecord &rec) {
@@ -185,8 +170,7 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
             logging::printLine(
                 *cfg.progress,
                 logging::formatMessage("[supervisor] ", job.id,
-                                       ": attempt ", p.attempt, "/",
-                                       maxAttempts));
+                                       ": attempt ", p.attempt));
         }
 
         int fds[2];
@@ -299,51 +283,17 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
         } else {
             detail = "status " + std::to_string(status);
         }
-
-        if (isTransient(cls) && c.attempt < maxAttempts) {
-            const double backoff =
-                backoffSeconds(cfg.backoffBaseSeconds, c.attempt);
-            if (cfg.progress) {
-                logging::printLine(
-                    *cfg.progress,
-                    logging::formatMessage(
-                        "[supervisor] ", jobs[c.jobIdx].id,
-                        ": transient failure (", cls, ", ", detail,
-                        "); retry in ",
-                        statistics::statfmt::csv(backoff), "s"));
-            }
-            Pending p;
-            p.jobIdx = c.jobIdx;
-            p.attempt = c.attempt + 1;
-            p.eligible = Clock::now() +
-                         std::chrono::microseconds(
-                             long(backoff * 1e6));
-            pending.push_back(p);
-        } else {
-            finishFailed(c.jobIdx, c.attempt, cls, detail);
-        }
+        finishFailed(c.jobIdx, c.attempt, cls, detail);
     };
 
     while (!pending.empty() || !running.empty()) {
-        // Launch eligible attempts into free slots, in queue order.
+        // Launch pending attempts into free slots, in job order.
         while (running.size() < slots && !pending.empty()) {
-            auto now = Clock::now();
-            auto it = pending.begin();
-            for (; it != pending.end(); ++it) {
-                if (it->eligible <= now)
-                    break;
-            }
-            if (it == pending.end())
-                break; // every pending attempt is backing off
-            Pending p = *it;
-            pending.erase(it);
-            launch(p);
+            launch(pending.front());
+            pending.pop_front();
         }
-
-        if (running.empty()) {
-            sleepMs(2); // waiting out a backoff
-            continue;
-        }
+        if (running.empty())
+            break; // nothing pending, and the last launches failed
 
         bool reaped = false;
         const auto now = Clock::now();

@@ -2,22 +2,17 @@
  * @file
  * Crash-isolated sweep supervisor.
  *
- * A campaign is a list of independent jobs. Each job attempt runs in
- * a forked child process under a wall-clock deadline (SIGKILL on
+ * A campaign is a list of independent jobs. Each job runs in a
+ * forked child process under a wall-clock deadline (SIGKILL on
  * expiry), so a crash, sanitizer abort, hang or OOM in one job can
  * never take down the campaign. The child's exit status is
- * classified against the SimError taxonomy:
- *
- *  - permanent (InputError 10, CheckpointError 13, untyped fatal 1,
- *    usage 2): the job is recorded as failed immediately — retrying
- *    deterministic bad input cannot help;
- *  - transient (EstimatorError 11, WatchdogTimeout 12, internal
- *    panic 3, death by any signal, deadline kill): the job is
- *    retried with exponential backoff, up to
- *    SupervisorConfig::maxAttempts. Retries pass a fresh 1-based
- *    attempt number to the job body so it can reseed itself
- *    ("jittered reseeding": a deterministic livelock at seed S may
- *    complete at a derived seed).
+ * classified against the SimError taxonomy, and a job that fails is
+ * recorded as failed with that class. A job gets one attempt per
+ * run: the simulator is deterministic, so running it again at the
+ * same seed reproduces a typed failure, and running it at another
+ * seed would compare a different instruction stream against the
+ * campaign's baselines. A failed job is re-run only by resuming the
+ * journal, at its own seed, as the next attempt number.
  *
  * Every transition is committed to a write-ahead JSONL journal
  * (see journal.hh) before the supervisor acts on it; resuming from
@@ -49,9 +44,9 @@ struct SupervisorJob
     std::string id;
     /**
      * Job body, executed in the forked child. Returns the result
-     * payload recorded in the journal. `attempt` is 1-based; retried
-     * attempts may use it to derive a jittered seed. Throwing a
-     * SimError exits the child with that class's exit code.
+     * payload recorded in the journal. `attempt` is 1-based and
+     * counts the job's runs across resumes of one journal. Throwing
+     * a SimError exits the child with that class's exit code.
      */
     std::function<std::string(unsigned attempt)> run;
 };
@@ -61,10 +56,6 @@ struct SupervisorConfig
     /** Wall-clock deadline per attempt; expired children get
      *  SIGKILL. <= 0 disables the deadline. */
     double deadlineSeconds = 600.0;
-    /** Max attempts per job with a transient failure (>= 1). */
-    unsigned maxAttempts = 3;
-    /** Backoff before retry k is base * 2^(k-2) seconds. */
-    double backoffBaseSeconds = 0.25;
     /** Concurrent forked children (the `--jobs N` slots). */
     unsigned jobSlots = 1;
     /** Optional stream for per-job progress lines. */
@@ -81,7 +72,7 @@ struct JobOutcome
     std::string payload;
     /** Failure class when !done: "input", "estimator", "watchdog",
      *  "checkpoint", "fatal", "usage", "panic", "signal",
-     *  "deadline" or "exit". */
+     *  "deadline", "fork" or "exit". */
     std::string failClass;
     std::string detail;
     unsigned attempts = 0;
@@ -98,8 +89,9 @@ class SweepSupervisor
      * Run every job to a final state; never throws because of a
      * job's behaviour. @param journal Optional write-ahead journal
      * (may be null in tests). @param prior Journal state from a
-     * previous campaign: its `done` jobs are skipped and replayed.
-     * Outcomes are returned in the jobs' order.
+     * previous campaign: its `done` jobs are skipped and replayed,
+     * and every other job runs as the attempt after the last one it
+     * recorded. Outcomes are returned in the jobs' order.
      */
     std::vector<JobOutcome> run(const std::vector<SupervisorJob> &jobs,
                                 JournalWriter *journal,
@@ -111,16 +103,6 @@ class SweepSupervisor
      * "" for success. Exposed for tests.
      */
     static std::string classifyStatus(int status, bool deadline_kill);
-
-    /** Whether a failure class is worth retrying. */
-    static bool isTransient(const std::string &fail_class);
-
-    /**
-     * Backoff before the retry that follows transient failure number
-     * `failed_attempt` (1-based): base * 2^(failed_attempt - 1)
-     * seconds. Exposed so tests can pin the schedule.
-     */
-    static double backoffSeconds(double base, unsigned failed_attempt);
 
   private:
     SupervisorConfig cfg;

@@ -22,12 +22,6 @@ pairSeed(unsigned idx)
     return deriveSeed(0x50EFA1Full, idx + 1);
 }
 
-std::uint64_t
-attemptSeed(std::uint64_t seed, unsigned attempt)
-{
-    return attempt <= 1 ? seed : deriveSeed(seed, 1000 + attempt);
-}
-
 const LevelResult &
 PairResult::level(double f) const
 {
@@ -305,9 +299,7 @@ SweepCampaign::jobs() const
                 hook(id, attempt);
             Runner runner(mc);
             StRunResult r = runner.runSingleThread(
-                ThreadSpec::benchmark(
-                    st.bench, attemptSeed(st.seed, attempt)),
-                rc);
+                ThreadSpec::benchmark(st.bench, st.seed), rc);
             return encodeStPayload(r);
         };
         out.push_back(std::move(j));
@@ -324,10 +316,8 @@ SweepCampaign::jobs() const
                     hook(id, attempt);
                 Runner runner(mc);
                 const std::vector<ThreadSpec> specs = {
-                    ThreadSpec::benchmark(
-                        a, attemptSeed(seedA, attempt)),
-                    ThreadSpec::benchmark(
-                        b, attemptSeed(seedB, attempt)),
+                    ThreadSpec::benchmark(a, seedA),
+                    ThreadSpec::benchmark(b, seedB),
                 };
                 SoeRunResult r;
                 if (f <= 0.0) {

@@ -93,17 +93,6 @@ class EvaluationSweep
  *  decorrelated streams, the paper's 1M-instruction offset). */
 std::uint64_t pairSeed(unsigned idx);
 
-/**
- * Jittered reseeding for retried attempts: attempt 1 runs at the
- * base seed, attempt k >= 2 at deriveSeed(seed, 1000 + k), so a
- * deterministic livelock at the base seed still has a chance to
- * complete on retry. Pinned by tests: the schedule is part of the
- * resume/replay determinism contract (a journaled result is only
- * substitutable for re-simulation if the re-simulation would have
- * used the same seed).
- */
-std::uint64_t attemptSeed(std::uint64_t seed, unsigned attempt);
-
 /** Write the per-level results as CSV (machine-readable sweeps). */
 void writePairResultsCsv(std::ostream &os,
                          const std::vector<PairResult> &results);
@@ -113,7 +102,7 @@ struct MissingCell
 {
     std::string pair;   ///< "a:b" label of the owning pair
     std::string what;   ///< "ST:<bench>" or "F=<level>"
-    std::string reason; ///< e.g. "watchdog after 3 attempt(s)"
+    std::string reason; ///< e.g. "watchdog after 1 attempt(s)"
 
     /** The explicit gap marker emitted in CSV/table output. */
     std::string marker() const

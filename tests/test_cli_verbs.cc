@@ -206,8 +206,9 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
     // leniently, "abc" would add an F = 0 cell, a level outside
     // [0, 1] would fail every job of its cell, and an unknown
     // benchmark would fail every job of its pair. An --inject that
-    // can never fire, or a count that would wrap to 0 in an
-    // unsigned field, is refused the same way.
+    // can never fire, a slot count that is 0 or would wrap to 0 in
+    // an unsigned field, a negative deadline and an option sweep
+    // does not have are refused the same way.
     const ScratchDir dir;
     const std::string journal = dir.path + "/sweep.journal";
     for (const char *selection :
@@ -228,7 +229,9 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
           "--pairs gcc:eon --levels 0 --inject st:gcc:1@input@1",
           "--pairs gcc:eon --levels 0 --inject nosuch@hang",
           "--pairs gcc:eon --levels 0 --jobs 4294967296",
-          "--pairs gcc:eon --levels 0 --retries 4294967296"}) {
+          "--pairs gcc:eon --levels 0 --jobs 0",
+          "--pairs gcc:eon --levels 0 --deadline -1",
+          "--pairs gcc:eon --levels 0 --retries 2"}) {
         EXPECT_EQ(cliExit(std::string("sweep ") + selection +
                           " --instrs 2000 --warmup 0 --journal " +
                           journal + " --out " + dir.path +

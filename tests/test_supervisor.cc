@@ -2,9 +2,9 @@
  * @file
  * Sweep supervisor tests: crash isolation (a job may hang, die on a
  * signal or throw any SimError without taking down the campaign),
- * permanent-vs-transient classification, retry with attempt-derived
- * reseeding, journal write-ahead/replay, one writer per journal, and
- * the golden guarantee that a supervised campaign reproduces the
+ * one attempt per job and run, journal write-ahead/replay, resume
+ * as the next attempt at the job's own seed, one writer per journal,
+ * and the golden guarantee that a supervised campaign reproduces the
  * in-process sweep's CSV byte for byte.
  */
 
@@ -27,7 +27,6 @@
 #include "harness/supervisor.hh"
 #include "harness/sweep.hh"
 #include "sim/errors.hh"
-#include "sim/random.hh"
 
 using namespace soefair;
 using namespace soefair::harness;
@@ -51,8 +50,6 @@ quickConfig()
 {
     SupervisorConfig cfg;
     cfg.deadlineSeconds = 30.0;
-    cfg.maxAttempts = 3;
-    cfg.backoffBaseSeconds = 0.01;
     return cfg;
 }
 
@@ -109,26 +106,47 @@ TEST(Supervisor, PermanentInputErrorFailsFastWithoutRetry)
     EXPECT_TRUE(outcomes[1].done);
 }
 
-TEST(Supervisor, TransientFailureRetriesThenSucceeds)
+TEST(Supervisor, FailedJobResumesAsTheNextAttempt)
 {
+    // A failed job is not retried within the run; resuming its
+    // journal runs it again as attempt 2.
+    TempJournal tj("next_attempt");
+    const auto flaky = job("flaky", [](unsigned attempt) -> std::string {
+        if (attempt < 2)
+            raiseError<WatchdogTimeout>("injected livelock");
+        return "recovered@" + std::to_string(attempt);
+    });
+    {
+        JournalWriter w;
+        w.create(tj.path, "key");
+        SweepSupervisor sup(quickConfig());
+        auto outcomes = sup.run({flaky}, &w);
+        w.close();
+        EXPECT_FALSE(outcomes[0].done);
+        EXPECT_EQ(outcomes[0].failClass, "watchdog");
+        EXPECT_EQ(outcomes[0].attempts, 1u);
+    }
+
+    auto st = loadJournal(tj.path, "key", false);
+    EXPECT_EQ(st.failed.at("flaky").attempt, 1u);
+    EXPECT_EQ(st.attempts.at("flaky"), 1u);
+
+    JournalWriter w;
+    w.openAppend(tj.path);
     SweepSupervisor sup(quickConfig());
-    auto outcomes = sup.run(
-        {job("flaky", [](unsigned attempt) -> std::string {
-            if (attempt < 2)
-                raiseError<WatchdogTimeout>("injected livelock");
-            return "recovered@" + std::to_string(attempt);
-        })},
-        nullptr);
+    auto outcomes = sup.run({flaky}, &w, &st);
+    w.close();
     EXPECT_TRUE(outcomes[0].done);
+    EXPECT_FALSE(outcomes[0].fromJournal);
     EXPECT_EQ(outcomes[0].attempts, 2u);
     EXPECT_EQ(outcomes[0].payload, "recovered@2");
+    EXPECT_EQ(loadJournal(tj.path, "key", false).done.at("flaky").attempt,
+              2u);
 }
 
 TEST(Supervisor, SignalDeathIsRetriedThenRecordedAsFailed)
 {
-    auto cfg = quickConfig();
-    cfg.maxAttempts = 2;
-    SweepSupervisor sup(cfg);
+    SweepSupervisor sup(quickConfig());
     auto outcomes = sup.run(
         {job("crasher",
              [](unsigned) -> std::string {
@@ -139,7 +157,7 @@ TEST(Supervisor, SignalDeathIsRetriedThenRecordedAsFailed)
         nullptr);
     EXPECT_FALSE(outcomes[0].done);
     EXPECT_EQ(outcomes[0].failClass, "signal");
-    EXPECT_EQ(outcomes[0].attempts, 2u);
+    EXPECT_EQ(outcomes[0].attempts, 1u);
     EXPECT_TRUE(outcomes[1].done);
 }
 
@@ -147,7 +165,6 @@ TEST(Supervisor, HangingJobIsKilledAtTheDeadline)
 {
     auto cfg = quickConfig();
     cfg.deadlineSeconds = 0.25;
-    cfg.maxAttempts = 2;
     SweepSupervisor sup(cfg);
     auto outcomes = sup.run(
         {job("hung",
@@ -156,7 +173,7 @@ TEST(Supervisor, HangingJobIsKilledAtTheDeadline)
         nullptr);
     EXPECT_FALSE(outcomes[0].done);
     EXPECT_EQ(outcomes[0].failClass, "deadline");
-    EXPECT_EQ(outcomes[0].attempts, 2u);
+    EXPECT_EQ(outcomes[0].attempts, 1u);
     EXPECT_TRUE(outcomes[1].done);
 }
 
@@ -223,51 +240,6 @@ TEST(Supervisor, JournalCommitsTransitionsAndResumeReplays)
 
     auto st2 = loadJournal(tj.path, "key", false);
     EXPECT_EQ(st2.done.at("perm").payload, "fixed");
-}
-
-TEST(Supervisor, BackoffScheduleIsPinned)
-{
-    // The supervisor's exponential backoff schedule: base * 2^(k-1)
-    // seconds after transient failure k. Pinned so a change is a
-    // conscious decision, not an accident.
-    EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 0), 0.0);
-    EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 1), 0.25);
-    EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 2), 0.5);
-    EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 3), 1.0);
-    EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(0.25, 4), 2.0);
-    EXPECT_DOUBLE_EQ(SweepSupervisor::backoffSeconds(1.0, 3), 4.0);
-    // Huge attempt counts saturate instead of overflowing.
-    EXPECT_GT(SweepSupervisor::backoffSeconds(1.0, 200), 0.0);
-}
-
-TEST(Supervisor, AttemptSeedReseedingIsPinned)
-{
-    // Jittered reseeding is part of the resume/replay determinism
-    // contract: attempt 1 runs the base seed, attempt k >= 2 runs
-    // deriveSeed(seed, 1000 + k). Cached and journaled results are
-    // only substitutable for re-simulation because this schedule
-    // never changes.
-    const std::uint64_t seed = 12345;
-    EXPECT_EQ(attemptSeed(seed, 1), seed);
-    EXPECT_EQ(attemptSeed(seed, 2), deriveSeed(seed, 1002));
-    EXPECT_EQ(attemptSeed(seed, 3), deriveSeed(seed, 1003));
-    EXPECT_EQ(attemptSeed(seed, 7), deriveSeed(seed, 1007));
-    // Distinct attempts must get distinct streams.
-    EXPECT_NE(attemptSeed(seed, 2), seed);
-    EXPECT_NE(attemptSeed(seed, 2), attemptSeed(seed, 3));
-}
-
-TEST(Supervisor, TransientClassification)
-{
-    EXPECT_TRUE(SweepSupervisor::isTransient("watchdog"));
-    EXPECT_TRUE(SweepSupervisor::isTransient("estimator"));
-    EXPECT_TRUE(SweepSupervisor::isTransient("signal"));
-    EXPECT_TRUE(SweepSupervisor::isTransient("deadline"));
-    EXPECT_TRUE(SweepSupervisor::isTransient("panic"));
-    EXPECT_FALSE(SweepSupervisor::isTransient("input"));
-    EXPECT_FALSE(SweepSupervisor::isTransient("checkpoint"));
-    EXPECT_FALSE(SweepSupervisor::isTransient("fatal"));
-    EXPECT_FALSE(SweepSupervisor::isTransient("usage"));
 }
 
 namespace
@@ -361,6 +333,47 @@ TEST(SweepCampaign, MissingCellsAreExplicitAndExitCodesDistinct)
     EXPECT_TRUE(agg2.complete());
     EXPECT_EQ(agg2.exitCode(), 0);
     ASSERT_EQ(agg2.results.size(), 1u);
+}
+
+TEST(SweepCampaign, KilledBaselineIsMissingAndResumesAtItsOwnSeed)
+{
+    const std::vector<double> levels = {0.0};
+    const auto mc = MachineConfig::benchDefault();
+    EvaluationSweep sweep(mc, tinyRun());
+    std::ostringstream refCsv;
+    writePairResultsCsv(refCsv, {sweep.runPair("gcc", "eon", levels)});
+
+    // SIGKILL gcc's baseline on its first attempt only. The run
+    // must not re-run it (at any seed): the cell and the SOE cell
+    // that needs it are visible gaps.
+    SweepCampaign campaign(mc, tinyRun(), {{"gcc", "eon"}}, levels);
+    const std::string killed =
+        SweepCampaign::stJobId("gcc", pairSeed(0));
+    campaign.setAttemptHook(
+        [killed](const std::string &id, unsigned attempt) {
+            if (id == killed && attempt == 1)
+                raise(SIGKILL);
+        });
+
+    TempJournal tj("killed_baseline");
+    auto agg = campaign.run(quickConfig(), tj.path, /*resume=*/false);
+    std::ostringstream csv;
+    writeCampaignCsv(csv, agg);
+    EXPECT_NE(csv.str().find(
+                  "MISSING(gcc:eon,ST:gcc,signal after 1 attempt(s))"),
+              std::string::npos)
+        << csv.str();
+    EXPECT_NE(csv.str().find("MISSING(gcc:eon,F=0,baseline missing)"),
+              std::string::npos)
+        << csv.str();
+
+    // Resuming with the same hook runs the baseline as attempt 2 at
+    // its own seed: the CSV is the in-process sweep's, byte for byte.
+    auto agg2 = campaign.run(quickConfig(), tj.path, /*resume=*/true);
+    EXPECT_TRUE(agg2.complete());
+    std::ostringstream resCsv;
+    writeCampaignCsv(resCsv, agg2);
+    EXPECT_EQ(refCsv.str(), resCsv.str());
 }
 
 TEST(SweepCampaign, ConcurrentRunsOnOneJournalTakeTurns)

@@ -44,14 +44,12 @@ Stats determinism:
   STAT-002 each statistics counter (parent, "name", "desc") is
            registered at most once per (parent, name) in a file.
 
-Backends
+Analysis
 --------
-The default backend is a dependency-free token analysis: comments and
-string literals are stripped (line-preserving, CRLF- and raw-string-
-literal-aware), then rule matchers run over the token text; member
-rules use a brace-tracking class parser. When the `clang` Python
-package (libclang) is importable, the member-level rules are
-additionally cross-checked on the real AST via `--backend libclang`.
+A dependency-free token analysis: comments and string literals are
+stripped (line-preserving, CRLF- and raw-string-literal-aware), then
+rule matchers run over the token text; member rules use a
+brace-tracking class parser. The same rules run on every machine.
 
 Cross-file rules (ERR-002/ERR-003, the STAT-001 float registry) run
 on a tree context built from the scanned file set; they anchor on the
@@ -1292,99 +1290,6 @@ def check_err003(ctx: TreeContext, records):
             "codes are undocumented")
 
 
-# --- libclang backend (optional cross-check) ------------------------
-
-
-def libclang_available() -> bool:
-    try:
-        import clang.cindex  # noqa: F401
-        return True
-    except Exception:
-        return False
-
-
-def check_file_libclang(root, relpath, compile_db):
-    """AST-based member checks (DET-004). Best-effort:
-    any libclang failure returns None so the caller falls back to
-    the token backend."""
-    try:
-        import clang.cindex as ci
-        index = ci.Index.create()
-        args = ["-std=c++20", f"-I{os.path.join(root, 'src')}"]
-        if compile_db:
-            try:
-                db = ci.CompilationDatabase.fromDirectory(compile_db)
-                cmds = db.getCompileCommands(
-                    os.path.join(root, relpath))
-                if cmds:
-                    args = [a for a in list(cmds[0].arguments)[1:-1]
-                            if a != "-c" and not a.endswith(".cc")]
-            except Exception:
-                pass
-        tu = index.parse(os.path.join(root, relpath), args=args)
-        findings = []
-
-        def record_is_aggregate(cursor):
-            import clang.cindex as cci
-            for ch in cursor.get_children():
-                if ch.kind in (cci.CursorKind.CONSTRUCTOR,
-                               cci.CursorKind.DESTRUCTOR):
-                    return False
-            return True
-
-        def walk(cursor):
-            import clang.cindex as cci
-            for ch in cursor.get_children():
-                loc = ch.location
-                if (loc.file and
-                        os.path.abspath(str(loc.file)) ==
-                        os.path.abspath(
-                            os.path.join(root, relpath))):
-                    if ch.kind in (cci.CursorKind.STRUCT_DECL,
-                                   cci.CursorKind.CLASS_DECL) and \
-                            ch.is_definition():
-                        aggregate = record_is_aggregate(ch)
-                        for f_ in ch.get_children():
-                            if f_.kind != cci.CursorKind.FIELD_DECL:
-                                continue
-                            t = f_.type
-                            scalarish = t.kind in (
-                                cci.TypeKind.BOOL, cci.TypeKind.INT,
-                                cci.TypeKind.UINT, cci.TypeKind.LONG,
-                                cci.TypeKind.ULONG,
-                                cci.TypeKind.LONGLONG,
-                                cci.TypeKind.ULONGLONG,
-                                cci.TypeKind.SHORT,
-                                cci.TypeKind.USHORT,
-                                cci.TypeKind.CHAR_S,
-                                cci.TypeKind.UCHAR,
-                                cci.TypeKind.FLOAT,
-                                cci.TypeKind.DOUBLE,
-                                cci.TypeKind.POINTER,
-                                cci.TypeKind.ENUM,
-                                cci.TypeKind.TYPEDEF,
-                            )
-                            has_init = any(
-                                True for _ in f_.get_children())
-                            if (aggregate and scalarish and
-                                    not has_init and
-                                    rule_applies("DET-004",
-                                                 relpath)):
-                                findings.append(Finding(
-                                    relpath, f_.location.line,
-                                    "DET-004",
-                                    f"scalar member "
-                                    f"'{ch.spelling}::{f_.spelling}'"
-                                    " of an aggregate has no "
-                                    "initializer (libclang)"))
-                walk(ch)
-
-        walk(tu.cursor)
-        return findings
-    except Exception:
-        return None
-
-
 # --- scoping --------------------------------------------------------
 
 
@@ -1445,8 +1350,7 @@ def load_record(root: str, relpath: str) -> FileRecord | None:
                       stripped_keep=stripped_keep)
 
 
-def check_record(rec: FileRecord, root: str, backend: str,
-                 compile_db, ctx: TreeContext):
+def check_record(rec: FileRecord, ctx: TreeContext):
     """All per-file rules for one record (unfiltered by allow()
     directives; the caller filters)."""
     relpath = rec.relpath
@@ -1468,25 +1372,12 @@ def check_record(rec: FileRecord, root: str, backend: str,
         findings.extend(check_ff001(relpath, rec.stripped))
     if rule_applies("FF-002", relpath):
         findings.extend(check_ff002(relpath, rec.stripped))
-
-    member_findings = None
-    if backend == "libclang":
-        member_findings = check_file_libclang(root, relpath,
-                                              compile_db)
-        if member_findings is None:
-            print(f"detlint: libclang failed on {relpath}; "
-                  "falling back to the token backend",
-                  file=sys.stderr)
-    if member_findings is None:
-        member_findings = []
-        if rule_applies("DET-004", relpath):
-            member_findings.extend(check_det004(relpath,
-                                                rec.stripped))
-    findings.extend(member_findings)
+    if rule_applies("DET-004", relpath):
+        findings.extend(check_det004(relpath, rec.stripped))
     return findings
 
 
-def scan_tree(root: str, relpaths, backend: str, compile_db):
+def scan_tree(root: str, relpaths):
     """Load every file, run per-file rules, then the cross-file
     rules. Returns (findings, records); findings are filtered
     through skip-file/allow directives and sorted."""
@@ -1502,8 +1393,7 @@ def scan_tree(root: str, relpaths, backend: str, compile_db):
     for rec in records:
         if rec.directives.skip_file:
             continue
-        findings.extend(check_record(rec, root, backend,
-                                     compile_db, ctx))
+        findings.extend(check_record(rec, ctx))
     findings.extend(check_err002(ctx, records))
     findings.extend(check_err003(ctx, records))
 
@@ -1517,11 +1407,10 @@ def scan_tree(root: str, relpaths, backend: str, compile_db):
     return findings, records
 
 
-def check_file(root: str, relpath: str, backend: str,
-               compile_db):
+def check_file(root: str, relpath: str):
     """Single-file convenience entry point (per-file rules only;
     cross-file rules need scan_tree)."""
-    findings, _ = scan_tree(root, [relpath], backend, compile_db)
+    findings, _ = scan_tree(root, [relpath])
     return findings
 
 
@@ -1613,11 +1502,10 @@ def load_baseline(path: str):
     return entries
 
 
-def write_json_report(path, root, backend, findings, new, fixed):
+def write_json_report(path, root, findings, new, fixed):
     report = {
         "tool": "detlint",
         "root": os.path.abspath(root),
-        "backend": backend,
         "rules": RULES,
         "counts": {
             "total": len(findings),
@@ -1679,14 +1567,6 @@ def main(argv=None) -> int:
                          "from this script)")
     ap.add_argument("--baseline", default=None,
                     help="baseline file of grandfathered findings")
-    ap.add_argument("--backend",
-                    choices=("auto", "text", "libclang"),
-                    default="auto",
-                    help="analysis backend (auto prefers libclang "
-                         "when importable)")
-    ap.add_argument("--compile-db", default=None,
-                    help="directory holding compile_commands.json "
-                         "(libclang backend)")
     ap.add_argument("--list-rules", action="store_true")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite the baseline with current findings")
@@ -1709,22 +1589,13 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    backend = args.backend
-    if backend == "auto":
-        backend = "libclang" if libclang_available() else "text"
-    if backend == "libclang" and not libclang_available():
-        print("detlint: libclang backend requested but the 'clang' "
-              "python package is not importable", file=sys.stderr)
-        return 2
-
     if args.files:
         relpaths = [os.path.relpath(os.path.abspath(f), root)
                     for f in args.files]
     else:
         relpaths = discover_files(root)
 
-    findings, _records = scan_tree(root, relpaths, backend,
-                                   args.compile_db)
+    findings, _records = scan_tree(root, relpaths)
 
     if args.fix:
         fixed, unfixable = apply_fixes(root, findings)
@@ -1754,8 +1625,7 @@ def main(argv=None) -> int:
     fixed = sorted(baseline - set(formatted))
 
     if args.json:
-        write_json_report(args.json, root, backend, findings, new,
-                          fixed)
+        write_json_report(args.json, root, findings, new, fixed)
     write_step_summary(new, fixed)
 
     if fixed:
@@ -1771,7 +1641,7 @@ def main(argv=None) -> int:
         print("detlint: fix them or (sparingly) baseline them",
               file=sys.stderr)
         return 1
-    print(f"detlint[{backend}]: clean ({len(formatted)} finding(s), "
+    print(f"detlint: clean ({len(formatted)} finding(s), "
           f"all baselined; {len(relpaths)} file(s))")
     return 0
 

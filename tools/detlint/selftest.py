@@ -6,10 +6,7 @@ tools/detlint/fixtures/. The bad fixtures mark every seeded violation
 with a ``// BAD`` comment; the golden expectation is derived from
 those markers, so fixture and expectation cannot drift apart. The
 fixtures are copied into a temporary tree at paths inside each rule's
-scope (detlint scoping is path-based), then scanned with the text
-backend — the one that must work everywhere, including containers
-without clang. When libclang is importable the bad fixtures are
-additionally cross-checked against the AST backend.
+scope (detlint scoping is path-based), then scanned.
 
 Run directly (``python3 tools/detlint/selftest.py``) or via ctest
 (``detlint_selftest``).
@@ -82,23 +79,22 @@ class TreeFixture(unittest.TestCase):
     def tearDownClass(cls):
         shutil.rmtree(cls.root, ignore_errors=True)
 
-    def scan(self, relpath, backend="text"):
-        return detlint.check_file(self.root, relpath, backend, None)
+    def scan(self, relpath):
+        return detlint.check_file(self.root, relpath)
 
 
 class BadFixturesFire(TreeFixture):
     """Every seeded violation produces exactly one finding of the
     fixture's rule, at the marked line, and nothing else."""
 
-    def assert_golden(self, fixture, backend="text"):
+    def assert_golden(self, fixture):
         dest, rule = PLACEMENTS[fixture]
-        findings = self.scan(dest, backend=backend)
+        findings = self.scan(dest)
         got = sorted((f.rule, f.line) for f in findings)
         want = sorted((rule, ln) for ln in golden_lines(fixture))
         self.assertEqual(
             got, want,
-            f"{fixture} [{backend}]: findings do not match the "
-            f"// BAD markers")
+            f"{fixture}: findings do not match the // BAD markers")
 
     def test_det001(self):
         self.assert_golden("det001_bad.cc")
@@ -235,7 +231,7 @@ class TreeRules(unittest.TestCase):
             with open(full, "w", encoding="utf-8") as f:
                 f.write(text)
         findings, _records = detlint.scan_tree(
-            root, sorted(mapping.values()), "text", None)
+            root, sorted(mapping.values()))
         return findings
 
     def test_clean_tree_is_silent(self):
@@ -303,7 +299,7 @@ class TreeRules(unittest.TestCase):
         os.makedirs(os.path.dirname(full), exist_ok=True)
         with open(full, "w", encoding="utf-8") as f:
             f.write(broken)
-        findings = detlint.check_file(root, dest, "text", None)
+        findings = detlint.check_file(root, dest)
         self.assertEqual(["FF-002"], [f.rule for f in findings])
         self.assertEqual(
             line_containing(broken, "fullStallCycles += 1;"),
@@ -326,7 +322,7 @@ class CrlfRegression(unittest.TestCase):
             crlf = fixture_text(fixture).replace("\n", "\r\n")
             with open(full, "w", encoding="utf-8", newline="") as f:
                 f.write(crlf)
-            findings = detlint.check_file(root, dest, "text", None)
+            findings = detlint.check_file(root, dest)
             got = sorted((f.rule, f.line) for f in findings)
             want = sorted((rule, ln) for ln in golden_lines(fixture))
             self.assertEqual(
@@ -362,7 +358,7 @@ class AutofixMode(unittest.TestCase):
 
     def test_fix_initializers(self):
         root, dest, full = self.make_tree(self.SRC)
-        before = detlint.check_file(root, dest, "text", None)
+        before = detlint.check_file(root, dest)
         self.assertEqual(["DET-004"] * 4, [f.rule for f in before])
         fixed, unfixable = detlint.apply_fixes(root, before)
         self.assertEqual(4, fixed)
@@ -374,16 +370,16 @@ class AutofixMode(unittest.TestCase):
         self.assertIn("bool valid = false;", text)
         self.assertIn("void *cookie = nullptr;", text)
         self.assertEqual(
-            [], detlint.check_file(root, dest, "text", None))
+            [], detlint.check_file(root, dest))
 
     def test_fix_is_idempotent(self):
         root, dest, full = self.make_tree(self.SRC)
         detlint.apply_fixes(
-            root, detlint.check_file(root, dest, "text", None))
+            root, detlint.check_file(root, dest))
         with open(full, encoding="utf-8", newline="") as f:
             once = f.read()
         fixed, unfixable = detlint.apply_fixes(
-            root, detlint.check_file(root, dest, "text", None))
+            root, detlint.check_file(root, dest))
         self.assertEqual(0, fixed)
         with open(full, encoding="utf-8", newline="") as f:
             twice = f.read()
@@ -394,7 +390,7 @@ class AutofixMode(unittest.TestCase):
         crlf = self.SRC.replace("\n", "\r\n")
         root, dest, full = self.make_tree(crlf)
         detlint.apply_fixes(
-            root, detlint.check_file(root, dest, "text", None))
+            root, detlint.check_file(root, dest))
         with open(full, encoding="utf-8", newline="") as f:
             text = f.read()
         self.assertNotIn("\n", text.replace("\r\n", ""),
@@ -417,9 +413,8 @@ class ReportArtifacts(unittest.TestCase):
         self.baseline = os.path.join(self.root, "baseline.txt")
 
     def run_main(self, *extra):
-        return detlint.main(["--root", self.root, "--backend",
-                             "text", "--baseline", self.baseline,
-                             *extra])
+        return detlint.main(["--root", self.root,
+                             "--baseline", self.baseline, *extra])
 
     def test_json_report(self):
         import json
@@ -428,7 +423,6 @@ class ReportArtifacts(unittest.TestCase):
         with open(path, encoding="utf-8") as f:
             report = json.load(f)
         self.assertEqual("detlint", report["tool"])
-        self.assertEqual("text", report["backend"])
         self.assertIn("ERR-001", report["rules"])
         self.assertEqual(len(golden_lines("err001_bad.cc")),
                          report["counts"]["total"])
@@ -473,7 +467,7 @@ class BaselineGate(unittest.TestCase):
         shutil.rmtree(self.root, ignore_errors=True)
 
     def run_main(self, *extra):
-        return detlint.main(["--root", self.root, "--backend", "text",
+        return detlint.main(["--root", self.root,
                              "--baseline", self.baseline, *extra])
 
     def test_new_findings_fail(self):
@@ -501,21 +495,6 @@ class BaselineGate(unittest.TestCase):
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
         self.assertEqual(0, self.run_main())
-
-
-@unittest.skipUnless(detlint.libclang_available(),
-                     "libclang python bindings not importable")
-class LibclangCrossCheck(TreeFixture):
-    """Best-effort AST backend must agree on the seeded call-site
-    rules (DET-001/002/003 are token-identical across backends)."""
-
-    def test_det001(self):
-        BadFixturesFire.assert_golden(
-            self, "det001_bad.cc", backend="libclang")
-
-    def test_det002(self):
-        BadFixturesFire.assert_golden(
-            self, "det002_bad.cc", backend="libclang")
 
 
 if __name__ == "__main__":

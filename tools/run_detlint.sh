@@ -5,7 +5,7 @@
 # docs/correctness.md) over the tree and diff the findings against
 # the checked-in baseline (tools/detlint/baseline.txt).
 #
-#   tools/run_detlint.sh [--backend auto|text|libclang] [extra args]
+#   tools/run_detlint.sh [extra args]
 #
 # Useful extra args (passed straight through to detlint.py):
 #   --fix                      rewrite mechanically fixable findings
@@ -16,9 +16,9 @@
 # Exit status (mirrors tools/run_lint.sh):
 #   0  no findings beyond the baseline
 #   1  new findings (printed)
-#   2  setup failure (no python3, bad backend)
+#   2  setup failure (no python3)
 #
-# The text backend needs only python3, so unlike the clang-tidy gate
+# detlint needs only python3, so unlike the clang-tidy gate
 # this one never skips: every environment that can run the tests can
 # run detlint. To accept a finding as grandfathered, append its line
 # to tools/detlint/baseline.txt. Prefer fixing over baselining.

@@ -13,7 +13,8 @@
 #      or unseeded randomness anywhere in the harness);
 #   4. a smoke SOE run on the same binary emits no NaN;
 #   5. the sweep supervisor survives hangs, torn journals and
-#      SIGKILL, and refuses a journal of another campaign (exit 13)
+#      SIGKILL, re-runs a killed job only on --resume and at its own
+#      seed, and refuses a journal of another campaign (exit 13)
 #      without touching it.
 #
 # Usage: tools/run_faults.sh [build-dir]   (default: build)
@@ -126,7 +127,7 @@ fi
 # (4-5x a healthy ASan job) and everything else 120 s.
 
 SWEEP_ENV="env SOEFAIR_SCALE=0.02"
-SWEEP_ARGS="sweep --pairs gcc:eon --levels 0,0.5 --retries 2 --backoff 0.1"
+SWEEP_ARGS="sweep --pairs gcc:eon --levels 0,0.5"
 SWEEP_DEADLINE=120
 
 # Uninterrupted reference campaign.
@@ -140,9 +141,9 @@ else
     echo "ok: supervisor reference sweep complete"
 fi
 
-# 5a. Busy-hang past the deadline: the injected job must be killed,
-# retried, then recorded as MISSING; the campaign still finishes the
-# other cells and exits with the partial-results code. A --resume
+# 5a. Busy-hang past the deadline: the injected job must be killed
+# at the deadline and recorded as MISSING; the campaign still finishes
+# the other cells and exits with the partial-results code. A --resume
 # without the injection completes it, byte-identical to the reference.
 hangcsv="$SCRATCH/sweep_hang.csv"
 hj="$SCRATCH/hang.journal"
@@ -236,6 +237,39 @@ elif ! cmp -s "$SCRATCH/ref.journal.before" "$mj"; then
     fail "supervisor mismatch: the refused journal was modified"
 else
     echo "ok: supervisor refuses another campaign's journal untouched"
+fi
+
+# 5e. A baseline killed on its first attempt is not re-run (at any
+# seed) within the run: its cell and the pair's SOE cells are MISSING,
+# and with the only pair's row gone the campaign exits 21 (nothing
+# completed). A --resume with the same --inject runs the baseline as
+# attempt 2 at its own seed and must reproduce the reference CSV.
+stjob=$(grep -o '"job":"st:gcc:[0-9]*"' "$SCRATCH/ref.journal" | head -n 1 \
+        | sed 's/^"job":"//; s/"$//')
+bj="$SCRATCH/baseline.journal"
+basecsv="$SCRATCH/sweep_baseline.csv"
+timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" $SWEEP_ARGS \
+    --deadline "$SWEEP_DEADLINE" --inject "$stjob@kill@1" \
+    --journal "$bj" --out "$basecsv" >/dev/null 2>&1
+got=$?
+baseres="$SCRATCH/sweep_baseline_resumed.csv"
+if [ -z "$stjob" ]; then
+    fail "supervisor baseline kill: no st:gcc job in the reference journal"
+elif [ "$got" -ne 21 ]; then
+    fail "supervisor baseline kill: exit $got, expected 21"
+elif ! grep -q 'MISSING(gcc:eon,ST:gcc,signal after 1 attempt(s))' \
+        "$basecsv"; then
+    fail "supervisor baseline kill: no MISSING(ST:gcc) marker in CSV"
+    sed 's/^/    /' "$basecsv" >&2
+elif ! timeout "$TIMEOUT_S" $SWEEP_ENV "$CLI" $SWEEP_ARGS \
+        --deadline "$SWEEP_DEADLINE" --inject "$stjob@kill@1" \
+        --resume "$bj" --out "$baseres" >/dev/null 2>&1; then
+    fail "supervisor baseline kill: --resume exited nonzero"
+elif ! cmp -s "$ref" "$baseres"; then
+    fail "supervisor baseline kill: resumed CSV differs from reference"
+    diff "$ref" "$baseres" | sed 's/^/    /' >&2
+else
+    echo "ok: supervisor killed baseline is MISSING, resume matches reference"
 fi
 
 # --------------------------------------------------------------------

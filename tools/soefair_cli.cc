@@ -234,7 +234,8 @@ cmdRunSoe(const CliOptions &opts)
 }
 
 /** One --inject spec: provoke `action` in `job`'s forked child for
- *  attempts up to `maxAttempt` (the supervisor test hook). */
+ *  attempts up to `maxAttempt`, counted across resumes of one
+ *  journal (the supervisor test hook). */
 struct InjectSpec
 {
     std::string job;
@@ -396,23 +397,20 @@ cmdSweep(const CliOptions &opts)
 
     SupervisorConfig scfg;
     scfg.deadlineSeconds = opts.getDouble("deadline", 600.0);
-    scfg.backoffBaseSeconds = opts.getDouble("backoff", 0.25);
-    scfg.progress = &std::cerr;
-    // A count above UINT_MAX would wrap (2^32 retries -> 0).
-    auto countOpt = [&](const char *name, unsigned def,
-                        unsigned &field) {
-        const std::uint64_t v = opts.getUint(name, def);
-        if (v > UINT_MAX) {
-            std::cerr << "--" << name << " must be at most "
-                      << UINT_MAX << ", got " << v << "\n";
-            return false;
-        }
-        field = unsigned(v);
-        return true;
-    };
-    if (!countOpt("retries", 3, scfg.maxAttempts) ||
-        !countOpt("jobs", 1, scfg.jobSlots))
+    if (scfg.deadlineSeconds < 0.0) {
+        std::cerr << "--deadline must be >= 0 (0 means no deadline), "
+                  << "got " << scfg.deadlineSeconds << "\n";
         return 2;
+    }
+    // A count above UINT_MAX would wrap (2^32 slots -> 0).
+    const std::uint64_t slots = opts.getUint("jobs", 1);
+    if (slots == 0 || slots > UINT_MAX) {
+        std::cerr << "--jobs must lie in [1, " << UINT_MAX << "], got "
+                  << slots << "\n";
+        return 2;
+    }
+    scfg.jobSlots = unsigned(slots);
+    scfg.progress = &std::cerr;
 
     // Open the CSV output before the campaign, so an unwritable
     // path fails before any job runs.
