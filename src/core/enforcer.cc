@@ -15,8 +15,7 @@ namespace core
 
 FairnessEnforcer::FairnessEnforcer(double target_fairness,
                                    double miss_lat,
-                                   unsigned num_threads,
-                                   const GuardrailConfig &guard_cfg)
+                                   unsigned num_threads)
     : target(target_fairness), missLat(miss_lat)
 {
     if (!(target >= 0.0 && target <= 1.0)) {
@@ -27,14 +26,8 @@ FairnessEnforcer::FairnessEnforcer(double target_fairness,
         raiseError<InputError>("bad miss latency: ", missLat);
     if (num_threads < 1)
         raiseError<InputError>("need at least one thread");
-    if (guard_cfg.decay <= 0.0 || guard_cfg.decay > 1.0) {
-        raiseError<InputError>("guardrail decay must be in (0,1]: ",
-                               guard_cfg.decay);
-    }
-    if (guard_cfg.zBand <= 0.0)
-        raiseError<InputError>("guardrail z-band must be positive");
     latest.resize(num_threads);
-    guards.assign(num_threads, EstimatorGuard(guard_cfg));
+    guards.resize(num_threads);
 }
 
 std::vector<double>
@@ -59,7 +52,6 @@ FairnessEnforcer::recompute(const std::vector<HwCounters> &window,
     // Screen the window; trusted estimates refresh, denied ones
     // carry the previous estimate forward (guard tracks staleness).
     bool anyBeyondN = false;
-    const unsigned badN = guards[0].config().maxBadWindows;
     for (std::size_t j = 0; j < window.size(); ++j) {
         ScreenedEstimate s = guards[j].screen(window[j], lat);
         switch (s.verdict) {
@@ -85,7 +77,7 @@ FairnessEnforcer::recompute(const std::vector<HwCounters> &window,
                   "window estimate out of range for thread ", j);
         if (!s.estimate.empty)
             latest[j] = s.estimate;
-        if (badN != 0 && guards[j].badStreak() >= badN)
+        if (guards[j].badStreak() >= guardMaxBadWindows)
             anyBeyondN = true;
     }
 

@@ -13,10 +13,10 @@
  * F = 0 disables enforcement (quotas unlimited). The quotas feed
  * the per-thread deficit counters in the SOE engine.
  *
- * Guardrails (GuardrailConfig / EstimatorGuard): every window is
- * screened before it is trusted. Denied windows carry the last good
- * estimate forward with an exponentially growing relaxation of the
- * quota (the stale thread drifts toward plain SOE), and after N
+ * Guardrails (EstimatorGuard): every window is screened before it
+ * is trusted. Denied windows carry the last good estimate forward
+ * with an exponentially growing relaxation of the quota (the stale
+ * thread drifts toward plain SOE), and after guardMaxBadWindows
  * consecutive bad windows on any thread the whole enforcer degrades
  * to plain SOE until a good window is seen again. Degradations are
  * counted in GuardStats so a run that survived on the fallback
@@ -60,15 +60,11 @@ class FairnessEnforcer
      * @param miss_lat The (predefined) average miss latency used in
      *        Eqs. 9/13; the paper uses 300 cycles.
      * @param num_threads Number of hardware threads.
-     * @param guard Guardrail tuning; the default screens and
-     *        degrades, GuardrailConfig{.enabled = false} restores
-     *        strict (throwing) behaviour.
      *
      * Throws InputError on out-of-range parameters.
      */
     FairnessEnforcer(double target_fairness, double miss_lat,
-                     unsigned num_threads,
-                     const GuardrailConfig &guard = {});
+                     unsigned num_threads);
 
     /**
      * End-of-window recalculation: consume the window's counters
@@ -76,8 +72,8 @@ class FairnessEnforcer
      * DeficitCounter::unlimited means no forced switches for that
      * thread.
      *
-     * Throws EstimatorError if the counter vector is malformed (and,
-     * in strict guard mode, if a sample is impossible).
+     * Throws EstimatorError if the counter vector is malformed or
+     * the measured miss latency is not finite.
      *
      * @param measured_miss_lat If positive, use this measured
      *        average event latency in Eqs. 9/13 instead of the

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "sim/errors.hh"
 #include "sim/logging.hh"
 
 namespace soefair
@@ -40,13 +39,13 @@ EstimatorGuard::deny(WindowVerdict verdict)
 bool
 EstimatorGuard::isOutlier(const WindowEstimate &e) const
 {
-    if (learned < cfg.minWindowsForZ)
+    if (learned < guardMinWindowsForZ)
         return false; // z-screen not armed yet
-    const auto outside = [this](double x, double mean, double var) {
-        const double floor = cfg.relStdFloor * mean + 1.0;
+    const auto outside = [](double x, double mean, double var) {
+        const double floor = guardRelStdFloor * mean + 1.0;
         const double sd = std::max(std::sqrt(std::max(var, 0.0)),
                                    floor);
-        return std::abs(x - mean) > cfg.zBand * sd;
+        return std::abs(x - mean) > guardZBand * sd;
     };
     return outside(e.ipm, ipmMean, ipmVar) ||
            outside(e.cpm, cpmMean, cpmVar);
@@ -73,28 +72,9 @@ EstimatorGuard::learn(const WindowEstimate &e)
 ScreenedEstimate
 EstimatorGuard::screen(const HwCounters &c, double miss_lat)
 {
-    const bool impossible = c.instrs > 0 && c.cycles == 0;
-
-    if (!cfg.enabled) {
-        // Strict mode: impossible samples are a defined failure, not
-        // something to paper over.
-        if (impossible) {
-            raiseError<EstimatorError>(
-                "window sample retired ", c.instrs,
-                " instructions in zero cycles (corrupt counter)");
-        }
-        WindowEstimate e = estimateWindow(c, miss_lat);
-        if (!e.empty && !std::isfinite(e.ipcSt)) {
-            raiseError<EstimatorError>(
-                "window estimate is not finite (ipm=", e.ipm,
-                " cpm=", e.cpm, ")");
-        }
-        return {e, e.empty ? WindowVerdict::Empty : WindowVerdict::Good};
-    }
-
     if (c.instrs == 0)
         return deny(WindowVerdict::Empty);
-    if (impossible)
+    if (c.cycles == 0) // instructions retired in zero cycles
         return deny(WindowVerdict::Degenerate);
 
     WindowEstimate e = estimateWindow(c, miss_lat);
@@ -114,13 +94,13 @@ EstimatorGuard::screen(const HwCounters &c, double miss_lat)
 double
 EstimatorGuard::relaxation() const
 {
-    if (streak == 0 || cfg.decay >= 1.0)
+    if (streak == 0)
         return 1.0;
     // (1/decay)^streak, capped: past ~1e9 the Eq. 9 IPM clamp has
     // long since taken over and bigger values only risk overflow.
     constexpr double cap = 1e9;
     const double relax =
-        std::pow(1.0 / cfg.decay, double(std::min(streak, 128u)));
+        std::pow(1.0 / guardDecay, double(std::min(streak, 128u)));
     return std::min(relax, cap);
 }
 

@@ -14,7 +14,7 @@
  * counter) would otherwise flow unchecked into the Eq. 9 quota. The
  * EstimatorGuard screens every window before it is trusted: empty
  * and impossible windows are denied, IPM/CPM outliers beyond a
- * configurable z-band are denied, and the last good estimate is
+ * fixed z-band are denied, and the last good estimate is
  * carried forward with an exponentially growing relaxation so a
  * thread whose estimates go stale drifts back toward plain SOE
  * instead of being throttled on garbage.
@@ -75,42 +75,36 @@ struct WindowEstimate
  */
 WindowEstimate estimateWindow(const HwCounters &c, double miss_lat);
 
-/** Tuning knobs of the estimator guardrails (see EstimatorGuard). */
-struct GuardrailConfig
-{
-    /**
-     * Master switch. When off, screening is strict: a structurally
-     * impossible window (instructions without cycles, non-finite
-     * ratios) raises EstimatorError instead of degrading.
-     */
-    bool enabled = true;
-    /**
-     * Outlier band: a window whose IPM or CPM lies more than zBand
-     * running standard deviations from the running mean is denied.
-     */
-    double zBand = 6.0;
-    /** Good windows to observe before the z-screen arms. */
-    unsigned minWindowsForZ = 8;
-    /**
-     * Relative stddev floor for the z-screen, as a fraction of the
-     * running mean: protects perfectly stable workloads (variance
-     * ~ 0) from flagging harmless jitter.
-     */
-    double relStdFloor = 0.10;
-    /**
-     * Per-bad-window carry-forward decay in (0, 1]. Each consecutive
-     * denied window divides the quota's confidence by this factor,
-     * relaxing the Eq. 9 quota toward its IPM clamp (= plain SOE).
-     * 1.0 carries forward without relaxation (the pre-guardrail
-     * behaviour).
-     */
-    double decay = 0.8;
-    /**
-     * N: consecutive bad windows on any thread after which the
-     * fairness enforcer degrades to plain SOE entirely (0 = never).
-     */
-    unsigned maxBadWindows = 4;
-};
+/*
+ * Settings of the estimator guardrails (see EstimatorGuard). They are
+ * constants: the paper's mechanism is tuned by F, delta and the
+ * max-cycles quota only.
+ */
+
+/**
+ * Outlier band: a window whose IPM or CPM lies more than this many
+ * running standard deviations from the running mean is denied.
+ */
+constexpr double guardZBand = 6.0;
+/** Good windows to observe before the z-screen arms. */
+constexpr unsigned guardMinWindowsForZ = 8;
+/**
+ * Relative stddev floor for the z-screen, as a fraction of the
+ * running mean: protects perfectly stable workloads (variance ~ 0)
+ * from flagging harmless jitter.
+ */
+constexpr double guardRelStdFloor = 0.10;
+/**
+ * Per-bad-window carry-forward decay in (0, 1). Each consecutive
+ * denied window divides the quota's confidence by this factor,
+ * relaxing the Eq. 9 quota toward its IPM clamp (= plain SOE).
+ */
+constexpr double guardDecay = 0.8;
+/**
+ * Consecutive bad windows on any thread after which the fairness
+ * enforcer degrades to plain SOE entirely.
+ */
+constexpr unsigned guardMaxBadWindows = 4;
 
 /** Outcome of screening one window. */
 enum class WindowVerdict
@@ -136,16 +130,10 @@ struct ScreenedEstimate
 class EstimatorGuard
 {
   public:
-    explicit EstimatorGuard(const GuardrailConfig &config = {})
-        : cfg(config)
-    {}
-
     /**
      * Screen one window. Good windows return their fresh estimate
      * and reset the bad streak; bad windows return the last good
-     * estimate (possibly empty) and grow the streak. In strict mode
-     * (cfg.enabled == false) impossible windows raise
-     * EstimatorError.
+     * estimate (possibly empty) and grow the streak.
      */
     ScreenedEstimate screen(const HwCounters &c, double miss_lat);
 
@@ -162,14 +150,11 @@ class EstimatorGuard
      */
     double relaxation() const;
 
-    const GuardrailConfig &config() const { return cfg; }
-
   private:
     bool isOutlier(const WindowEstimate &e) const;
     void learn(const WindowEstimate &e);
     ScreenedEstimate deny(WindowVerdict verdict);
 
-    GuardrailConfig cfg;
     WindowEstimate good;
     unsigned streak = 0;
     /** Good windows folded into the running statistics. */

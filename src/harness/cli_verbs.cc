@@ -41,8 +41,9 @@ const char *exitSim =
     "0 ok; 1 fatal; 2 usage; 3 panic; 10 input; 11 estimator; "
     "12 watchdog";
 const char *exitCampaign =
-    "0 complete; 20 partial (MISSING cells); 21 nothing completed; "
-    "2 usage; 1 fatal; 10 input; 13 journal unreadable or corrupt";
+    "0 complete; 20 partial (MISSING cells); 21 no pair has a result "
+    "row; 2 usage; 1 fatal; 10 input; 13 journal unreadable or "
+    "corrupt";
 
 /** Bare name of an option: "journal" for "--journal F". */
 std::string
@@ -137,17 +138,6 @@ buildVerbs()
           {"--misslat N", "model Miss_lat (300)"},
           {"--swlat N", "model Switch_lat (25)"}},
          exitBasic});
-
-    verbs.push_back(
-        {"faults", "faults [scenario|all] [options]",
-         "fault-injection harness: run one scenario (or all) and "
-         "report pass/fail",
-         {{"--seed N", "scenario seed (default 1)"},
-          {"--raw",
-           "run the bare faulting path so the process exits with "
-           "the SimError's code"}},
-         "0 all passed; 1 scenario failed; 2 usage; with --raw, the "
-         "provoked class's exit code (10..12)"});
 
     return verbs;
 }

@@ -47,7 +47,7 @@ const CliVerb *findCliVerb(const std::string &name);
 
 /**
  * Every registered option without a value placeholder ("--stats",
- * "--raw"), across all verbs: the flag set argv is parsed with.
+ * "--windows"), across all verbs: the flag set argv is parsed with.
  */
 std::vector<std::string> cliFlagNames();
 

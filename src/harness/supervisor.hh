@@ -36,7 +36,7 @@ namespace harness
 
 /** Campaign-level process exit codes (`soefair_cli sweep`). */
 constexpr int exitCampaignPartial = 20; ///< some cells missing
-constexpr int exitCampaignFailed = 21;  ///< no cell completed
+constexpr int exitCampaignFailed = 21;  ///< no pair has a result row
 
 /** One unit of isolated work. */
 struct SupervisorJob

@@ -122,7 +122,7 @@ struct CampaignResult
     std::vector<MissingCell> missing;
 
     bool complete() const { return missing.empty(); }
-    /** 0 complete, 20 partial, 21 when nothing completed. */
+    /** 0 complete, 20 partial, 21 when no pair has a result row. */
     int exitCode() const;
 };
 
@@ -180,8 +180,8 @@ class SweepCampaign
 
     /**
      * Test hook, invoked in the forked child at the start of every
-     * attempt. The fault-injection scenarios use it to hang, kill
-     * or typed-fail specific jobs.
+     * attempt. `sweep --inject` uses it to hang, kill or typed-fail
+     * specific jobs.
      */
     void setAttemptHook(
         std::function<void(const std::string &job_id,

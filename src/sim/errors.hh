@@ -3,15 +3,15 @@
  * Structured error taxonomy for the hardened runtime.
  *
  * Every defined failure of a run maps to one typed SimError subclass
- * so that callers (the CLI, the fault-injection harness, tests) can
- * tell *why* a run died without parsing messages:
+ * so that callers (the CLI, the sweep supervisor, tests) can tell
+ * *why* a run died without parsing messages:
  *
  *  - InputError:      malformed external input — machine
  *                     configuration, workload parameters, run
  *                     lengths. The run never started.
- *  - EstimatorError:  the runtime estimator (Eqs. 11-13) received
- *                     structurally impossible counter samples and
- *                     guardrails were not allowed to degrade.
+ *  - EstimatorError:  the fairness enforcer received a counter
+ *                     vector of the wrong size or a non-finite
+ *                     measured miss latency.
  *  - WatchdogTimeout: the no-progress watchdog detected a livelock
  *                     or whole-machine starvation (zero retirement
  *                     across K consecutive delta windows).
@@ -75,7 +75,7 @@ class InputError : public SimError
     {}
 };
 
-/** Impossible runtime counter samples reached the estimator. */
+/** The fairness enforcer got malformed counters or a bad latency. */
 class EstimatorError : public SimError
 {
   public:

@@ -409,9 +409,6 @@ void
 SoeEngine::checkProgress(const std::vector<core::HwCounters> &window,
                          Tick now)
 {
-    if (cfg.watchdogWindows == 0)
-        return;
-
     std::uint64_t retired = 0;
     for (const auto &w : window)
         retired += w.instrs;
@@ -426,7 +423,7 @@ SoeEngine::checkProgress(const std::vector<core::HwCounters> &window,
         noProgressWindows = 0;
         return;
     }
-    if (++noProgressWindows >= cfg.watchdogWindows)
+    if (++noProgressWindows >= watchdogWindowLimit)
         watchdogFire(now);
 }
 

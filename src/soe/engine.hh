@@ -54,15 +54,16 @@ struct SoeConfig
      * in workloads that emit them deliberately.
      */
     bool switchOnPause = true;
-    /**
-     * No-progress watchdog: K delta windows in a row with engine
-     * activity (a resident thread or switch-ins) but zero retirement
-     * across all threads raises WatchdogTimeout with a per-thread
-     * diagnostic dump (livelock / whole-machine starvation, e.g. a
-     * stuck miss that never resolves). 0 disables the watchdog.
-     */
-    unsigned watchdogWindows = 8;
 };
+
+/**
+ * No-progress watchdog: this many delta windows in a row with engine
+ * activity (a resident thread or switch-ins) but zero retirement
+ * across all threads raise WatchdogTimeout with a per-thread
+ * diagnostic dump (livelock / whole-machine starvation, e.g. a stuck
+ * miss that never resolves).
+ */
+constexpr unsigned watchdogWindowLimit = 8;
 
 /** One delta window's worth of observable state (Figure 5 data). */
 struct SampleWindowRecord

@@ -95,14 +95,11 @@ class FairnessPolicy : public SchedulingPolicy
      * @param use_measured_miss_lat Use the engine's measured
      *        average event latency instead of the fixed miss_lat
      *        (Section 6's extension for variable-latency events).
-     * @param guard Estimator guardrail tuning (screening, decay
-     *        carry-forward, N-bad-window degradation to plain SOE).
      */
     FairnessPolicy(double target_fairness, double miss_lat,
                    unsigned num_threads,
-                   bool use_measured_miss_lat = false,
-                   const core::GuardrailConfig &guard = {})
-        : enforcer(target_fairness, miss_lat, num_threads, guard),
+                   bool use_measured_miss_lat = false)
+        : enforcer(target_fairness, miss_lat, num_threads),
           useMeasured(use_measured_miss_lat)
     {}
 

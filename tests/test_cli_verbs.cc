@@ -94,8 +94,8 @@ class ScratchDir
 TEST(CliVerbs, RegistryCoversEveryDispatchedVerb)
 {
     const char *expected[] = {
-        "help",  "list",     "machine", "run-st", "run-soe",
-        "sweep", "analytic", "faults",
+        "help", "list", "machine", "run-st", "run-soe", "sweep",
+        "analytic",
     };
     std::set<std::string> names;
     for (const auto &verb : cliVerbs())
@@ -131,9 +131,10 @@ TEST(CliVerbs, EveryVerbDocumentsItselfCompletely)
 TEST(CliVerbs, FindCliVerbResolvesKnownAndRejectsUnknown)
 {
     EXPECT_NE(findCliVerb("sweep"), nullptr);
-    EXPECT_NE(findCliVerb("faults"), nullptr);
+    EXPECT_NE(findCliVerb("analytic"), nullptr);
     EXPECT_EQ(findCliVerb("no-such-verb"), nullptr);
     EXPECT_EQ(findCliVerb("enqueue"), nullptr);
+    EXPECT_EQ(findCliVerb("faults"), nullptr);
     EXPECT_EQ(findCliVerb(""), nullptr);
 }
 
@@ -187,7 +188,9 @@ TEST(CliVerbs, UnknownOptionsAreUsageErrors)
     EXPECT_EQ(usageCheck({"sweep", "--jobs", "4", "--journal", "j",
                           "--out", "s.csv"}),
               0);
-    EXPECT_EQ(usageCheck({"faults", "stuck-miss", "--raw"}), 0);
+    EXPECT_EQ(usageCheck({"run-soe", "gcc", "eon", "--measured",
+                          "--l1-switch", "--stats"}),
+              0);
 }
 
 TEST(CliVerbs, FlagsAreTheOptionsWithoutAValue)
@@ -196,7 +199,7 @@ TEST(CliVerbs, FlagsAreTheOptionsWithoutAValue)
     const std::set<std::string> got(flags.begin(), flags.end());
     EXPECT_EQ(got, (std::set<std::string>{"no-fastforward", "measured",
                                           "l1-switch", "windows",
-                                          "stats", "raw"}));
+                                          "stats"}));
     EXPECT_EQ(got.size(), flags.size()); // no duplicates
 }
 
@@ -207,8 +210,10 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
     // [0, 1] would fail every job of its cell, and an unknown
     // benchmark would fail every job of its pair. An --inject that
     // can never fire, a slot count that is 0 or would wrap to 0 in
-    // an unsigned field, a negative deadline and an option sweep
-    // does not have are refused the same way.
+    // an unsigned field, a negative deadline, an option sweep does
+    // not have and a cell listed twice (it would journal two `done`
+    // records, which a later --resume refuses) are refused the same
+    // way.
     const ScratchDir dir;
     const std::string journal = dir.path + "/sweep.journal";
     for (const char *selection :
@@ -231,7 +236,9 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
           "--pairs gcc:eon --levels 0 --jobs 4294967296",
           "--pairs gcc:eon --levels 0 --jobs 0",
           "--pairs gcc:eon --levels 0 --deadline -1",
-          "--pairs gcc:eon --levels 0 --retries 2"}) {
+          "--pairs gcc:eon --levels 0 --retries 2",
+          "--pairs gcc:eon --levels 0,0", "--pairs gcc:eon --levels 0,0.0",
+          "--pairs gcc:eon,gcc:eon --levels 0"}) {
         EXPECT_EQ(cliExit(std::string("sweep ") + selection +
                           " --instrs 2000 --warmup 0 --journal " +
                           journal + " --out " + dir.path +
@@ -239,6 +246,39 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
                   2)
             << selection;
         EXPECT_FALSE(std::filesystem::exists(journal)) << selection;
+    }
+}
+
+TEST(CliVerbs, SweepMessageMatchesItsExitCode)
+{
+    // With every SOE cell of the only pair failed, no pair has a
+    // result row (exit 21); with one of two failed, the results are
+    // partial (exit 20). Each says so, and only so, on stderr.
+    const ScratchDir dir;
+    const std::string errPath = dir.path + "/stderr";
+    const struct
+    {
+        const char *levels;
+        int code;
+        const char *says;
+        const char *never;
+    } cases[] = {
+        {"0", 21, "no pair has a result row", "PARTIAL"},
+        {"0,0.5", 20, "PARTIAL", "no pair has a result row"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(cliExit(std::string("sweep --pairs gcc:eon --levels ") +
+                              c.levels +
+                              " --inject soe:gcc:eon:F=0@input "
+                              "--instrs 2000 --warmup 0 --journal " +
+                              dir.path + "/sweep.journal --out " +
+                              dir.path + "/sweep.csv",
+                          errPath),
+                  c.code)
+            << c.levels;
+        const std::string err = readFile(errPath);
+        EXPECT_NE(err.find(c.says), std::string::npos) << err;
+        EXPECT_EQ(err.find(c.never), std::string::npos) << err;
     }
 }
 

@@ -204,13 +204,13 @@ TEST(Engine, WatchdogFiresOnNoProgress)
     MissOnlyPolicy pol;
     SoeConfig cfg = smallCfg();
     cfg.maxCyclesQuota = 0;
-    cfg.watchdogWindows = 3;
     SoeEngine eng(cfg, pol, 2, &root);
     eng.onSwitchIn(0, 0);
     // Thread 0 stays resident but never retires: livelock.
     EXPECT_THROW(
         {
-            for (Tick t = 100; t <= 10 * cfg.delta; t += 100)
+            for (Tick t = 100; t <= (watchdogWindowLimit + 2) * cfg.delta;
+                 t += 100)
                 eng.onCycle(0, t);
         },
         WatchdogTimeout);
@@ -222,29 +222,16 @@ TEST(Engine, WatchdogResetsOnRetirement)
     MissOnlyPolicy pol;
     SoeConfig cfg = smallCfg();
     cfg.maxCyclesQuota = 0;
-    cfg.watchdogWindows = 3;
     SoeEngine eng(cfg, pol, 2, &root);
     eng.onSwitchIn(0, 0);
-    // One retirement every other window keeps the streak below K.
-    for (Tick t = 100; t <= 20 * cfg.delta; t += 100) {
+    // One retirement every watchdogWindowLimit windows leaves
+    // watchdogWindowLimit - 1 starved windows in a row at most.
+    const Tick period = watchdogWindowLimit * cfg.delta;
+    for (Tick t = 100; t <= 3 * period; t += 100) {
         eng.onCycle(0, t);
-        if (t % (2 * cfg.delta) == 100)
+        if (t % period == 100)
             eng.onRetire(0, t);
     }
-    SUCCEED();
-}
-
-TEST(Engine, WatchdogDisabledWithZeroWindows)
-{
-    statistics::Group root("t");
-    MissOnlyPolicy pol;
-    SoeConfig cfg = smallCfg();
-    cfg.maxCyclesQuota = 0;
-    cfg.watchdogWindows = 0;
-    SoeEngine eng(cfg, pol, 2, &root);
-    eng.onSwitchIn(0, 0);
-    for (Tick t = 100; t <= 20 * cfg.delta; t += 100)
-        eng.onCycle(0, t);
     SUCCEED();
 }
 
@@ -254,7 +241,6 @@ TEST(Engine, WatchdogIgnoresIdleEngine)
     MissOnlyPolicy pol;
     SoeConfig cfg = smallCfg();
     cfg.maxCyclesQuota = 0;
-    cfg.watchdogWindows = 2;
     SoeEngine eng(cfg, pol, 2, &root);
     // No thread ever switched in: windows are inactive, not starved.
     for (Tick t = 100; t <= 20 * cfg.delta; t += 100)
@@ -264,18 +250,20 @@ TEST(Engine, WatchdogIgnoresIdleEngine)
 
 TEST(Engine, DegradedWindowsCounterTracksPolicy)
 {
+    // Enough starved windows to degrade, too few to fire the
+    // watchdog.
+    constexpr unsigned windows = core::guardMaxBadWindows + 1;
+    static_assert(windows < watchdogWindowLimit);
     statistics::Group root("t");
-    core::GuardrailConfig guard;
-    guard.maxBadWindows = 1;
-    FairnessPolicy pol(0.5, 300.0, 2, false, guard);
+    FairnessPolicy pol(0.5, 300.0, 2);
     SoeConfig cfg = smallCfg();
     cfg.maxCyclesQuota = 0;
-    cfg.watchdogWindows = 0;
     SoeEngine eng(cfg, pol, 2, &root);
     eng.onSwitchIn(0, 0);
     // Starved windows (no retirement anywhere) deny every estimate;
-    // with N=1 the policy degrades and the engine counts it.
-    for (Tick t = 100; t <= 3 * cfg.delta; t += 100)
+    // after guardMaxBadWindows of them the policy degrades and the
+    // engine counts it.
+    for (Tick t = 100; t <= windows * cfg.delta; t += 100)
         eng.onCycle(0, t);
     EXPECT_GE(eng.degradedWindows.value(), 1u);
     EXPECT_TRUE(pol.degraded());

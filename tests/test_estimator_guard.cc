@@ -65,20 +65,10 @@ TEST(EstimatorGuard, DegenerateWindowIsDenied)
     EXPECT_EQ(g.badStreak(), 1u);
 }
 
-TEST(EstimatorGuard, StrictModeRaisesOnImpossibleWindow)
-{
-    GuardrailConfig cfg;
-    cfg.enabled = false;
-    EstimatorGuard g(cfg);
-    EXPECT_THROW(g.screen(hw(5000, 0, 10), 300.0), EstimatorError);
-}
-
 TEST(EstimatorGuard, OutlierBeyondZBandIsDenied)
 {
-    GuardrailConfig cfg;
-    cfg.minWindowsForZ = 4;
-    EstimatorGuard g(cfg);
-    for (int i = 0; i < 8; ++i) {
+    EstimatorGuard g;
+    for (unsigned i = 0; i < guardMinWindowsForZ; ++i) {
         auto s = g.screen(hw(5000 + 10 * i, 2000, 10), 300.0);
         ASSERT_EQ(s.verdict, WindowVerdict::Good) << "window " << i;
     }
@@ -92,10 +82,8 @@ TEST(EstimatorGuard, OutlierBeyondZBandIsDenied)
 
 TEST(EstimatorGuard, ZScreenNotArmedBeforeMinWindows)
 {
-    GuardrailConfig cfg;
-    cfg.minWindowsForZ = 50;
-    EstimatorGuard g(cfg);
-    for (int i = 0; i < 8; ++i)
+    EstimatorGuard g;
+    for (unsigned i = 0; i + 1 < guardMinWindowsForZ; ++i)
         g.screen(hw(5000, 2000, 10), 300.0);
     // Wild jump, but the screen has not armed yet: trusted.
     auto s = g.screen(hw(5'000'000'000ull, 2000, 10), 300.0);
@@ -104,14 +92,13 @@ TEST(EstimatorGuard, ZScreenNotArmedBeforeMinWindows)
 
 TEST(EstimatorGuard, RelaxationGrowsWithStreakAndResets)
 {
-    GuardrailConfig cfg;
-    cfg.decay = 0.5; // relaxation doubles per bad window
-    EstimatorGuard g(cfg);
+    // Relaxation grows by 1/decay per bad window.
+    EstimatorGuard g;
     g.screen(hw(5000, 2000, 10), 300.0);
     g.screen(hw(0, 0, 0), 300.0);
-    EXPECT_DOUBLE_EQ(g.relaxation(), 2.0);
+    EXPECT_DOUBLE_EQ(g.relaxation(), 1.0 / guardDecay);
     g.screen(hw(0, 0, 0), 300.0);
-    EXPECT_DOUBLE_EQ(g.relaxation(), 4.0);
+    EXPECT_DOUBLE_EQ(g.relaxation(), 1.0 / (guardDecay * guardDecay));
     // A good window resets the staleness entirely.
     g.screen(hw(5000, 2000, 10), 300.0);
     EXPECT_DOUBLE_EQ(g.relaxation(), 1.0);
@@ -119,10 +106,7 @@ TEST(EstimatorGuard, RelaxationGrowsWithStreakAndResets)
 
 TEST(EstimatorGuard, RelaxationIsCappedAndFinite)
 {
-    GuardrailConfig cfg;
-    cfg.decay = 0.5;
-    cfg.maxBadWindows = 0; // never hand over to global degradation
-    EstimatorGuard g(cfg);
+    EstimatorGuard g;
     g.screen(hw(5000, 2000, 10), 300.0);
     for (int i = 0; i < 2000; ++i)
         g.screen(hw(0, 0, 0), 300.0);
@@ -132,16 +116,15 @@ TEST(EstimatorGuard, RelaxationIsCappedAndFinite)
 
 TEST(EnforcerGuard, DegradesToPlainSoeAfterNBadWindows)
 {
-    GuardrailConfig cfg;
-    cfg.maxBadWindows = 3;
-    FairnessEnforcer e(0.5, 300.0, 2, cfg);
+    FairnessEnforcer e(0.5, 300.0, 2);
     for (int i = 0; i < 5; ++i)
         e.recompute({hw(5000, 2000, 10), hw(900, 1800, 30)}, -1.0);
     EXPECT_FALSE(e.degraded());
 
     // Thread 1's counters go degenerate for N consecutive windows.
     std::vector<double> q;
-    for (unsigned i = 0; i < cfg.maxBadWindows; ++i) {
+    for (unsigned i = 0; i < guardMaxBadWindows; ++i) {
+        EXPECT_FALSE(e.degraded()) << "window " << i;
         q = e.recompute({hw(5000, 2000, 10), hw(900, 0, 30)}, -1.0);
     }
     EXPECT_TRUE(e.degraded());
@@ -154,11 +137,9 @@ TEST(EnforcerGuard, DegradesToPlainSoeAfterNBadWindows)
 
 TEST(EnforcerGuard, RecoversWhenGoodWindowsReturn)
 {
-    GuardrailConfig cfg;
-    cfg.maxBadWindows = 2;
-    FairnessEnforcer e(0.5, 300.0, 2, cfg);
+    FairnessEnforcer e(0.5, 300.0, 2);
     e.recompute({hw(5000, 2000, 10), hw(900, 1800, 30)}, -1.0);
-    for (int i = 0; i < 3; ++i)
+    for (unsigned i = 0; i < guardMaxBadWindows; ++i)
         e.recompute({hw(5000, 2000, 10), hw(900, 0, 30)}, -1.0);
     ASSERT_TRUE(e.degraded());
 
@@ -172,16 +153,14 @@ TEST(EnforcerGuard, RecoversWhenGoodWindowsReturn)
 
 TEST(EnforcerGuard, StaleEstimatesRelaxQuotaTowardIpm)
 {
-    GuardrailConfig cfg;
-    cfg.decay = 0.5;
-    cfg.maxBadWindows = 0; // per-thread relaxation only
-    FairnessEnforcer e(0.5, 300.0, 2, cfg);
+    FairnessEnforcer e(0.5, 300.0, 2);
     auto fresh = e.recompute({hw(5000, 2000, 10), hw(900, 1800, 30)},
                              -1.0);
-    // Thread 0 starves (empty windows): its quota must widen
-    // monotonically toward its IPM clamp, never shrink on staleness.
+    // Thread 0 starves (empty windows): until the enforcer degrades,
+    // its quota must widen monotonically toward its IPM clamp, never
+    // shrink on staleness.
     auto prev = fresh;
-    for (int i = 0; i < 12; ++i) {
+    for (unsigned i = 0; i + 1 < guardMaxBadWindows; ++i) {
         auto q = e.recompute({hw(0, 0, 0), hw(900, 1800, 30)}, -1.0);
         EXPECT_GE(q[0] + 1e-9, prev[0]) << "window " << i;
         EXPECT_LE(q[0], 500.0 + 1e-9); // IPM clamp (5000/10 misses)
@@ -191,9 +170,7 @@ TEST(EnforcerGuard, StaleEstimatesRelaxQuotaTowardIpm)
 
 TEST(EnforcerGuard, GuardStatsTallyVerdicts)
 {
-    GuardrailConfig cfg;
-    cfg.maxBadWindows = 0;
-    FairnessEnforcer e(0.5, 300.0, 1, cfg);
+    FairnessEnforcer e(0.5, 300.0, 1);
     e.recompute({hw(5000, 2000, 10)}, -1.0); // good
     e.recompute({hw(0, 0, 0)}, -1.0);        // empty
     e.recompute({hw(5000, 0, 10)}, -1.0);    // degenerate
@@ -202,16 +179,6 @@ TEST(EnforcerGuard, GuardStatsTallyVerdicts)
     EXPECT_EQ(s.emptyWindows, 1u);
     EXPECT_EQ(s.degenerateWindows, 1u);
     EXPECT_EQ(s.degradations, 0u);
-}
-
-TEST(EnforcerGuard, RejectsBadGuardrailConfig)
-{
-    GuardrailConfig bad;
-    bad.decay = 0.0;
-    EXPECT_THROW(FairnessEnforcer(0.5, 300.0, 2, bad), InputError);
-    GuardrailConfig bad2;
-    bad2.zBand = -1.0;
-    EXPECT_THROW(FairnessEnforcer(0.5, 300.0, 2, bad2), InputError);
 }
 
 TEST(EnforcerGuard, NonFiniteMeasuredLatencyIsEstimatorError)

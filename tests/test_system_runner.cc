@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <limits>
+#include <utility>
 
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "harness/table.hh"
+#include "sim/errors.hh"
 #include "soe/policies.hh"
 
 using namespace soefair;
@@ -60,6 +64,40 @@ TEST(System, StartTwicePanics)
                        &sys.stats());
     sys.start(&eng);
     EXPECT_THROW(sys.start(&eng), PanicError);
+}
+
+TEST(MachineConfig, ValidateRejectsEachOutOfRangeValue)
+{
+    MachineConfig::benchDefault().validate(); // the baseline is valid
+    const std::pair<const char *, std::function<void(MachineConfig &)>>
+        cases[] = {
+            {"retire width 0", [](MachineConfig &mc) {
+                 mc.core.retireWidth = 0;
+             }},
+            {"ROB narrower than retire width", [](MachineConfig &mc) {
+                 mc.core.robEntries = 1;
+                 mc.core.retireWidth = 4;
+             }},
+            {"L1D associativity 0", [](MachineConfig &mc) {
+                 mc.mem.l1d.assoc = 0;
+             }},
+            {"memory latency 0", [](MachineConfig &mc) {
+                 mc.mem.memLatency = 0;
+             }},
+            {"NaN miss latency", [](MachineConfig &mc) {
+                 mc.soe.missLatency =
+                     std::numeric_limits<double>::quiet_NaN();
+             }},
+            {"max-cycles quota beyond delta", [](MachineConfig &mc) {
+                 mc.soe.maxCyclesQuota = mc.soe.delta * 2;
+             }},
+            {"delta 0", [](MachineConfig &mc) { mc.soe.delta = 0; }},
+        };
+    for (const auto &[what, corrupt] : cases) {
+        MachineConfig mc = MachineConfig::benchDefault();
+        corrupt(mc);
+        EXPECT_THROW(mc.validate(), InputError) << what;
+    }
 }
 
 TEST(RunConfig, ScalingAppliesToInstructionCounts)

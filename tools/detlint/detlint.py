@@ -1193,10 +1193,9 @@ def _split_ternary(expr: str):
 def _reachable_codes(expr: str, bodies, ctx: TreeContext,
                      depth: int = 0):
     """Exit codes statically resolvable from a `return` expression:
-    integer literals, ?: arms, named exit constants, one-level local
-    helper expansion, and expectedExitCode() (the fault harness's
-    SimError raw path). Unresolvable expressions contribute nothing —
-    the check under-approximates rather than guessing."""
+    integer literals, ?: arms, named exit constants and one-level
+    local helper expansion. Unresolvable expressions contribute
+    nothing — the check under-approximates rather than guessing."""
     expr = expr.strip()
     if re.fullmatch(r"\d+", expr):
         return {int(expr)}
@@ -1211,8 +1210,6 @@ def _reachable_codes(expr: str, bodies, ctx: TreeContext,
                      re.DOTALL)
     if m:
         callee = m.group(1)
-        if callee == "expectedExitCode":
-            return {c for c, _ in ctx.error_classes.values()}
         if callee in bodies and depth < 2:
             return _body_codes(bodies[callee], bodies, ctx,
                                depth + 1)

@@ -1,18 +1,11 @@
 #!/usr/bin/env bash
-# Fault-injection matrix driver (see docs/robustness.md).
+# Sweep fault matrix driver (see docs/robustness.md).
 #
-# Runs every fault scenario against the soefair CLI and asserts the
+# Drives the soefair CLI through injected faults and asserts the
 # hardened-runtime contract:
 #
-#   1. every scenario's bare run (--raw) exits with exactly the exit
-#      code of its SimError class (10..12) -- never a crash (>= 128),
-#      never a hang (timeout), never success;
-#   2. the checked sweep (`faults all`) reports every scenario as
-#      passing, across several seeds;
-#   3. same-seed runs are bit-identical (determinism: no wall clock
-#      or unseeded randomness anywhere in the harness);
-#   4. a smoke SOE run on the same binary emits no NaN;
-#   5. the sweep supervisor survives hangs, torn journals and
+#   1. a smoke SOE run emits no NaN;
+#   2. the sweep supervisor survives hangs, torn journals and
 #      SIGKILL, re-runs a killed job only on --resume and at its own
 #      seed, and refuses a journal of another campaign (exit 13)
 #      without touching it.
@@ -27,7 +20,6 @@ set -u
 BUILD_DIR=${1:-build}
 CLI="$BUILD_DIR/tools/soefair_cli"
 TIMEOUT_S=${SOEFAIR_FAULT_TIMEOUT:-180}
-SEEDS=${SOEFAIR_FAULT_SEEDS:-"1 2 3 4 5"}
 
 # Robustness coverage runs with the stall fast-forward engine on
 # (the production default) so fault paths compose with cycle
@@ -50,60 +42,7 @@ fail() {
     failures=$((failures + 1))
 }
 
-# --- 1. raw exit-code matrix ----------------------------------------
-
-declare -A EXPECT=(
-    [garbage-config]=10
-    [counter-corruption]=11
-    [stuck-miss]=12
-)
-
-for scenario in garbage-config counter-corruption stuck-miss; do
-    want=${EXPECT[$scenario]}
-    timeout "$TIMEOUT_S" "$CLI" faults "$scenario" --raw \
-        --seed 1 >/dev/null 2>&1
-    got=$?
-    if [ "$got" -eq 124 ]; then
-        fail "$scenario: hung (killed after ${TIMEOUT_S}s)"
-    elif [ "$got" -ge 128 ]; then
-        fail "$scenario: crashed (exit $got)"
-    elif [ "$got" -ne "$want" ]; then
-        fail "$scenario: exit $got, expected $want"
-    else
-        echo "ok: $scenario exits $got (raw)"
-    fi
-done
-
-# --- 2. checked sweep across seeds ----------------------------------
-
-for seed in $SEEDS; do
-    out="$SCRATCH/sweep.$seed.out"
-    if ! timeout "$TIMEOUT_S" "$CLI" faults all --seed "$seed" \
-            >"$out" 2>"$out.err"; then
-        fail "faults all --seed $seed exited nonzero"
-        sed 's/^/    /' "$out" "$out.err" >&2
-    elif grep -q "FAIL" "$out"; then
-        fail "faults all --seed $seed reported scenario failures"
-        sed 's/^/    /' "$out" >&2
-    else
-        echo "ok: faults all --seed $seed"
-    fi
-done
-
-# --- 3. same-seed determinism ---------------------------------------
-
-a="$SCRATCH/det.a"
-b="$SCRATCH/det.b"
-timeout "$TIMEOUT_S" "$CLI" faults all --seed 7 >"$a" 2>/dev/null
-timeout "$TIMEOUT_S" "$CLI" faults all --seed 7 >"$b" 2>/dev/null
-if cmp -s "$a" "$b"; then
-    echo "ok: same-seed runs are bit-identical"
-else
-    fail "same-seed fault sweeps differ"
-    diff "$a" "$b" | sed 's/^/    /' >&2
-fi
-
-# --- 4. NaN smoke on a real run -------------------------------------
+# --- 1. NaN smoke on a real run -------------------------------------
 
 smoke="$SCRATCH/smoke.out"
 if ! timeout "$TIMEOUT_S" env SOEFAIR_SCALE=0.1 \
@@ -117,7 +56,7 @@ else
     echo "ok: smoke SOE run is NaN-free"
 fi
 
-# --- 5. sweep supervisor fault scenarios ----------------------------
+# --- 2. sweep supervisor fault scenarios ----------------------------
 #
 # Every scenario runs a tiny two-cell campaign (gcc:eon at F=0,1/2 at
 # SOEFAIR_SCALE=0.02) so each job takes well under a second
@@ -141,7 +80,7 @@ else
     echo "ok: supervisor reference sweep complete"
 fi
 
-# 5a. Busy-hang past the deadline: the injected job must be killed
+# 2a. Busy-hang past the deadline: the injected job must be killed
 # at the deadline and recorded as MISSING; the campaign still finishes
 # the other cells and exits with the partial-results code. A --resume
 # without the injection completes it, byte-identical to the reference.
@@ -171,7 +110,7 @@ else
     echo "ok: supervisor hang resume matches reference byte-for-byte"
 fi
 
-# 5b. Kill mid-journal-append: truncate the finished journal so its
+# 2b. Kill mid-journal-append: truncate the finished journal so its
 # last record is torn (as a SIGKILL between write() and the newline
 # would leave it). --resume must drop the torn tail, re-run only that
 # job, and reproduce the reference CSV exactly.
@@ -190,7 +129,7 @@ else
     echo "ok: supervisor torn-journal resume matches reference"
 fi
 
-# 5c. SIGKILL mid-campaign: a sweep killed once its journal holds
+# 2c. SIGKILL mid-campaign: a sweep killed once its journal holds
 # the first committed `done` record is resumed with --resume, which
 # replays the finished jobs, re-runs the rest and must reproduce the
 # reference CSV exactly.
@@ -223,7 +162,7 @@ else
     echo "ok: supervisor resume after SIGKILL matches reference"
 fi
 
-# 5d. Journal of another campaign: resuming the reference journal
+# 2d. Journal of another campaign: resuming the reference journal
 # with a different level set is a CheckpointError (exit 13), and the
 # refused journal is left byte-identical.
 mj="$SCRATCH/ref.journal"
@@ -239,10 +178,10 @@ else
     echo "ok: supervisor refuses another campaign's journal untouched"
 fi
 
-# 5e. A baseline killed on its first attempt is not re-run (at any
+# 2e. A baseline killed on its first attempt is not re-run (at any
 # seed) within the run: its cell and the pair's SOE cells are MISSING,
-# and with the only pair's row gone the campaign exits 21 (nothing
-# completed). A --resume with the same --inject runs the baseline as
+# and with the only pair's row gone the campaign exits 21 (no pair
+# has a result row). A --resume with the same --inject runs the baseline as
 # attempt 2 at its own seed and must reproduce the reference CSV.
 stjob=$(grep -o '"job":"st:gcc:[0-9]*"' "$SCRATCH/ref.journal" | head -n 1 \
         | sed 's/^"job":"//; s/"$//')

@@ -30,7 +30,6 @@
 #include "harness/sweep.hh"
 #include "harness/table.hh"
 #include "sim/errors.hh"
-#include "sim/faultinject.hh"
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
 #include "soe/policies.hh"
@@ -380,6 +379,13 @@ cmdSweep(const CliOptions &opts)
     std::optional<SweepCampaign> campaign = campaignFromOpts(opts);
     if (!campaign)
         return 2;
+    // A pair or level listed twice would run its cells twice and
+    // journal two `done` records, which a later --resume refuses.
+    if (campaign->jobIds().size() != campaign->jobs().size()) {
+        std::cerr << "--pairs/--levels name a sweep cell more than "
+                  << "once\n";
+        return 2;
+    }
 
     std::vector<InjectSpec> injects;
     if (!parseInjects(opts, campaign->jobIds(), injects))
@@ -440,7 +446,10 @@ cmdSweep(const CliOptions &opts)
     }
 
     if (!agg.complete()) {
-        std::cerr << "[sweep] PARTIAL results: " << agg.missing.size()
+        std::cerr << (agg.exitCode() == exitCampaignFailed
+                          ? "[sweep] FAILED: no pair has a result row; "
+                          : "[sweep] PARTIAL results: ")
+                  << agg.missing.size()
                   << " cell(s) missing (journal: " << journal
                   << "; finish with `sweep --resume " << journal
                   << "`)\n";
@@ -492,65 +501,6 @@ cmdAnalytic(const CliOptions &opts)
     }
     t.print(std::cout);
     return 0;
-}
-
-int
-cmdFaults(const CliOptions &opts)
-{
-    const std::string which = opts.positional().size() > 1
-        ? opts.positional()[1]
-        : "all";
-    const std::uint64_t seed = opts.getUint("seed", 1);
-
-    std::vector<soefair::sim::FaultClass> faults;
-    if (which == "all") {
-        faults = soefair::sim::allFaultClasses();
-    } else {
-        soefair::sim::FaultClass f;
-        if (!soefair::sim::faultByName(which, f)) {
-            std::cerr << "unknown fault scenario '" << which
-                      << "'; known:";
-            for (auto k : soefair::sim::allFaultClasses())
-                std::cerr << " " << soefair::sim::faultName(k);
-            std::cerr << "\n";
-            return 2;
-        }
-        faults = {f};
-    }
-
-    if (opts.hasFlag("raw")) {
-        if (faults.size() != 1) {
-            std::cerr << "--raw needs exactly one scenario\n";
-            return 2;
-        }
-        // The typed SimError escapes to main(), which maps it to
-        // the class's exit code; completion means exit 0.
-        soefair::sim::provokeFault(faults[0], seed);
-        return 0;
-    }
-
-    TextTable t({"scenario", "expected exit", "result", "detail"});
-    unsigned failed = 0;
-    for (auto f : faults) {
-        auto rep = soefair::sim::runFaultScenario(f, seed);
-        if (!rep.passed)
-            ++failed;
-        // Keep the table single-line per scenario.
-        std::string detail = rep.detail;
-        for (char &ch : detail) {
-            if (ch == '\n')
-                ch = ' ';
-        }
-        if (detail.size() > 60)
-            detail = detail.substr(0, 57) + "...";
-        t.addRow({rep.scenario,
-                  std::to_string(soefair::sim::expectedExitCode(f)),
-                  rep.passed ? "pass" : "FAIL", detail});
-    }
-    t.print(std::cout);
-    std::cout << (faults.size() - failed) << "/" << faults.size()
-              << " scenarios passed (seed " << seed << ")\n";
-    return failed ? 1 : 0;
 }
 
 } // namespace
@@ -617,8 +567,6 @@ main(int argc, char **argv)
             return cmdSweep(opts);
         if (cmd == "analytic")
             return cmdAnalytic(opts);
-        if (cmd == "faults")
-            return cmdFaults(opts);
         std::cerr << "unknown command '" << cmd << "'\n";
         return usage();
     });
