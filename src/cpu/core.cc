@@ -35,6 +35,13 @@ Core::Core(const CoreConfig &config, mem::Hierarchy &hierarchy,
       storeBuf(config.sbEntries, hierarchy, &statsGroup),
       fus(config.fus)
 {
+    // A thread's unretired ops (ROB, fetch buffer and the op fetch
+    // peeks at) must all fit in its stream's replay window.
+    soefair_assert(std::size_t(config.robEntries) +
+                           config.fetch.bufferEntries + 1 <=
+                       workload::InstStream::capacity,
+                   "ROB + fetch buffer exceed the instruction stream's ",
+                   workload::InstStream::capacity, "-op replay window");
 }
 
 void

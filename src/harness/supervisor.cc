@@ -15,6 +15,7 @@
 
 #include "sim/errors.hh"
 #include "sim/logging.hh"
+#include "workload/inst_stream.hh"
 
 namespace soefair
 {
@@ -186,6 +187,11 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
         if (cfg.progress)
             cfg.progress->flush();
 
+        // The child inherits only the forking thread: a stream whose
+        // producer is alive here would wait on it forever there.
+        soefair_assert(workload::InstStream::liveProducers() == 0,
+                       "fork with ", workload::InstStream::liveProducers(),
+                       " instruction-stream producer(s) alive");
         pid_t pid = fork();
         if (pid < 0) {
             ::close(fds[0]);

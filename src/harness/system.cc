@@ -22,14 +22,11 @@ System::System(const MachineConfig &config,
     for (std::size_t i = 0; i < specs.size(); ++i) {
         generators.push_back(std::make_unique<workload::WorkloadGenerator>(
             specs[i].profile, ThreadID(i), specs[i].seed));
-        streams.push_back(
-            std::make_unique<workload::InstStream>(*generators.back()));
-        coreInst->addThread(streams.back().get());
     }
 }
 
-workload::WorkloadGenerator &
-System::generator(ThreadID tid)
+const workload::WorkloadGenerator &
+System::generator(ThreadID tid) const
 {
     soefair_assert(tid >= 0 && std::size_t(tid) < generators.size(),
                    "generator() bad tid");
@@ -41,6 +38,10 @@ System::start(cpu::SwitchController *controller)
 {
     soefair_assert(!started, "System::start called twice");
     started = true;
+    for (const auto &gen : generators) {
+        streams.push_back(std::make_unique<workload::InstStream>(*gen));
+        coreInst->addThread(streams.back().get());
+    }
     coreInst->setController(controller);
     coreInst->start(0, currentTick);
 }

@@ -50,14 +50,23 @@ class System
     cpu::Core &core() { return *coreInst; }
     mem::Hierarchy &hierarchy() { return *hier; }
     EventQueue &events() { return eventQueue; }
-    /** The thread's workload generator. */
-    workload::WorkloadGenerator &generator(ThreadID tid);
+    /**
+     * The thread's workload generator, read-only: warmCaches() drives
+     * it before start(), the thread's InstStream producer after.
+     * Its profile, thread id and generated() count are safe to read
+     * at any time.
+     */
+    const workload::WorkloadGenerator &generator(ThreadID tid) const;
     statistics::Group &stats() { return root; }
 
     unsigned numThreads() const { return unsigned(generators.size()); }
     Tick now() const { return currentTick; }
 
-    /** Install the switch controller and begin with thread 0. */
+    /**
+     * Start every thread's InstStream, whose producer thread takes
+     * over its generator, install the switch controller and begin
+     * with thread 0.
+     */
     void start(cpu::SwitchController *controller);
 
     /**
@@ -99,6 +108,8 @@ class System
     std::unique_ptr<mem::Hierarchy> hier;
     std::unique_ptr<cpu::Core> coreInst;
     std::vector<std::unique_ptr<workload::WorkloadGenerator>> generators;
+    /** Built by start(); declared after `generators` so each stream
+     *  stops its producer before its generator is destroyed. */
     std::vector<std::unique_ptr<workload::InstStream>> streams;
     Tick currentTick = 0;
     bool started = false;

@@ -162,6 +162,7 @@ WorkloadGenerator::nextInto(MicroOp &op)
 
     ++state.dynCount;
     ++state.instrsInPhase;
+    generatedCount.store(state.dynCount, std::memory_order_relaxed);
 }
 
 } // namespace workload

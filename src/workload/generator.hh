@@ -15,6 +15,7 @@
 #ifndef SOEFAIR_WORKLOAD_GENERATOR_HH
 #define SOEFAIR_WORKLOAD_GENERATOR_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 
@@ -65,8 +66,12 @@ class WorkloadGenerator
     /** next(), built in place in `op` (spares the caller a copy). */
     void nextInto(isa::MicroOp &op);
 
-    /** Total micro-ops generated so far. */
-    std::uint64_t generated() const { return state.dynCount; }
+    /** Total micro-ops generated so far; any thread may read it. */
+    std::uint64_t
+    generated() const
+    {
+        return generatedCount.load(std::memory_order_relaxed);
+    }
 
     const Profile &profile() const { return prof; }
     const Program &program() const { return *prog; }
@@ -102,6 +107,8 @@ class WorkloadGenerator
     /** Active phase's duration (0 = unbounded). */
     std::uint64_t phaseDuration = 0;
     GeneratorState state;
+    /** state.dynCount, published for readers on other threads. */
+    std::atomic<std::uint64_t> generatedCount{0};
 };
 
 /** Code-slice base address for a thread (1 TiB apart, above data). */

@@ -1,48 +1,120 @@
 #include "workload/inst_stream.hh"
 
+#include <algorithm>
+#include <system_error>
+
 namespace soefair
 {
 namespace workload
 {
 
-void
-InstStream::generate()
+namespace
 {
-    if (count == ring.size()) {
-        std::vector<isa::MicroOp> grown(2 * ring.size());
-        for (std::size_t i = 0; i < count; ++i)
-            grown[i] = ring[wrap(head + i)];
-        ring.swap(grown);
-        head = 0;
+
+std::atomic<unsigned> producersAlive{0};
+
+} // namespace
+
+InstStream::InstStream(WorkloadGenerator &g)
+    : gen(g), firstSeq(g.generated() + 1), ring(capacity)
+{
+    static_assert((capacity & (capacity - 1)) == 0,
+                  "ring capacity must be a power of two");
+    static_assert(batch > 0 && batch <= capacity,
+                  "a batch must fit in the ring");
+    try {
+        producer = std::thread(&InstStream::produce, this);
+    } catch (const std::system_error &e) {
+        fatal("cannot start the instruction-stream producer thread: ",
+              e.what());
     }
-    isa::MicroOp &op = ring[wrap(head + count)];
-    gen.nextInto(op);
-    soefair_assert(count == 0 || op.seqNum == headSeq + count,
-                   "generator seqNums not contiguous");
-    if (count == 0)
-        headSeq = op.seqNum;
-    ++count;
+    ++producersAlive;
+}
+
+InstStream::~InstStream()
+{
+    releasedWord.store(released | stopBit, std::memory_order_release);
+    releasedWord.notify_one();
+    producer.join();
+    --producersAlive;
+}
+
+unsigned
+InstStream::liveProducers()
+{
+    return producersAlive.load();
+}
+
+void
+InstStream::produce()
+{
+    std::uint64_t t = 0;
+    try {
+        for (;;) {
+            std::uint64_t rel = releasedWord.load(std::memory_order_acquire);
+            while (!(rel & stopBit) && t - rel == capacity) {
+                releasedWord.wait(rel, std::memory_order_acquire);
+                rel = releasedWord.load(std::memory_order_acquire);
+            }
+            if (rel & stopBit)
+                return;
+            const std::uint64_t end =
+                std::min<std::uint64_t>(t + batch, rel + capacity);
+            for (; t < end; ++t) {
+                isa::MicroOp &op = ring[t & (capacity - 1)];
+                gen.nextInto(op);
+                soefair_assert(op.seqNum == firstSeq + t,
+                               "generator seqNums not contiguous");
+            }
+            tailWord.store(t, std::memory_order_release);
+            tailWord.notify_one();
+        }
+    } catch (...) {
+        // Ops below t are whole; the fetch side rethrows at t.
+        error = std::current_exception();
+        tailWord.store(t | stopBit, std::memory_order_release);
+        tailWord.notify_one();
+    }
+}
+
+void
+InstStream::awaitProduced()
+{
+    // A producer blocked on a full ring waits for `released`: hand
+    // over whatever has retired before waiting on the producer.
+    if (released != releasedPublished)
+        publishReleased();
+    soefair_assert(cursor - released < capacity, "more than ", capacity,
+                   " unretired ops would leave the replay window");
+    std::uint64_t t = tailWord.load(std::memory_order_acquire);
+    while ((t & ~stopBit) == cursor) {
+        if (t & stopBit)
+            std::rethrow_exception(error);
+        tailWord.wait(t, std::memory_order_acquire);
+        t = tailWord.load(std::memory_order_acquire);
+    }
+    tailSeen = t & ~stopBit;
+}
+
+void
+InstStream::publishReleased()
+{
+    releasedPublished = released;
+    releasedWord.store(released, std::memory_order_release);
+    releasedWord.notify_one();
 }
 
 void
 InstStream::squashAfter(InstSeqNum seq)
 {
-    if (count == 0) {
-        soefair_assert(seq == invalidSeqNum || readIdx == 0,
-                       "squash with empty window");
-        readIdx = 0;
+    if (seq < firstSeq || seq - firstSeq < released) {
+        cursor = released;
         return;
     }
-    const InstSeqNum front = headSeq;
-    if (seq == invalidSeqNum || seq + 1 < front) {
-        readIdx = 0;
-        return;
-    }
-    // Ops are buffered with contiguous seqNums.
-    std::size_t idx = std::size_t(seq + 1 - front);
-    soefair_assert(idx <= count,
-                   "squashAfter(", seq, ") beyond generated stream");
-    readIdx = idx;
+    const std::uint64_t pos = seq - firstSeq + 1;
+    soefair_assert(pos <= cursor,
+                   "squashAfter(", seq, ") past the fetch cursor");
+    cursor = pos;
 }
 
 } // namespace workload

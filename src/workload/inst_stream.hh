@@ -1,25 +1,47 @@
 /**
  * @file
- * Replay window between a generator and the core's front end.
+ * Replay window between a generator and the core's front end,
+ * filled ahead of fetch by a producer thread.
  *
  * An out-of-order core squashes and refetches instructions (branch
  * mispredicts, thread-switch drains). The generator is forward-only,
- * so InstStream buffers every generated-but-unretired micro-op: a
+ * so InstStream keeps every generated-but-unretired micro-op: a
  * squash simply rewinds the read cursor and the same ops are handed
  * out again, guaranteeing that the retired stream is independent of
- * timing. Retirement trims the buffer from the front.
+ * timing.
  *
- * The window is a power-of-two ring that doubles when generation
- * finds it full. A reference returned by peek() or fetchNext() is
- * therefore valid only until the next call that generates, i.e. the
- * next peek()/fetchNext() made with the cursor at the end of the
- * window; copy the op before calling again if in doubt.
+ * The stream never waits on the pipeline, so it is generated ahead
+ * of it. Each InstStream owns one producer thread, the only thread
+ * that touches its WorkloadGenerator from construction to
+ * destruction. The producer writes ring positions [tail, released +
+ * capacity) in batches and publishes `tail`; fetch reads at a cursor
+ * and waits only when the cursor reaches `tail`; retirement advances
+ * `released`, published once per batch, which frees slots for the
+ * producer. The ring is the replay window too: a squash rewinds the
+ * cursor no further back than `released`, and every op there is
+ * still in its slot. Positions count ops from the stream's first
+ * one; position p holds sequence number firstSeq + p.
+ *
+ * The fetch side (peek, fetchNext, squashAfter, commitUpTo and the
+ * queries) belongs to one thread, the simulating one. A reference
+ * returned by peek() or fetchNext() stays valid until commitUpTo()
+ * retires that op.
+ *
+ * Both waits are untimed (std::atomic wait/notify): a producer
+ * blocked on a full ring costs no CPU. Anything the generator throws
+ * stops the producer; the fetch side rethrows the same exception
+ * when its cursor reaches the op that failed, which is where the
+ * generator would have thrown had it run inline.
  */
 
 #ifndef SOEFAIR_WORKLOAD_INST_STREAM_HH
 #define SOEFAIR_WORKLOAD_INST_STREAM_HH
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <thread>
 #include <vector>
 
 #include "isa/micro_op.hh"
@@ -35,14 +57,35 @@ namespace workload
 class InstStream
 {
   public:
-    explicit InstStream(WorkloadGenerator &g) : gen(g), ring(256) {}
+    /**
+     * Ring slots, a power of two. The core holds at most ROB +
+     * fetch buffer + 1 unretired ops of a thread (the +1 is the op
+     * fetch peeks at), and Core's constructor checks that bound
+     * against this; the rest is run-ahead.
+     */
+    static constexpr std::size_t capacity = 4096;
+    /** Ops per publish of `tail` and retired ops per publish of
+     *  `released`: each side wakes the other at most once a batch. */
+    static constexpr std::size_t batch = 1024;
 
-    /** Next micro-op at the fetch cursor (generates on demand). */
+    /**
+     * Start the producer. From here until destruction, only the
+     * producer touches `g`; its next op is this stream's first.
+     * Raises FatalError if the thread cannot be started.
+     */
+    explicit InstStream(WorkloadGenerator &g);
+    /** Stop and join the producer, also one blocked on a full ring. */
+    ~InstStream();
+
+    InstStream(const InstStream &) = delete;
+    InstStream &operator=(const InstStream &) = delete;
+
+    /** Next micro-op at the fetch cursor. */
     const isa::MicroOp &
     fetchNext()
     {
         const isa::MicroOp &op = peek();
-        ++readIdx;
+        ++cursor;
         return op;
     }
 
@@ -50,59 +93,78 @@ class InstStream
     const isa::MicroOp &
     peek()
     {
-        if (readIdx == count)
-            generate();
-        return ring[wrap(head + readIdx)];
+        if (cursor == tailSeen)
+            awaitProduced();
+        return ring[cursor & (capacity - 1)];
     }
 
     /**
      * Rewind the fetch cursor so the op *after* seq is fetched next.
-     * seq = 0 (invalidSeqNum) rewinds to the oldest unretired op.
-     * Every op with seqNum > seq must still be buffered.
+     * seq = 0 (invalidSeqNum), or any retired seq, rewinds to the
+     * oldest unretired op. seq must not lie past the cursor.
      */
     void squashAfter(InstSeqNum seq);
 
-    /** Retire (drop) all buffered ops with seqNum <= seq. */
+    /** Retire every op with seqNum <= seq; each must have been fetched. */
     void
     commitUpTo(InstSeqNum seq)
     {
-        // headSeq mirrors ring[head].seqNum, so retiring does not
-        // touch the (long since fetched) ring entry.
-        while (count != 0 && headSeq <= seq) {
-            soefair_assert(readIdx > 0,
-                           "committing an op that was never fetched");
-            head = wrap(head + 1);
-            ++headSeq;
-            --count;
-            --readIdx;
-        }
+        if (seq < firstSeq || seq - firstSeq < released)
+            return;
+        const std::uint64_t end = seq - firstSeq + 1;
+        soefair_assert(end <= cursor,
+                       "committing an op that was never fetched");
+        released = end;
+        if (released - releasedPublished >= batch)
+            publishReleased();
     }
 
-    /** Number of buffered (unretired) ops. */
-    std::size_t buffered() const { return count; }
+    /** Fetched, unretired ops: what a full squash would replay. */
+    std::size_t buffered() const { return std::size_t(cursor - released); }
 
-    /** Sequence number of the oldest unretired op (0 if none). */
-    InstSeqNum oldestSeq() const { return count == 0 ? invalidSeqNum : headSeq; }
+    /** Sequence number of the oldest unretired op. */
+    InstSeqNum oldestSeq() const { return firstSeq + released; }
+
+    /** Producer threads alive in this process (0 before a fork). */
+    static unsigned liveProducers();
 
   private:
-    /** Append the generator's next op, doubling the ring if full. */
-    void generate();
+    /**
+     * Set in `tailWord` once the producer has stopped on an
+     * exception, and in `releasedWord` to ask the producer to stop.
+     * Positions never reach it.
+     */
+    static constexpr std::uint64_t stopBit = std::uint64_t(1) << 63;
 
-    std::size_t wrap(std::size_t i) const { return i & (ring.size() - 1); }
+    /** The producer thread's body. */
+    void produce();
+    /** Wait until the op at the cursor is generated (or rethrow). */
+    void awaitProduced();
+    /** Publish `released` and wake a producer blocked on it. */
+    void publishReleased();
 
     WorkloadGenerator &gen;
-    /** Buffered ops, oldest at ring[head]; size is a power of two. */
+    /** Sequence number of position 0. */
+    const InstSeqNum firstSeq;
     std::vector<isa::MicroOp> ring;
-    std::size_t head = 0;
-    std::size_t count = 0;
-    /** Offset from head of the next op to hand to fetch. */
-    std::size_t readIdx = 0;
-    /**
-     * seqNum of ring[head] when count > 0. Buffered ops have
-     * contiguous seqNums (generate() checks), so ring[head + i]
-     * holds headSeq + i.
-     */
-    InstSeqNum headSeq = invalidSeqNum;
+
+    // Fetch side: the simulating thread's own copies.
+    std::uint64_t cursor = 0;
+    std::uint64_t released = 0;
+    std::uint64_t releasedPublished = 0;
+    /** Last value of `tailWord` read: ops below it are generated. */
+    std::uint64_t tailSeen = 0;
+
+    /** Written by the producer: generated end (| stopBit on error). */
+    alignas(64) std::atomic<std::uint64_t> tailWord{0};
+    /** Written by the fetch side: retired end (| stopBit to stop). */
+    alignas(64) std::atomic<std::uint64_t> releasedWord{0};
+    /** What stopped the producer; read after `tailWord` shows it. */
+    std::exception_ptr error;
+
+    /** Runs produce(); started by the constructor, joined by the
+     *  destructor. */
+    std::thread producer;
 };
 
 } // namespace workload

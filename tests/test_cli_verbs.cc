@@ -193,6 +193,44 @@ TEST(CliVerbs, UnknownOptionsAreUsageErrors)
               0);
 }
 
+TEST(CliVerbs, MissingOptionValueIsAUsageError)
+{
+    // A value-taking option at the end of argv exits 2 with one
+    // message line, never an uncaught exception.
+    const ScratchDir dir;
+    const std::string errPath = dir.path + "/stderr";
+    for (const char *args : {"run-st gcc --instrs", "sweep --jobs"}) {
+        EXPECT_EQ(cliExit(args, errPath), 2) << args;
+        const std::string err = readFile(errPath);
+        EXPECT_NE(err.find("needs a value"), std::string::npos) << err;
+        EXPECT_EQ(err.find("terminate"), std::string::npos) << err;
+    }
+}
+
+TEST(CliVerbs, ProducerThreadThatCannotStartIsFatal)
+{
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "the sanitizer runtime alone exceeds the limit";
+#endif
+    // glibc sizes a new thread's stack by RLIMIT_STACK. A 4 GiB stack
+    // cannot be mapped under a 1 GiB address-space limit, which the
+    // rest of the run fits in: only the producer thread fails.
+    const ScratchDir dir;
+    const std::string errPath = dir.path + "/stderr";
+    const std::string cmd =
+        "ulimit -s 4194304 && ulimit -v 1048576 && " +
+        std::string(SOEFAIR_CLI) +
+        " run-st gcc --instrs 2000 --warmup 0 >/dev/null 2>" + errPath;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 1);
+    const std::string err = readFile(errPath);
+    EXPECT_NE(err.find("cannot start the instruction-stream producer"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("terminate"), std::string::npos) << err;
+}
+
 TEST(CliVerbs, FlagsAreTheOptionsWithoutAValue)
 {
     const std::vector<std::string> flags = cliFlagNames();

@@ -56,22 +56,24 @@ stDigest(const std::string &bench, std::uint64_t seed, bool ff)
     return sim::crc32(harness::encodeStPayload(r) + "\n" + os.str());
 }
 
-/** f == 0 is the miss-only policy, as in the evaluation sweep. */
+/**
+ * Thread t runs benches[t] at seed 21 + t. f == 0 is the miss-only
+ * policy, as in the evaluation sweep.
+ */
 std::uint32_t
-soeDigest(const std::string &bench_a, const std::string &bench_b,
-          double f, bool ff)
+soeDigest(const std::vector<std::string> &benches, double f, bool ff)
 {
     std::ostringstream os;
     Runner runner(MachineConfig::benchDefault());
-    const std::vector<ThreadSpec> specs = {
-        ThreadSpec::benchmark(bench_a, 21),
-        ThreadSpec::benchmark(bench_b, 22)};
+    std::vector<ThreadSpec> specs;
+    for (std::size_t t = 0; t < benches.size(); ++t)
+        specs.push_back(ThreadSpec::benchmark(benches[t], 21 + t));
     harness::SoeRunResult r;
     if (f == 0.0) {
         soe::MissOnlyPolicy pol;
         r = runner.runSoe(specs, pol, goldenRun(ff, &os));
     } else {
-        soe::FairnessPolicy pol(f, 300.0, 2);
+        soe::FairnessPolicy pol(f, 300.0, unsigned(specs.size()));
         r = runner.runSoe(specs, pol, goldenRun(ff, &os));
     }
     return sim::crc32(harness::encodeSoePayload(r) + "\n" + os.str());
@@ -90,14 +92,14 @@ TEST(GoldenDigest, SoeGccEonHalfFair)
 {
     constexpr std::uint32_t golden = 0x2a53307fu;
     for (bool ff : {true, false})
-        EXPECT_EQ(soeDigest("gcc", "eon", 0.5, ff), golden) << "ff " << ff;
+        EXPECT_EQ(soeDigest({"gcc", "eon"}, 0.5, ff), golden) << "ff " << ff;
 }
 
 TEST(GoldenDigest, SoeMcfSwimHalfFair)
 {
     constexpr std::uint32_t golden = 0x2fc090c7u;
     for (bool ff : {true, false})
-        EXPECT_EQ(soeDigest("mcf", "swim", 0.5, ff), golden)
+        EXPECT_EQ(soeDigest({"mcf", "swim"}, 0.5, ff), golden)
             << "ff " << ff;
 }
 
@@ -105,6 +107,15 @@ TEST(GoldenDigest, SoeGccArtMissOnly)
 {
     constexpr std::uint32_t golden = 0x154304e3u;
     for (bool ff : {true, false})
-        EXPECT_EQ(soeDigest("gcc", "art", 0.0, ff), golden)
+        EXPECT_EQ(soeDigest({"gcc", "art"}, 0.0, ff), golden)
+            << "ff " << ff;
+}
+
+/** Four threads, so N > 2 instruction streams are pinned too. */
+TEST(GoldenDigest, SoeFourThreadsHalfFair)
+{
+    constexpr std::uint32_t golden = 0xd42abafbu;
+    for (bool ff : {true, false})
+        EXPECT_EQ(soeDigest({"gcc", "eon", "mcf", "art"}, 0.5, ff), golden)
             << "ff " << ff;
 }

@@ -26,7 +26,12 @@
 #include "harness/machine_config.hh"
 #include "harness/supervisor.hh"
 #include "harness/sweep.hh"
+#include "harness/system.hh"
 #include "sim/errors.hh"
+#include "soe/engine.hh"
+#include "soe/policies.hh"
+#include "workload/inst_stream.hh"
+#include "workload/profile.hh"
 
 using namespace soefair;
 using namespace soefair::harness;
@@ -72,6 +77,31 @@ job(const std::string &id,
     return j;
 }
 
+/**
+ * Build a one-thread System on gcc whose second phase, entered after
+ * 2000 ops, has an invalid geometric parameter, and run it: its
+ * generator panics on the producer thread, mid-stream.
+ */
+std::string
+runStreamThatPanics()
+{
+    workload::Profile prof = workload::spec::byName("gcc");
+    workload::Phase bad = prof.phases[0];
+    bad.depGeoP = 0.0;
+    prof.phases.resize(1);
+    prof.phases[0].duration = 2000;
+    prof.phases.push_back(bad);
+
+    const MachineConfig mc = MachineConfig::benchDefault();
+    System sys(mc, {ThreadSpec{prof, 1}});
+    soe::MissOnlyPolicy pol;
+    soe::SoeEngine eng(mc.soe, pol, 1, &sys.stats());
+    sys.start(&eng);
+    for (int i = 0; i < 1000; ++i)
+        sys.step(1000);
+    return "ran past the panic";
+}
+
 } // namespace
 
 TEST(Supervisor, AllJobsSucceed)
@@ -104,6 +134,23 @@ TEST(Supervisor, PermanentInputErrorFailsFastWithoutRetry)
     EXPECT_EQ(outcomes[0].attempts, 1u);
     // The campaign continued past the failure.
     EXPECT_TRUE(outcomes[1].done);
+}
+
+TEST(Supervisor, GeneratorPanicOnTheProducerIsClassifiedPanic)
+{
+    // The producer's panic reaches System::step on the simulating
+    // thread, so a supervised job keeps its class exit code (3).
+    EXPECT_THROW(runStreamThatPanics(), PanicError);
+    EXPECT_EQ(workload::InstStream::liveProducers(), 0u);
+
+    SweepSupervisor sup(quickConfig());
+    auto outcomes = sup.run(
+        {job("producer-panic",
+             [](unsigned) { return runStreamThatPanics(); })},
+        nullptr);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].done);
+    EXPECT_EQ(outcomes[0].failClass, "panic");
 }
 
 TEST(Supervisor, FailedJobResumesAsTheNextAttempt)

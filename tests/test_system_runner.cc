@@ -42,6 +42,27 @@ TEST(System, WarmCachesConsumesGenerators)
               sys.hierarchy().l2().fills.value(), 0u);
 }
 
+TEST(System, GeneratedCountIncludesRunAhead)
+{
+    // generated() is read while the producer runs, as perfbench does
+    // after a run: the ops retired so far, plus up to one ring of
+    // ops generated ahead of fetch.
+    System sys(MachineConfig::benchDefault(),
+               {ThreadSpec::benchmark("gcc", 1)});
+    sys.warmCaches(1000);
+    soe::MissOnlyPolicy pol;
+    soe::SoeEngine eng(MachineConfig::benchDefault().soe, pol, 1,
+                       &sys.stats());
+    sys.start(&eng);
+    sys.step(20000);
+    const std::uint64_t retired = sys.core().retired(0);
+    const std::uint64_t generated = sys.generator(0).generated();
+    EXPECT_GT(retired, 0u);
+    EXPECT_GE(generated, 1000 + retired);
+    EXPECT_LE(generated,
+              1000 + retired + workload::InstStream::capacity);
+}
+
 TEST(System, StepAdvancesTime)
 {
     System sys(MachineConfig::benchDefault(),

@@ -524,7 +524,15 @@ main(int argc, char **argv)
         return 0;
     }
 
-    CliOptions opts(argc - 1, argv + 1, cliFlagNames());
+    // An option with its value missing is a usage error, like an
+    // unknown one; fatal() has printed the message.
+    std::optional<CliOptions> parsed;
+    try {
+        parsed.emplace(argc - 1, argv + 1, cliFlagNames());
+    } catch (const FatalError &) {
+        return 2;
+    }
+    const CliOptions &opts = *parsed;
     if (opts.positional().empty())
         return usage();
     // Every option must be one the verb registers: a misspelt
