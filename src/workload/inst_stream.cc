@@ -33,7 +33,7 @@ InstStream::InstStream(WorkloadGenerator &g)
 
 InstStream::~InstStream()
 {
-    releasedWord.store(released | stopBit, std::memory_order_release);
+    releasedWord.store(fetch.released | stopBit, std::memory_order_release);
     releasedWord.notify_one();
     producer.join();
     --producersAlive;
@@ -48,6 +48,11 @@ InstStream::liveProducers()
 void
 InstStream::produce()
 {
+    // Locals, not members: nextInto() is out of line, so the compiler
+    // would otherwise reload each from *this after every op.
+    WorkloadGenerator &g = gen;
+    isa::MicroOp *const slots = ring.data();
+    const InstSeqNum first = firstSeq;
     std::uint64_t t = 0;
     try {
         for (;;) {
@@ -61,9 +66,9 @@ InstStream::produce()
             const std::uint64_t end =
                 std::min<std::uint64_t>(t + batch, rel + capacity);
             for (; t < end; ++t) {
-                isa::MicroOp &op = ring[t & (capacity - 1)];
-                gen.nextInto(op);
-                soefair_assert(op.seqNum == firstSeq + t,
+                isa::MicroOp &op = slots[t & (capacity - 1)];
+                g.nextInto(op);
+                soefair_assert(op.seqNum == first + t,
                                "generator seqNums not contiguous");
             }
             tailWord.store(t, std::memory_order_release);
@@ -82,39 +87,39 @@ InstStream::awaitProduced()
 {
     // A producer blocked on a full ring waits for `released`: hand
     // over whatever has retired before waiting on the producer.
-    if (released != releasedPublished)
+    if (fetch.released != fetch.releasedPublished)
         publishReleased();
-    soefair_assert(cursor - released < capacity, "more than ", capacity,
-                   " unretired ops would leave the replay window");
+    soefair_assert(fetch.cursor - fetch.released < capacity, "more than ",
+                   capacity, " unretired ops would leave the replay window");
     std::uint64_t t = tailWord.load(std::memory_order_acquire);
-    while ((t & ~stopBit) == cursor) {
+    while ((t & ~stopBit) == fetch.cursor) {
         if (t & stopBit)
             std::rethrow_exception(error);
         tailWord.wait(t, std::memory_order_acquire);
         t = tailWord.load(std::memory_order_acquire);
     }
-    tailSeen = t & ~stopBit;
+    fetch.tailSeen = t & ~stopBit;
 }
 
 void
 InstStream::publishReleased()
 {
-    releasedPublished = released;
-    releasedWord.store(released, std::memory_order_release);
+    fetch.releasedPublished = fetch.released;
+    releasedWord.store(fetch.released, std::memory_order_release);
     releasedWord.notify_one();
 }
 
 void
 InstStream::squashAfter(InstSeqNum seq)
 {
-    if (seq < firstSeq || seq - firstSeq < released) {
-        cursor = released;
+    if (seq < firstSeq || seq - firstSeq < fetch.released) {
+        fetch.cursor = fetch.released;
         return;
     }
     const std::uint64_t pos = seq - firstSeq + 1;
-    soefair_assert(pos <= cursor,
+    soefair_assert(pos <= fetch.cursor,
                    "squashAfter(", seq, ") past the fetch cursor");
-    cursor = pos;
+    fetch.cursor = pos;
 }
 
 } // namespace workload

@@ -27,6 +27,14 @@
  * returned by peek() or fetchNext() stays valid until commitUpTo()
  * retires that op.
  *
+ * One writer per cache line: nothing the producer reads per op
+ * shares a line with anything fetch writes per op. The fetch side's
+ * counters, written on every fetch and retire, fill a 64-byte line
+ * of their own (FetchSide); the producer copies what it needs from
+ * the line above (the generator, the ring and firstSeq) into locals
+ * before its loop. The only lines both threads write are the ring
+ * slots and `tailWord`/`releasedWord`, each touched once a batch.
+ *
  * Both waits are untimed (std::atomic wait/notify): a producer
  * blocked on a full ring costs no CPU. Anything the generator throws
  * stops the producer; the fetch side rethrows the same exception
@@ -42,6 +50,7 @@
 #include <cstdint>
 #include <exception>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "isa/micro_op.hh"
@@ -85,7 +94,7 @@ class InstStream
     fetchNext()
     {
         const isa::MicroOp &op = peek();
-        ++cursor;
+        ++fetch.cursor;
         return op;
     }
 
@@ -93,9 +102,9 @@ class InstStream
     const isa::MicroOp &
     peek()
     {
-        if (cursor == tailSeen)
+        if (fetch.cursor == fetch.tailSeen)
             awaitProduced();
-        return ring[cursor & (capacity - 1)];
+        return ring[fetch.cursor & (capacity - 1)];
     }
 
     /**
@@ -109,21 +118,25 @@ class InstStream
     void
     commitUpTo(InstSeqNum seq)
     {
-        if (seq < firstSeq || seq - firstSeq < released)
+        if (seq < firstSeq || seq - firstSeq < fetch.released)
             return;
         const std::uint64_t end = seq - firstSeq + 1;
-        soefair_assert(end <= cursor,
+        soefair_assert(end <= fetch.cursor,
                        "committing an op that was never fetched");
-        released = end;
-        if (released - releasedPublished >= batch)
+        fetch.released = end;
+        if (fetch.released - fetch.releasedPublished >= batch)
             publishReleased();
     }
 
     /** Fetched, unretired ops: what a full squash would replay. */
-    std::size_t buffered() const { return std::size_t(cursor - released); }
+    std::size_t
+    buffered() const
+    {
+        return std::size_t(fetch.cursor - fetch.released);
+    }
 
     /** Sequence number of the oldest unretired op. */
-    InstSeqNum oldestSeq() const { return firstSeq + released; }
+    InstSeqNum oldestSeq() const { return firstSeq + fetch.released; }
 
     /** Producer threads alive in this process (0 before a fork). */
     static unsigned liveProducers();
@@ -143,24 +156,34 @@ class InstStream
     /** Publish `released` and wake a producer blocked on it. */
     void publishReleased();
 
+    // Set by the constructor, then only read (the slots are on the heap).
     WorkloadGenerator &gen;
     /** Sequence number of position 0. */
     const InstSeqNum firstSeq;
     std::vector<isa::MicroOp> ring;
 
-    // Fetch side: the simulating thread's own copies.
-    std::uint64_t cursor = 0;
-    std::uint64_t released = 0;
-    std::uint64_t releasedPublished = 0;
-    /** Last value of `tailWord` read: ops below it are generated. */
-    std::uint64_t tailSeen = 0;
+    /** The simulating thread's own copies, written on every fetch
+     *  and retire: a line of their own, so the producer's per-op
+     *  loads never meet these stores. */
+    struct alignas(64) FetchSide
+    {
+        std::uint64_t cursor = 0;
+        std::uint64_t released = 0;
+        std::uint64_t releasedPublished = 0;
+        /** Last value of `tailWord` read: ops below it are generated. */
+        std::uint64_t tailSeen = 0;
+    };
+    static_assert(std::is_standard_layout_v<FetchSide> &&
+                      alignof(FetchSide) == 64 && sizeof(FetchSide) <= 64,
+                  "the fetch side must own exactly one cache line");
+    FetchSide fetch;
 
     /** Written by the producer: generated end (| stopBit on error). */
     alignas(64) std::atomic<std::uint64_t> tailWord{0};
-    /** Written by the fetch side: retired end (| stopBit to stop). */
-    alignas(64) std::atomic<std::uint64_t> releasedWord{0};
     /** What stopped the producer; read after `tailWord` shows it. */
     std::exception_ptr error;
+    /** Written by the fetch side: retired end (| stopBit to stop). */
+    alignas(64) std::atomic<std::uint64_t> releasedWord{0};
 
     /** Runs produce(); started by the constructor, joined by the
      *  destructor. */

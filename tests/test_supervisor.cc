@@ -191,7 +191,7 @@ TEST(Supervisor, FailedJobResumesAsTheNextAttempt)
               2u);
 }
 
-TEST(Supervisor, SignalDeathIsRetriedThenRecordedAsFailed)
+TEST(Supervisor, SignalDeathIsRecordedAsFailedAfterOneAttempt)
 {
     SweepSupervisor sup(quickConfig());
     auto outcomes = sup.run(

@@ -60,17 +60,26 @@ echo "run_lint: ${tidy_bin} over ${#sources[@]} files" \
 
 raw="$(mktemp)"
 findings="$(mktemp)"
-trap 'rm -f "${raw}" "${findings}"' EXIT
+db_dir="$(mktemp -d)"
+trap 'rm -rf "${raw}" "${findings}" "${db_dir}"' EXIT
+
+# Optimized builds compile the library with GCC's link-time
+# optimization flags. clang-tidy only parses, and some clang majors
+# reject -fno-fat-lto-objects, so lint a copy of the database with
+# exactly those two flags removed and every other flag kept.
+sed -e 's/ -flto=auto\([ "]\)/\1/g' \
+    -e 's/ -fno-fat-lto-objects\([ "]\)/\1/g' \
+    "${build_dir}/compile_commands.json" > "${db_dir}/compile_commands.json"
 
 run_tidy() {
     (cd "${repo_root}" &&
-        "${tidy_bin}" -p "${build_dir}" --quiet "$@" 2>/dev/null)
+        "${tidy_bin}" -p "${db_dir}" --quiet "$@" 2>/dev/null)
 }
 
 tidy_status=0
 if command -v xargs >/dev/null 2>&1; then
     (cd "${repo_root}" && printf '%s\n' "${sources[@]}" |
-        xargs -P "$(nproc)" -n 4 "${tidy_bin}" -p "${build_dir}" \
+        xargs -P "$(nproc)" -n 4 "${tidy_bin}" -p "${db_dir}" \
             --quiet 2>/dev/null) > "${raw}" || tidy_status=$?
 else
     run_tidy "${sources[@]}" > "${raw}" || tidy_status=$?
@@ -91,7 +100,7 @@ sed -n 's/^.*\/\(\(src\|tools\|bench\)\/[^:]*\):\([0-9]*\):[0-9]*: \(warning\|er
     "${raw}" | LC_ALL=C sort -u > "${findings}"
 
 baseline_sorted="$(mktemp)"
-trap 'rm -f "${raw}" "${findings}" "${baseline_sorted}"' EXIT
+trap 'rm -rf "${raw}" "${findings}" "${db_dir}" "${baseline_sorted}"' EXIT
 grep -v '^\s*#' "${baseline}" 2>/dev/null | grep -v '^\s*$' |
     LC_ALL=C sort -u > "${baseline_sorted}" || true
 
