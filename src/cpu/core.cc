@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include "sim/logging.hh"
+#include "soe/engine.hh"
 
 namespace soefair
 {
@@ -54,20 +55,14 @@ Core::addThread(workload::InstStream *stream)
 }
 
 void
-Core::setController(SwitchController *switch_controller)
-{
-    controller = switch_controller;
-}
-
-void
-Core::start(ThreadID first, Tick now)
+Core::start(soe::SoeEngine &soe_engine, ThreadID first, Tick now)
 {
     soefair_assert(first >= 0 && std::size_t(first) < streams.size(),
                    "start with unknown thread");
+    engine = &soe_engine;
     activeTid = first;
     fetch.activate(first, now);
-    if (controller)
-        controller->onSwitchIn(first, now);
+    engine->onSwitchIn(first, now);
 }
 
 std::uint64_t
@@ -86,12 +81,9 @@ Core::tick(Tick now)
     bool progress = storeBuf.tick(now);
     progress = retireStage(now) || progress;
 
-    if (controller && controller->onCycle(activeTid, now)) {
-        ThreadID next = controller->pickNextForced(activeTid, now);
-        if (next != invalidThreadId && next != activeTid) {
-            startSwitch(next, now, SwitchReason::Quota);
-            progress = true;
-        }
+    if (engine->onCycle(activeTid, now) &&
+        switchToNextReady(activeTid, now, SwitchReason::Quota)) {
+        progress = true;
     }
 
     progress = issueStage(now) || progress;
@@ -107,9 +99,7 @@ Core::nextWakeTick(Tick now) const
                          fus.nextFreeTick(now));
     wake = std::min(wake, fetch.nextWakeTick(now));
     wake = std::min(wake, storeBuf.nextWakeTick(now));
-    if (controller)
-        wake = std::min(wake, controller->nextWakeTick(activeTid, now));
-    return wake;
+    return std::min(wake, engine->nextWakeTick(activeTid, now));
 }
 
 void
@@ -121,7 +111,7 @@ Core::creditSkippedCycles(Tick now, std::uint64_t skipped)
     // needs no replay — repeat calls for the same head seqNum are
     // deduplicated no-ops, and its first sighting already happened
     // during the (ticked) detection cycle.
-    if (controller && !rob.empty()) {
+    if (!rob.empty()) {
         const DynInst &h = rob.head();
         if (!h.completedBy(now) && h.issued && h.l2Miss)
             headMissStallCycles += skipped;
@@ -139,15 +129,15 @@ Core::retireStage(Tick now)
         if (!h.completedBy(now)) {
             // The head is blocked. An unresolved last-level miss is
             // the paper's switch event; an L1 miss is the extended
-            // event of Section 6 (the controller decides whether it
+            // event of Section 6 (the engine decides whether it
             // switches).
-            if (h.issued && controller && (h.l2Miss || h.l1Miss)) {
+            if (h.issued && (h.l2Miss || h.l1Miss)) {
                 if (h.l2Miss)
                     ++headMissStallCycles;
-                ThreadID next = controller->onHeadStall(
+                ThreadID next = engine->onHeadStall(
                     activeTid, h.op.seqNum, now, h.completionTick,
                     h.l2Miss);
-                if (next != invalidThreadId && next != activeTid) {
+                if (next != invalidThreadId) {
                     startSwitch(next, now, SwitchReason::MissEvent);
                     return true;
                 }
@@ -178,20 +168,13 @@ Core::retireStage(Tick now)
         ++n;
         progress = true;
 
-        if (controller && isPause && controller->onPause(tid, now)) {
-            ThreadID next = controller->pickNextForced(tid, now);
-            if (next != invalidThreadId && next != tid) {
-                startSwitch(next, now, SwitchReason::Pause);
-                return true;
-            }
+        if (isPause && engine->config().switchOnPause &&
+            switchToNextReady(tid, now, SwitchReason::Pause)) {
+            return true;
         }
-
-        if (controller && controller->onRetire(tid, now)) {
-            ThreadID next = controller->pickNextForced(tid, now);
-            if (next != invalidThreadId && next != tid) {
-                startSwitch(next, now, SwitchReason::Forced);
-                return true;
-            }
+        if (engine->onRetire(tid, now) &&
+            switchToNextReady(tid, now, SwitchReason::Forced)) {
+            return true;
         }
     }
     return progress;
@@ -301,10 +284,19 @@ Core::dispatchStage(Tick now)
     return progress;
 }
 
+bool
+Core::switchToNextReady(ThreadID tid, Tick now, SwitchReason reason)
+{
+    const ThreadID next = engine->nextReady(tid, now);
+    if (next == invalidThreadId)
+        return false;
+    startSwitch(next, now, reason);
+    return true;
+}
+
 void
 Core::startSwitch(ThreadID next, Tick now, SwitchReason reason)
 {
-    soefair_assert(controller, "switch without a controller");
     soefair_assert(next != activeTid, "switch to the active thread");
 
     switch (reason) {
@@ -314,7 +306,7 @@ Core::startSwitch(ThreadID next, Tick now, SwitchReason reason)
       case SwitchReason::Pause: ++switchesPause; break;
     }
 
-    controller->onSwitchOut(activeTid, now, reason);
+    engine->onSwitchOut(activeTid, now);
 
     squashedOps += rob.size() + fetch.buffered();
 
@@ -333,7 +325,7 @@ Core::startSwitch(ThreadID next, Tick now, SwitchReason reason)
     const Tick resume = now + cfg.drainCycles + cfg.switchRestartDelay;
     fetch.activate(next, resume);
     activeTid = next;
-    controller->onSwitchIn(next, now + cfg.drainCycles);
+    engine->onSwitchIn(next, now + cfg.drainCycles);
 }
 
 void

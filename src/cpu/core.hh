@@ -6,11 +6,10 @@
  * One thread is active at a time. The core runs a cycle-stepped
  * pipeline — fetch, dispatch (rename + allocate), issue/execute,
  * retire — over the active thread's instruction stream. Thread
- * switches are driven by a SwitchController (the SOE engine): the
- * core reports switch events (an unresolved L2 miss at the ROB head,
- * each retirement, every cycle) and the controller answers with
- * switch decisions; the core then performs the drain-and-restart
- * mechanics.
+ * switches are decided by the SOE engine: the core reports switch
+ * events to it (an unresolved miss at the ROB head, each retirement,
+ * every cycle), and when the engine answers with a switch the core
+ * performs the drain-and-restart mechanics.
  */
 
 #ifndef SOEFAIR_CPU_CORE_HH
@@ -35,6 +34,11 @@
 
 namespace soefair
 {
+namespace soe
+{
+class SoeEngine;
+} // namespace soe
+
 namespace cpu
 {
 
@@ -57,78 +61,13 @@ struct CoreConfig
     unsigned switchRestartDelay = 8;
 };
 
-/** Why a thread switch happened (statistics / engine bookkeeping). */
+/** Why a thread switch happened (selects the switch counter). */
 enum class SwitchReason
 {
     MissEvent, ///< unresolved L2 miss at the ROB head (base SOE)
     Forced,    ///< fairness deficit quota reached zero
     Quota,     ///< maximum-cycles residency quota expired
     Pause      ///< explicit pause/yield instruction (Section 6 fn. 7)
-};
-
-/**
- * The SOE engine as seen by the core. All methods are called from
- * inside Core::tick().
- */
-class SwitchController
-{
-  public:
-    virtual ~SwitchController() = default;
-
-    /**
-     * The ROB head (seq) is blocked on an unresolved cache miss:
-     * is_l2_miss distinguishes the paper's last-level switch event
-     * from an L1 miss (Section 6's extended event). Called every
-     * cycle while blocked; implementations deduplicate by seq for
-     * miss counting. @return the thread to switch to, or
-     * invalidThreadId (or the current tid) to keep waiting.
-     */
-    virtual ThreadID onHeadStall(ThreadID tid, InstSeqNum seq,
-                                 Tick now, Tick stall_resolve,
-                                 bool is_l2_miss) = 0;
-
-    /**
-     * An instruction of `tid` retired. @return true if the fairness
-     * quota forces a switch-out after this instruction.
-     */
-    virtual bool onRetire(ThreadID tid, Tick now) = 0;
-
-    /**
-     * Called once per cycle with the active thread; drives periodic
-     * (delta) recalculation and the max-cycles residency quota.
-     * @return true to force a switch now.
-     */
-    virtual bool onCycle(ThreadID tid, Tick now) = 0;
-
-    /**
-     * A pause (yield hint) instruction retired. @return true to
-     * switch the thread out (Section 6's explicit switch trigger).
-     */
-    virtual bool onPause(ThreadID tid, Tick now) = 0;
-
-    /** Pick the thread for a forced (non-miss) switch. */
-    virtual ThreadID pickNextForced(ThreadID tid, Tick now) = 0;
-
-    /** Residency bookkeeping. */
-    virtual void onSwitchOut(ThreadID tid, Tick now,
-                             SwitchReason reason) = 0;
-    virtual void onSwitchIn(ThreadID tid, Tick now) = 0;
-
-    /**
-     * Earliest tick strictly after `now` at which the controller may
-     * act on its own (sample boundary, cycle-quota expiry, a blocked
-     * thread turning ready). The fast-forward engine never skips
-     * past this tick, so onCycle() is guaranteed to run at it. The
-     * default keeps controllers cycle-exact by pinning the wake to
-     * the very next tick — i.e. fast-forward is disabled unless a
-     * controller opts in by overriding this.
-     */
-    virtual Tick
-    nextWakeTick(ThreadID tid, Tick now) const
-    {
-        (void)tid;
-        return now + 1;
-    }
 };
 
 class Core
@@ -140,11 +79,11 @@ class Core
     /** Register a thread (tids are assigned 0, 1, ... in order). */
     void addThread(workload::InstStream *stream);
 
-    /** Install the SOE engine (nullptr = single-thread mode). */
-    void setController(SwitchController *controller);
-
-    /** Begin execution with thread `first` active. */
-    void start(ThreadID first, Tick now);
+    /**
+     * Begin execution with thread `first` active, switching threads
+     * as `engine` decides. The engine must outlive every later tick().
+     */
+    void start(soe::SoeEngine &engine, ThreadID first, Tick now);
 
     /**
      * Advance one cycle.
@@ -162,7 +101,7 @@ class Core
      * Earliest tick strictly after `now` at which a quiescent core
      * can next change state: the minimum over pending instruction
      * completions, functional-unit frees, front-end restarts,
-     * store-buffer drains and the controller's own schedule. Only
+     * store-buffer drains and the engine's own horizon. Only
      * meaningful right after a tick() that returned false.
      */
     Tick nextWakeTick(Tick now) const;
@@ -217,12 +156,18 @@ class Core
      */
     bool tryIssue(DynInst *e, Tick now, bool &progress);
     bool dispatchStage(Tick now);
+    /**
+     * The engine asked for a non-miss switch away from `tid`: switch
+     * to the next ready thread, if there is one.
+     * @return true if a switch started.
+     */
+    bool switchToNextReady(ThreadID tid, Tick now, SwitchReason reason);
     void startSwitch(ThreadID next, Tick now, SwitchReason reason);
     void completeLoadIssue(DynInst *inst, Tick now);
 
     CoreConfig cfg;
     mem::Hierarchy &hier;
-    SwitchController *controller = nullptr;
+    soe::SoeEngine *engine = nullptr;
 
     BranchPredictor bpred;
     FetchUnit fetch;

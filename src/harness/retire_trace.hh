@@ -61,14 +61,10 @@ class RetireTracer
         if (inst.mispredicted)
             os << " MISP";
         os << '\n';
-        ++count;
     }
-
-    std::uint64_t lines() const { return count; }
 
   private:
     std::ofstream os;
-    std::uint64_t count = 0;
 };
 
 } // namespace harness

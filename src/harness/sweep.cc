@@ -46,15 +46,12 @@ EvaluationSweep::standardLevels()
 
 StRunResult &
 EvaluationSweep::singleThread(const std::string &bench,
-                              std::uint64_t seed,
-                              std::ostream *progress)
+                              std::uint64_t seed)
 {
     auto key = std::make_pair(bench, seed);
     auto it = stCache.find(key);
     if (it != stCache.end())
         return it->second;
-    if (progress)
-        *progress << "  [ST]  " << bench << std::endl;
     StRunResult res = runner.runSingleThread(
         ThreadSpec::benchmark(bench, seed), rc);
     return stCache.emplace(key, std::move(res)).first->second;
@@ -63,8 +60,7 @@ EvaluationSweep::singleThread(const std::string &bench,
 PairResult
 EvaluationSweep::runPair(const std::string &bench_a,
                          const std::string &bench_b,
-                         const std::vector<double> &f_levels,
-                         std::ostream *progress)
+                         const std::vector<double> &f_levels)
 {
     PairResult pr;
     pr.nameA = bench_a;
@@ -74,8 +70,8 @@ EvaluationSweep::runPair(const std::string &bench_a,
     const std::uint64_t seedB =
         bench_a == bench_b ? pairSeed(1) : pairSeed(0);
 
-    pr.stA = singleThread(bench_a, seedA, progress);
-    pr.stB = singleThread(bench_b, seedB, progress);
+    pr.stA = singleThread(bench_a, seedA);
+    pr.stB = singleThread(bench_b, seedB);
 
     const std::vector<ThreadSpec> specs = {
         ThreadSpec::benchmark(bench_a, seedA),
@@ -83,10 +79,6 @@ EvaluationSweep::runPair(const std::string &bench_a,
     };
 
     for (double f : f_levels) {
-        if (progress) {
-            *progress << "  [SOE] " << pr.label() << " F="
-                      << statistics::statfmt::csv(f) << std::endl;
-        }
         LevelResult lr;
         lr.targetF = f;
         if (f <= 0.0) {
@@ -165,18 +157,6 @@ CampaignResult::exitCode() const
         return 0;
     return results.empty() ? exitCampaignFailed
                            : exitCampaignPartial;
-}
-
-std::vector<PairResult>
-EvaluationSweep::runEvaluation(std::ostream *progress)
-{
-    std::vector<PairResult> results;
-    for (const auto &[a, b] : workload::spec::evaluationPairs()) {
-        if (progress)
-            *progress << "pair " << a << ":" << b << std::endl;
-        results.push_back(runPair(a, b, standardLevels(), progress));
-    }
-    return results;
 }
 
 namespace

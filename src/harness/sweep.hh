@@ -62,26 +62,18 @@ class EvaluationSweep
 
     /**
      * Run one pair at the given F levels (F = 0 means the miss-only
-     * policy). @param progress Optional stream for progress lines.
+     * policy).
      */
     PairResult runPair(const std::string &bench_a,
                        const std::string &bench_b,
-                       const std::vector<double> &f_levels,
-                       std::ostream *progress = nullptr);
-
-    /** Run the paper's 16 pairs at the standard four levels. */
-    std::vector<PairResult> runEvaluation(
-        std::ostream *progress = nullptr);
+                       const std::vector<double> &f_levels);
 
     /** The standard enforcement levels: 0, 1/4, 1/2, 1. */
     static std::vector<double> standardLevels();
 
-    const RunConfig &runConfig() const { return rc; }
-
   private:
     StRunResult &singleThread(const std::string &bench,
-                              std::uint64_t seed,
-                              std::ostream *progress);
+                              std::uint64_t seed);
 
     Runner runner;
     RunConfig rc;

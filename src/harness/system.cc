@@ -34,16 +34,16 @@ System::generator(ThreadID tid) const
 }
 
 void
-System::start(cpu::SwitchController *controller)
+System::start(soe::SoeEngine *engine)
 {
     soefair_assert(!started, "System::start called twice");
+    soefair_assert(engine, "System::start needs an SOE engine");
     started = true;
     for (const auto &gen : generators) {
         streams.push_back(std::make_unique<workload::InstStream>(*gen));
         coreInst->addThread(streams.back().get());
     }
-    coreInst->setController(controller);
-    coreInst->start(0, currentTick);
+    coreInst->start(*engine, 0, currentTick);
 }
 
 void

@@ -15,6 +15,7 @@
 #include "harness/machine_config.hh"
 #include "mem/hierarchy.hh"
 #include "sim/event_queue.hh"
+#include "soe/engine.hh"
 #include "stats/stats.hh"
 #include "workload/generator.hh"
 #include "workload/inst_stream.hh"
@@ -64,10 +65,11 @@ class System
 
     /**
      * Start every thread's InstStream, whose producer thread takes
-     * over its generator, install the switch controller and begin
-     * with thread 0.
+     * over its generator, and begin with thread 0, switching threads
+     * as `engine` decides. Panics on a null engine before starting
+     * any producer. The engine must outlive every later step().
      */
-    void start(cpu::SwitchController *controller);
+    void start(soe::SoeEngine *engine);
 
     /**
      * Advance exactly n cycles. With fast-forward enabled (the

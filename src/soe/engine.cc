@@ -143,14 +143,6 @@ SoeEngine::onRetire(ThreadID tid, Tick now)
 }
 
 bool
-SoeEngine::onPause(ThreadID tid, Tick now)
-{
-    (void)tid;
-    (void)now;
-    return cfg.switchOnPause;
-}
-
-bool
 SoeEngine::onCycle(ThreadID tid, Tick now)
 {
     // The cycle counter every window measurement hangs off must
@@ -183,12 +175,6 @@ SoeEngine::onCycle(ThreadID tid, Tick now)
     return false;
 }
 
-ThreadID
-SoeEngine::pickNextForced(ThreadID tid, Tick now)
-{
-    return nextReady(tid, now);
-}
-
 Tick
 SoeEngine::nextWakeTick(ThreadID tid, Tick now) const
 {
@@ -217,8 +203,8 @@ SoeEngine::nextWakeTick(ThreadID tid, Tick now) const
         }
     }
 
-    // A blocked thread turning ready changes what pickNextForced()
-    // and onHeadStall() would answer.
+    // A blocked thread turning ready changes what nextReady() and
+    // onHeadStall() would answer.
     for (const auto &t : threads) {
         if (t.blockedUntil > now)
             wake = std::min(wake, t.blockedUntil);
@@ -238,10 +224,8 @@ SoeEngine::closeResidency(ThreadContext &c, Tick now)
 }
 
 void
-SoeEngine::onSwitchOut(ThreadID tid, Tick now,
-                       cpu::SwitchReason reason)
+SoeEngine::onSwitchOut(ThreadID tid, Tick now)
 {
-    (void)reason;
     ThreadContext &c = ctx(tid);
     closeResidency(c, now);
     instrsPerSwitch.sample(c.instrsThisResidency);

@@ -3,8 +3,8 @@
  * The SOE engine: thread rotation, hardware counters and the
  * periodic fairness recalculation.
  *
- * Implements cpu::SwitchController. The engine owns one
- * ThreadContext per hardware thread and:
+ * The core (cpu::Core) calls it from inside every tick. The engine
+ * owns one ThreadContext per hardware thread and:
  *
  *  - rotates round-robin among *ready* threads (a thread switched
  *    out on a miss is not eligible until that miss resolves);
@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "core/estimator.hh"
-#include "cpu/core.hh"
 #include "sim/invariant.hh"
+#include "sim/types.hh"
 #include "soe/policies.hh"
 #include "soe/thread_context.hh"
 #include "stats/stats.hh"
@@ -94,24 +94,57 @@ struct SampleWindowRecord
     double measuredMissLat = 0.0;
 };
 
-class SoeEngine : public cpu::SwitchController
+class SoeEngine
 {
   public:
     SoeEngine(const SoeConfig &config, SchedulingPolicy &policy,
               unsigned num_threads, statistics::Group *stats_parent);
 
-    // --- cpu::SwitchController ---
+    // --- called by cpu::Core (start() and every tick()) ---
+
+    /**
+     * The ROB head (seq) of `tid` is blocked on an unresolved cache
+     * miss that resolves at `stall_resolve`: is_l2_miss tells the
+     * paper's last-level switch event from an L1 miss (Section 6's
+     * extended event). Called every cycle while the head is blocked;
+     * the miss is counted once per seq (repeat calls for the same
+     * head deduplicate). @return the thread to switch to, or
+     * invalidThreadId to keep waiting.
+     */
     ThreadID onHeadStall(ThreadID tid, InstSeqNum seq, Tick now,
-                         Tick stall_resolve,
-                         bool is_l2_miss) override;
-    bool onRetire(ThreadID tid, Tick now) override;
-    bool onPause(ThreadID tid, Tick now) override;
-    bool onCycle(ThreadID tid, Tick now) override;
-    ThreadID pickNextForced(ThreadID tid, Tick now) override;
-    void onSwitchOut(ThreadID tid, Tick now,
-                     cpu::SwitchReason reason) override;
-    void onSwitchIn(ThreadID tid, Tick now) override;
-    Tick nextWakeTick(ThreadID tid, Tick now) const override;
+                         Tick stall_resolve, bool is_l2_miss);
+
+    /**
+     * An instruction of `tid` retired. @return true if its deficit
+     * counter ran out: the fairness quota forces a switch-out after
+     * this instruction.
+     */
+    bool onRetire(ThreadID tid, Tick now);
+
+    /**
+     * Called once per cycle with the active thread; drives the
+     * periodic (delta) recalculation and the residency quotas.
+     * @return true to force a switch now.
+     */
+    bool onCycle(ThreadID tid, Tick now);
+
+    /**
+     * The next thread after `tid`, round-robin, that is ready at
+     * `now`; invalidThreadId if none is. Never `tid` itself.
+     */
+    ThreadID nextReady(ThreadID tid, Tick now) const;
+
+    /** Residency bookkeeping. */
+    void onSwitchOut(ThreadID tid, Tick now);
+    void onSwitchIn(ThreadID tid, Tick now);
+
+    /**
+     * Earliest tick strictly after `now` at which the engine may act
+     * on its own (sample boundary, cycle-quota expiry, a blocked
+     * thread turning ready). Fast-forward never skips past this
+     * tick, so onCycle() runs at it.
+     */
+    Tick nextWakeTick(ThreadID tid, Tick now) const;
 
     /** Close accounting at the end of a run. */
     void finalize(Tick now);
@@ -123,7 +156,6 @@ class SoeEngine : public cpu::SwitchController
     const ThreadContext &context(ThreadID tid) const;
     unsigned numThreads() const { return unsigned(threads.size()); }
     const SoeConfig &config() const { return cfg; }
-    SchedulingPolicy &getPolicy() { return policy; }
 
     statistics::Group statsGroup;
     statistics::Counter samples;
@@ -152,7 +184,6 @@ class SoeEngine : public cpu::SwitchController
 
   private:
     ThreadContext &ctx(ThreadID tid);
-    ThreadID nextReady(ThreadID tid, Tick now) const;
     void closeResidency(ThreadContext &c, Tick now);
     void sample(Tick now);
     void auditWindow(Tick now) const;

@@ -39,12 +39,6 @@ Counter::dump(std::ostream &os, const std::string &prefix) const
 }
 
 void
-Scalar::dump(std::ostream &os, const std::string &prefix) const
-{
-    emitLine(os, prefix, name(), val, description());
-}
-
-void
 Average::sample(double v)
 {
     if (n == 0) {
@@ -113,12 +107,6 @@ Histogram::reset()
     std::fill(counts.begin(), counts.end(), 0);
     total = 0;
     sum = 0.0;
-}
-
-void
-Formula::dump(std::ostream &os, const std::string &prefix) const
-{
-    emitLine(os, prefix, name(), value(), description());
 }
 
 Group::Group(std::string name, Group *parentGroup)

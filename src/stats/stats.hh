@@ -13,7 +13,6 @@
 #define SOEFAIR_STATS_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -68,23 +67,6 @@ class Counter : public Stat
     std::uint64_t count = 0;
 };
 
-/** Scalar that can be set to an arbitrary value (e.g. a final IPC). */
-class Scalar : public Stat
-{
-  public:
-    Scalar(Group *parent, std::string name, std::string desc)
-        : Stat(parent, std::move(name), std::move(desc)) {}
-
-    void set(double v) { val = v; }
-    double value() const { return val; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override { val = 0.0; }
-
-  private:
-    double val = 0.0;
-};
-
 /** Running mean/min/max over samples. */
 class Average : public Stat
 {
@@ -133,25 +115,6 @@ class Histogram : public Stat
     std::vector<std::uint64_t> counts;
     std::uint64_t total = 0;
     double sum = 0.0;
-};
-
-/** Stat computed on demand from other stats. */
-class Formula : public Stat
-{
-  public:
-    using Fn = std::function<double()>;
-
-    Formula(Group *parent, std::string name, std::string desc, Fn fn)
-        : Stat(parent, std::move(name), std::move(desc)),
-          func(std::move(fn)) {}
-
-    double value() const { return func ? func() : 0.0; }
-
-    void dump(std::ostream &os, const std::string &prefix) const override;
-    void reset() override {}
-
-  private:
-    Fn func;
 };
 
 /**

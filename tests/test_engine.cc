@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the SOE engine, driving the SwitchController
- * interface directly (no core), so rotation, counting, deficit and
- * sampling behaviour can be checked in isolation.
+ * Unit tests for the SOE engine. They call its hooks directly, with
+ * no core, so rotation, counting, deficit and sampling behaviour can
+ * be checked in isolation.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +40,7 @@ TEST(Engine, MissSwitchRotatesRoundRobin)
     eng.onSwitchIn(0, 0);
     // Thread 0 blocks on a miss resolving at 400: switch to 1.
     EXPECT_EQ(eng.onHeadStall(0, 10, 100, 400, true), 1);
-    eng.onSwitchOut(0, 100, cpu::SwitchReason::MissEvent);
+    eng.onSwitchOut(0, 100);
     eng.onSwitchIn(1, 106);
     // Thread 1 blocks at 200; thread 2 is ready; 0 still blocked.
     EXPECT_EQ(eng.onHeadStall(1, 10, 200, 500, true), 2);
@@ -53,7 +53,7 @@ TEST(Engine, BlockedThreadIsSkipped)
     SoeEngine eng(smallCfg(), pol, 2, &root);
     eng.onSwitchIn(0, 0);
     EXPECT_EQ(eng.onHeadStall(0, 10, 100, 400, true), 1);
-    eng.onSwitchOut(0, 100, cpu::SwitchReason::MissEvent);
+    eng.onSwitchOut(0, 100);
     eng.onSwitchIn(1, 106);
     // Thread 1 blocks at 150, but thread 0's miss resolves at 400:
     // nobody is ready -> no switch.
@@ -83,13 +83,13 @@ TEST(Engine, CyclesCountFromFirstRetire)
     SoeEngine eng(smallCfg(), pol, 2, &root);
     eng.onSwitchIn(0, 100);
     // No retire yet: switch-out at 150 accrues nothing.
-    eng.onSwitchOut(0, 150, cpu::SwitchReason::MissEvent);
+    eng.onSwitchOut(0, 150);
     EXPECT_EQ(eng.context(0).window.cycles, 0u);
 
     eng.onSwitchIn(0, 200);
     eng.onRetire(0, 220); // first retirement at 220
     eng.onRetire(0, 221);
-    eng.onSwitchOut(0, 300, cpu::SwitchReason::MissEvent);
+    eng.onSwitchOut(0, 300);
     EXPECT_EQ(eng.context(0).window.cycles, 80u);
     EXPECT_EQ(eng.context(0).window.instrs, 2u);
 }
@@ -102,7 +102,7 @@ TEST(Engine, MaxCyclesQuotaFires)
     eng.onSwitchIn(0, 0);
     EXPECT_FALSE(eng.onCycle(0, 4999));
     EXPECT_TRUE(eng.onCycle(0, 5000));
-    EXPECT_EQ(eng.pickNextForced(0, 5000), 1);
+    EXPECT_EQ(eng.nextReady(0, 5000), 1);
 }
 
 TEST(Engine, QuotaGuardsAgainstFutureSwitchIn)
@@ -126,11 +126,11 @@ TEST(Engine, SamplingInstallsQuotas)
     for (int i = 0; i < 1000; ++i)
         eng.onRetire(0, Tick(10 + i));
     eng.onHeadStall(0, 1000, 1010, 1300, true);
-    eng.onSwitchOut(0, 1010, cpu::SwitchReason::MissEvent);
+    eng.onSwitchOut(0, 1010);
     eng.onSwitchIn(1, 1016);
     for (int i = 0; i < 8000; ++i)
         eng.onRetire(1, Tick(1020 + i / 2));
-    eng.onSwitchOut(1, 5100, cpu::SwitchReason::Quota);
+    eng.onSwitchOut(1, 5100);
 
     // Cross the delta boundary.
     eng.onSwitchIn(0, 5100);

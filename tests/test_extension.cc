@@ -136,7 +136,7 @@ TEST(Extension, ResidencyHistogramsTrackQuota)
         eng.onSwitchIn(tid, now);
         while (!eng.onRetire(tid, ++now)) {
         }
-        eng.onSwitchOut(tid, now, cpu::SwitchReason::Forced);
+        eng.onSwitchOut(tid, now);
         tid = ThreadID(1 - tid);
     }
     EXPECT_GE(eng.instrsPerSwitch.count(), 40u);

@@ -189,22 +189,33 @@ TEST(FastForward, SoeGoldenMissBoundPairOtherSeeds)
 
 TEST(FastForward, EvaluationCsvGolden)
 {
-    // The fig6/7/8 pipeline: EvaluationSweep -> writePairResultsCsv.
-    auto sweepCsv = [](bool ff) {
+    // The Figs. 6-8 path, run in-process: SweepCampaign jobs (payload
+    // encoding included) -> aggregate -> writeCampaignCsv.
+    auto campaignCsv = [](bool ff) {
         RunConfig rc = smallRun(ff, nullptr);
         rc.warmupInstrs = 30 * 1000;
         rc.measureInstrs = 15 * 1000;
-        harness::EvaluationSweep sweep(MachineConfig::benchDefault(),
-                                       rc);
-        std::vector<harness::PairResult> results = {
-            sweep.runPair("gcc", "mcf", {0.0, 0.5, 1.0})};
+        const harness::SweepCampaign campaign(
+            MachineConfig::benchDefault(), rc, {{"gcc", "mcf"}},
+            {0.0, 0.5, 1.0});
+        std::vector<harness::JobOutcome> outcomes;
+        for (const auto &job : campaign.jobs()) {
+            harness::JobOutcome o;
+            o.id = job.id;
+            o.payload = job.run(1);
+            o.done = true;
+            o.attempts = 1;
+            outcomes.push_back(std::move(o));
+        }
+        const harness::CampaignResult agg = campaign.aggregate(outcomes);
+        EXPECT_TRUE(agg.complete());
         std::ostringstream os;
-        harness::writePairResultsCsv(os, results);
+        harness::writeCampaignCsv(os, agg);
         return os.str();
     };
-    const std::string on = sweepCsv(true);
-    const std::string off = sweepCsv(false);
-    ASSERT_NE(on.find("gcc"), std::string::npos);
+    const std::string on = campaignCsv(true);
+    const std::string off = campaignCsv(false);
+    ASSERT_NE(on.find("gcc:mcf"), std::string::npos);
     EXPECT_EQ(on, off);
 }
 

@@ -67,20 +67,6 @@ TEST(Pause, SpecProfilesEmitNoPauses)
         EXPECT_NE(gen.next().op, isa::OpClass::Pause);
 }
 
-TEST(Pause, EngineHonoursConfig)
-{
-    statistics::Group root("t");
-    soe::MissOnlyPolicy pol;
-    soe::SoeConfig cfg;
-    cfg.delta = 10000;
-    cfg.maxCyclesQuota = 5000;
-    soe::SoeEngine on(cfg, pol, 2, &root);
-    EXPECT_TRUE(on.onPause(0, 1));
-    cfg.switchOnPause = false;
-    soe::SoeEngine off(cfg, pol, 2, &root);
-    EXPECT_FALSE(off.onPause(0, 1));
-}
-
 TEST(Pause, SpinThreadYieldsToWorker)
 {
     // A spinning thread paired with real work: with pause switching

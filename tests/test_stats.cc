@@ -20,14 +20,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, ScalarSetGet)
-{
-    Group g("root");
-    Scalar s(&g, "ipc", "final ipc");
-    s.set(2.5);
-    EXPECT_DOUBLE_EQ(s.value(), 2.5);
-}
-
 TEST(Stats, AverageTracksMinMaxMean)
 {
     Group g("root");
@@ -66,20 +58,6 @@ TEST(Stats, HistogramBucketsPowersOfTwo)
     // 1000 would land in bucket 9, clamps to the last (7).
     EXPECT_EQ(h.bucket(7), 1u);
     EXPECT_NEAR(h.mean(), (0 + 1 + 2 + 3 + 4 + 1000) / 6.0, 1e-9);
-}
-
-TEST(Stats, FormulaEvaluatesLazily)
-{
-    Group g("root");
-    Counter n(&g, "n", "num");
-    Counter d(&g, "d", "den");
-    Formula f(&g, "ratio", "n/d", [&] {
-        return d.value() ? double(n.value()) / double(d.value()) : 0.0;
-    });
-    EXPECT_DOUBLE_EQ(f.value(), 0.0);
-    n += 6;
-    d += 3;
-    EXPECT_DOUBLE_EQ(f.value(), 2.0);
 }
 
 TEST(Stats, GroupPathAndDump)

@@ -14,6 +14,7 @@
 #include "harness/table.hh"
 #include "sim/errors.hh"
 #include "soe/policies.hh"
+#include "workload/inst_stream.hh"
 
 using namespace soefair;
 using namespace soefair::harness;
@@ -85,6 +86,17 @@ TEST(System, StartTwicePanics)
                        &sys.stats());
     sys.start(&eng);
     EXPECT_THROW(sys.start(&eng), PanicError);
+}
+
+TEST(System, StartWithoutAnEngineIsAPanic)
+{
+    // The core has no engine-less mode: a null engine is refused
+    // before any thread's producer starts.
+    System sys(MachineConfig::benchDefault(),
+               {ThreadSpec::benchmark("gcc", 1),
+                ThreadSpec::benchmark("eon", 2)});
+    EXPECT_THROW(sys.start(nullptr), PanicError);
+    EXPECT_EQ(workload::InstStream::liveProducers(), 0u);
 }
 
 TEST(MachineConfig, ValidateRejectsEachOutOfRangeValue)
