@@ -35,7 +35,7 @@ class DeficitCounter
      * Set the per-switch-in quota (recomputed every delta). A
      * tighter quota re-bounds any banked credit, so the DRR bound
      * (credit <= IPSw + burst) holds across recalculation — quotas
-     * can shrink sharply when guardrail relaxation ends.
+     * can shrink sharply from one delta window to the next.
      */
     void
     setQuota(double ipsw)

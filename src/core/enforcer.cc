@@ -27,7 +27,6 @@ FairnessEnforcer::FairnessEnforcer(double target_fairness,
     if (num_threads < 1)
         raiseError<InputError>("need at least one thread");
     latest.resize(num_threads);
-    guards.resize(num_threads);
 }
 
 std::vector<double>
@@ -49,57 +48,22 @@ FairnessEnforcer::recompute(const std::vector<HwCounters> &window,
     const double lat =
         measured_miss_lat > 0.0 ? measured_miss_lat : missLat;
 
-    // Screen the window; trusted estimates refresh, denied ones
-    // carry the previous estimate forward (guard tracks staleness).
-    bool anyBeyondN = false;
+    // Eqs. 11-13 per thread; a starved window carries the previous
+    // estimate forward.
     for (std::size_t j = 0; j < window.size(); ++j) {
-        ScreenedEstimate s = guards[j].screen(window[j], lat);
-        switch (s.verdict) {
-          case WindowVerdict::Good:
-            ++gstats.goodWindows;
-            break;
-          case WindowVerdict::Empty:
-            ++gstats.emptyWindows;
-            break;
-          case WindowVerdict::Degenerate:
-            ++gstats.degenerateWindows;
-            break;
-          case WindowVerdict::Outlier:
-            ++gstats.outlierWindows;
-            break;
-        }
+        const WindowEstimate e = estimateWindow(window[j], lat);
         // Eqs. 11-13 are ratios of hardware counters: negative or
         // NaN estimates mean a counter ran backwards.
-        SOE_AUDIT(s.estimate.empty ||
-                  (s.estimate.ipm >= 0.0 && s.estimate.cpm >= 0.0 &&
-                   s.estimate.ipcSt >= 0.0 &&
-                   !std::isnan(s.estimate.ipcSt)),
+        SOE_AUDIT(e.empty ||
+                  (e.ipm >= 0.0 && e.cpm >= 0.0 && e.ipcSt >= 0.0 &&
+                   !std::isnan(e.ipcSt)),
                   "window estimate out of range for thread ", j);
-        if (!s.estimate.empty)
-            latest[j] = s.estimate;
-        if (guards[j].badStreak() >= guardMaxBadWindows)
-            anyBeyondN = true;
+        if (!e.empty)
+            latest[j] = e;
     }
 
     std::vector<double> quotas(latest.size(),
                                DeficitCounter::unlimited);
-
-    // Degradation ladder, last rung: too many consecutive bad
-    // windows means the estimates cannot be trusted at all — fall
-    // back to plain SOE (miss-only switching) until data returns.
-    if (anyBeyondN) {
-        if (!isDegraded) {
-            isDegraded = true;
-            ++gstats.degradations;
-        }
-        ++gstats.degradedWindows;
-        return quotas;
-    }
-    if (isDegraded) {
-        isDegraded = false;
-        ++gstats.recoveries;
-    }
-
     if (target <= 0.0)
         return quotas; // F = 0: switch on misses only
 
@@ -119,14 +83,13 @@ FairnessEnforcer::recompute(const std::vector<HwCounters> &window,
         const WindowEstimate &e = latest[j];
         if (e.empty)
             continue; // cannot quota a thread we know nothing about
-        // Eq. 9, scaled by the guard's staleness relaxation: a
-        // thread running on carried-forward estimates has its quota
-        // widened toward the IPM clamp (plain SOE) every bad window.
-        const double unclamped = e.ipcSt * guards[j].relaxation() /
-            target * (cpmMin + lat);
-        // Floor of one instruction: a quota below 1 would starve
-        // the thread outright.
-        quotas[j] = std::max(1.0, std::min(e.ipm, unclamped));
+        // Eq. 9. A zero-cycle window at zero miss latency gives
+        // IPC_ST = inf and CPM_min = 0, so `unclamped` is NaN: the
+        // comparison then takes the IPM clamp. Floor of one
+        // instruction: a quota below 1 would starve the thread.
+        const double unclamped = e.ipcSt / target * (cpmMin + lat);
+        const double ipsw = unclamped < e.ipm ? unclamped : e.ipm;
+        quotas[j] = std::max(1.0, ipsw);
         SOE_AUDIT(quotas[j] >= 1.0 && !std::isnan(quotas[j]),
                   "Eq. 9 quota below the one-instruction floor for "
                   "thread ", j);
@@ -139,13 +102,6 @@ FairnessEnforcer::estimate(unsigned tid) const
 {
     soefair_assert(tid < latest.size(), "estimate() bad tid");
     return latest[tid];
-}
-
-const EstimatorGuard &
-FairnessEnforcer::guard(unsigned tid) const
-{
-    soefair_assert(tid < guards.size(), "guard() bad tid");
-    return guards[tid];
 }
 
 } // namespace core

@@ -12,21 +12,11 @@
  *
  * F = 0 disables enforcement (quotas unlimited). The quotas feed
  * the per-thread deficit counters in the SOE engine.
- *
- * Guardrails (EstimatorGuard): every window is screened before it
- * is trusted. Denied windows carry the last good estimate forward
- * with an exponentially growing relaxation of the quota (the stale
- * thread drifts toward plain SOE), and after guardMaxBadWindows
- * consecutive bad windows on any thread the whole enforcer degrades
- * to plain SOE until a good window is seen again. Degradations are
- * counted in GuardStats so a run that survived on the fallback
- * cannot masquerade as a clean one.
  */
 
 #ifndef SOEFAIR_CORE_ENFORCER_HH
 #define SOEFAIR_CORE_ENFORCER_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "core/deficit.hh"
@@ -36,21 +26,6 @@ namespace soefair
 {
 namespace core
 {
-
-/** Counters of the guardrail / graceful-degradation machinery. */
-struct GuardStats
-{
-    std::uint64_t goodWindows = 0;
-    std::uint64_t emptyWindows = 0;
-    std::uint64_t degenerateWindows = 0;
-    std::uint64_t outlierWindows = 0;
-    /** Recalculations answered with plain-SOE fallback quotas. */
-    std::uint64_t degradedWindows = 0;
-    /** Enforced -> degraded transitions. */
-    std::uint64_t degradations = 0;
-    /** Degraded -> enforced transitions. */
-    std::uint64_t recoveries = 0;
-};
 
 class FairnessEnforcer
 {
@@ -87,14 +62,6 @@ class FairnessEnforcer
     /** Latest estimate per thread (carried through empty windows). */
     const WindowEstimate &estimate(unsigned tid) const;
 
-    /** Per-thread guardrail state (streaks, running statistics). */
-    const EstimatorGuard &guard(unsigned tid) const;
-
-    /** True while the enforcer is degraded to plain SOE. */
-    bool degraded() const { return isDegraded; }
-
-    const GuardStats &guardStats() const { return gstats; }
-
     double targetFairness() const { return target; }
     double missLatency() const { return missLat; }
     unsigned numThreads() const { return unsigned(latest.size()); }
@@ -103,9 +70,6 @@ class FairnessEnforcer
     double target;
     double missLat;
     std::vector<WindowEstimate> latest;
-    std::vector<EstimatorGuard> guards;
-    GuardStats gstats;
-    bool isDegraded = false;
 };
 
 } // namespace core

@@ -342,8 +342,6 @@ SoeEngine::sample(Tick now)
         policy.recompute(window, lastMeasuredMissLat);
     soefair_assert(quotas.size() == threads.size(),
                    "policy returned wrong quota count");
-    if (policy.degraded())
-        ++degradedWindows;
     if (sim::auditsEnabled()) {
         for (double q : quotas) {
             SOE_AUDIT(q > 0.0 && !std::isnan(q),

@@ -161,8 +161,9 @@ class SoeEngine
     statistics::Counter samples;
     statistics::Counter missEvents;
     /**
-     * Delta windows the policy answered with its degraded fallback
-     * (estimator guardrails gave up; see core::FairnessEnforcer).
+     * Always 0: no policy has a degraded fallback. Kept so the
+     * statistics dump (and perfbench, which reads it) keeps its
+     * shape.
      */
     statistics::Counter degradedWindows;
     /**

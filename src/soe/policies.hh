@@ -64,10 +64,8 @@ class SchedulingPolicy
         double measured_miss_lat) = 0;
 
     /**
-     * True while the policy is running on its degraded fallback
-     * (guardrails gave up on the estimates); the engine counts
-     * degraded windows in its statistics. Policies with no fallback
-     * are never degraded.
+     * Always false: no policy has a degraded fallback. Kept because
+     * perfbench's tracing policy wrapper overrides it.
      */
     virtual bool degraded() const { return false; }
 };
@@ -114,10 +112,6 @@ class FairnessPolicy : public SchedulingPolicy
     }
 
     bool usesMeasuredMissLat() const { return useMeasured; }
-
-    /** Degraded to plain SOE while the guardrails distrust the
-     *  estimates (see core::FairnessEnforcer). */
-    bool degraded() const override { return enforcer.degraded(); }
 
     const core::FairnessEnforcer &getEnforcer() const
     {

@@ -1,5 +1,8 @@
 /** @file Unit tests for the fairness-enforcement feedback loop. */
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/analytic.hh"
@@ -54,14 +57,73 @@ TEST(Enforcer, MatchesAnalyticQuotaOnIdealCounters)
 TEST(Enforcer, StarvedThreadKeepsPreviousEstimate)
 {
     FairnessEnforcer e(1.0, 300.0, 2);
-    e.recompute({counters(1000, 400, 20), counters(15000, 6000, 3)});
-    const double est0 = e.estimate(0).ipcSt;
+    const auto fresh =
+        e.recompute({counters(15000, 6000, 3), counters(1000, 400, 20)});
+    const WindowEstimate est0 = e.estimate(0);
+    // Thread 0 is the fast thread: Eq. 9 holds it below its IPM
+    // clamp, so a widened quota would show.
+    ASSERT_LT(fresh[0], est0.ipm);
 
-    // Next window: thread 0 never ran. Its estimate must persist
-    // and its quota must still be computed from it.
-    auto q = e.recompute({HwCounters{}, counters(15000, 6000, 3)});
-    EXPECT_DOUBLE_EQ(e.estimate(0).ipcSt, est0);
-    EXPECT_NE(q[0], DeficitCounter::unlimited);
+    // Thread 0 then never runs for several windows. Its estimate
+    // persists, and its quota stays exactly Eq. 9 on that estimate.
+    for (int w = 0; w < 5; ++w) {
+        auto q = e.recompute({HwCounters{}, counters(1000, 400, 20)});
+        EXPECT_EQ(e.estimate(0).ipm, est0.ipm) << "window " << w;
+        EXPECT_EQ(e.estimate(0).cpm, est0.cpm) << "window " << w;
+        EXPECT_EQ(e.estimate(0).ipcSt, est0.ipcSt) << "window " << w;
+        EXPECT_EQ(q[0], fresh[0]) << "window " << w;
+        EXPECT_EQ(q[1], fresh[1]) << "window " << w;
+    }
+}
+
+TEST(Enforcer, EmptyWindowCarriesLastEstimateForward)
+{
+    FairnessEnforcer e(0.5, 300.0, 1);
+    e.recompute({HwCounters{5000, 2000, 10}});
+    const WindowEstimate good = e.estimate(0);
+    ASSERT_FALSE(good.empty);
+
+    // An empty window is no evidence: the estimate stays the last
+    // non-empty one.
+    e.recompute({HwCounters{}});
+    EXPECT_FALSE(e.estimate(0).empty);
+    EXPECT_DOUBLE_EQ(e.estimate(0).ipm, good.ipm);
+    EXPECT_DOUBLE_EQ(e.estimate(0).cpm, good.cpm);
+    EXPECT_DOUBLE_EQ(e.estimate(0).ipcSt, good.ipcSt);
+}
+
+TEST(Enforcer, StaleEstimateKeepsQuotaWithinIpm)
+{
+    FairnessEnforcer e(0.5, 300.0, 2);
+    const auto fresh = e.recompute(
+        {HwCounters{5000, 2000, 10}, HwCounters{900, 1800, 30}});
+    // Thread 0 starves: its quota is neither widened nor shrunk on
+    // staleness, and stays within its IPM clamp (5000 / 10 misses).
+    for (int w = 0; w < 8; ++w) {
+        auto q = e.recompute({HwCounters{}, HwCounters{900, 1800, 30}});
+        EXPECT_EQ(q[0], fresh[0]) << "window " << w;
+        EXPECT_LE(q[0], 500.0 + 1e-9) << "window " << w;
+        EXPECT_EQ(q[1], fresh[1]) << "window " << w;
+    }
+}
+
+TEST(Enforcer, ZeroCycleWindowGivesFiniteQuota)
+{
+    // Instructions retired in zero run cycles: IPM = 500, CPM = 0.
+    // At zero miss latency IPC_ST is infinite and CPM_min is 0, so
+    // Eq. 9's unclamped term is inf * 0; the quota must still be a
+    // finite number between the unit floor and the IPM clamp.
+    for (double missLat : {300.0, 0.0}) {
+        for (double f : {0.5, 1.0}) {
+            FairnessEnforcer e(f, missLat, 1);
+            auto q = e.recompute({HwCounters{5000, 0, 10}});
+            ASSERT_EQ(q.size(), 1u);
+            EXPECT_TRUE(std::isfinite(q[0]))
+                << "miss latency " << missLat << ", F " << f;
+            EXPECT_GE(q[0], 1.0) << "miss latency " << missLat;
+            EXPECT_LE(q[0], 500.0) << "miss latency " << missLat;
+        }
+    }
 }
 
 TEST(Enforcer, NoDataMeansNoEnforcement)
@@ -115,4 +177,17 @@ TEST(Enforcer, RejectsWrongCounterCount)
 {
     FairnessEnforcer e(0.5, 300.0, 2);
     EXPECT_THROW(e.recompute({HwCounters{}}), EstimatorError);
+}
+
+TEST(Enforcer, NonFiniteMeasuredLatencyIsEstimatorError)
+{
+    FairnessEnforcer e(0.5, 300.0, 1);
+    EXPECT_THROW(
+        e.recompute({HwCounters{5000, 2000, 10}},
+                    std::numeric_limits<double>::quiet_NaN()),
+        EstimatorError);
+    EXPECT_THROW(
+        e.recompute({HwCounters{5000, 2000, 10}},
+                    std::numeric_limits<double>::infinity()),
+        EstimatorError);
 }

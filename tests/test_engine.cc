@@ -247,24 +247,3 @@ TEST(Engine, WatchdogIgnoresIdleEngine)
         eng.onCycle(0, t);
     SUCCEED();
 }
-
-TEST(Engine, DegradedWindowsCounterTracksPolicy)
-{
-    // Enough starved windows to degrade, too few to fire the
-    // watchdog.
-    constexpr unsigned windows = core::guardMaxBadWindows + 1;
-    static_assert(windows < watchdogWindowLimit);
-    statistics::Group root("t");
-    FairnessPolicy pol(0.5, 300.0, 2);
-    SoeConfig cfg = smallCfg();
-    cfg.maxCyclesQuota = 0;
-    SoeEngine eng(cfg, pol, 2, &root);
-    eng.onSwitchIn(0, 0);
-    // Starved windows (no retirement anywhere) deny every estimate;
-    // after guardMaxBadWindows of them the policy degrades and the
-    // engine counts it.
-    for (Tick t = 100; t <= windows * cfg.delta; t += 100)
-        eng.onCycle(0, t);
-    EXPECT_GE(eng.degradedWindows.value(), 1u);
-    EXPECT_TRUE(pol.degraded());
-}

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "harness/machine_config.hh"
@@ -193,6 +197,55 @@ TEST(Runner, StResultsAreConsistent)
     EXPECT_NEAR(res.ipc, double(res.instrs) / double(res.cycles),
                 1e-12);
     EXPECT_GT(res.ipm, 0.0);
+}
+
+namespace
+{
+
+/** Expect every space-separated field of a journal payload to parse
+ *  as a finite number. */
+void
+expectFiniteFields(const std::string &payload)
+{
+    std::istringstream is(payload);
+    std::string field;
+    while (is >> field) {
+        char *end = nullptr;
+        const double v = std::strtod(field.c_str(), &end);
+        EXPECT_TRUE(*end == '\0' && std::isfinite(v))
+            << "field '" << field << "' of payload: " << payload;
+    }
+}
+
+} // namespace
+
+TEST(Runner, FairnessRunIsNanFree)
+{
+    // `SOEFAIR_SCALE=0.1 soefair_cli run-soe mcf mgrid --policy
+    // fairness --F 0.5`, in process: the reference runs, the SOE
+    // run's journal payload and its full statistics dump carry no
+    // NaN or infinity.
+    const MachineConfig mc = MachineConfig::benchDefault();
+    Runner runner(mc);
+    RunConfig rc = RunConfig{}.scaled(0.1);
+    const std::vector<ThreadSpec> specs{ThreadSpec::benchmark("mcf", 1),
+                                        ThreadSpec::benchmark("mgrid", 2)};
+    for (const auto &spec : specs)
+        expectFiniteFields(encodeStPayload(runner.runSingleThread(spec, rc)));
+
+    std::ostringstream stats;
+    rc.statsDump = &stats;
+    soe::FairnessPolicy policy(0.5, mc.soe.missLatency, 2);
+    const SoeRunResult res = runner.runSoe(specs, policy, rc);
+    EXPECT_FALSE(res.timedOut);
+    EXPECT_GT(res.switchesForced, 0u);
+    expectFiniteFields(encodeSoePayload(res));
+
+    std::string dump = stats.str();
+    ASSERT_FALSE(dump.empty());
+    for (char &c : dump)
+        c = char(std::tolower(static_cast<unsigned char>(c)));
+    EXPECT_EQ(dump.find("nan"), std::string::npos) << stats.str();
 }
 
 TEST(Sweep, PairSeedsDecorrelateHomogeneousPairs)
