@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 
 #include "core/metrics.hh"
@@ -187,6 +188,14 @@ failureReason(const JobOutcome &o)
            " attempt(s)";
 }
 
+/** soeJobId with the level already formatted by levelLabel. */
+std::string
+soeJobIdOfLabel(const std::string &bench_a, const std::string &bench_b,
+                const std::string &level_label)
+{
+    return "soe:" + bench_a + ":" + bench_b + ":F=" + level_label;
+}
+
 } // namespace
 
 SweepCampaign::SweepCampaign(
@@ -197,6 +206,8 @@ SweepCampaign::SweepCampaign(
       fLevels(std::move(f_levels))
 {
     mc.validate();
+    for (double f : fLevels)
+        fLabels.push_back(levelLabel(f));
 }
 
 void
@@ -222,7 +233,7 @@ std::string
 SweepCampaign::soeJobId(const std::string &bench_a,
                         const std::string &bench_b, double f)
 {
-    return "soe:" + bench_a + ":" + bench_b + ":F=" + levelLabel(f);
+    return soeJobIdOfLabel(bench_a, bench_b, levelLabel(f));
 }
 
 std::vector<SweepCampaign::StJob>
@@ -267,19 +278,30 @@ SweepCampaign::journalKey() const
 std::vector<SupervisorJob>
 SweepCampaign::jobs() const
 {
-    std::vector<SupervisorJob> out;
-    const auto hook = attemptHook;
+    // What every job runs with, copied once and shared read-only by
+    // all of the closures.
+    struct Shared
+    {
+        MachineConfig mc;
+        RunConfig rc;
+        std::function<void(const std::string &, unsigned)> hook;
+    };
+    const auto shared =
+        std::make_shared<const Shared>(Shared{mc, rc, attemptHook});
 
-    for (const auto &st : stJobList()) {
+    const auto stJobs = stJobList();
+    std::vector<SupervisorJob> out;
+    out.reserve(stJobs.size() + pairList.size() * fLevels.size());
+
+    for (const auto &st : stJobs) {
         SupervisorJob j;
         j.id = stJobId(st.bench, st.seed);
-        j.run = [mc = mc, rc = rc, st, hook,
-                 id = j.id](unsigned attempt) {
-            if (hook)
-                hook(id, attempt);
-            Runner runner(mc);
+        j.run = [shared, st, id = j.id](unsigned attempt) {
+            if (shared->hook)
+                shared->hook(id, attempt);
+            Runner runner(shared->mc);
             StRunResult r = runner.runSingleThread(
-                ThreadSpec::benchmark(st.bench, st.seed), rc);
+                ThreadSpec::benchmark(st.bench, st.seed), shared->rc);
             return encodeStPayload(r);
         };
         out.push_back(std::move(j));
@@ -287,14 +309,15 @@ SweepCampaign::jobs() const
 
     for (const auto &[a, b] : pairList) {
         const auto [seedA, seedB] = pairSeeds(a, b);
-        for (double f : fLevels) {
+        for (std::size_t l = 0; l < fLevels.size(); ++l) {
+            const double f = fLevels[l];
             SupervisorJob j;
-            j.id = soeJobId(a, b, f);
-            j.run = [mc = mc, rc = rc, a = a, b = b, seedA, seedB, f,
-                     hook, id = j.id](unsigned attempt) {
-                if (hook)
-                    hook(id, attempt);
-                Runner runner(mc);
+            j.id = soeJobIdOfLabel(a, b, fLabels[l]);
+            j.run = [shared, a = a, b = b, seedA, seedB, f,
+                     id = j.id](unsigned attempt) {
+                if (shared->hook)
+                    shared->hook(id, attempt);
+                Runner runner(shared->mc);
                 const std::vector<ThreadSpec> specs = {
                     ThreadSpec::benchmark(a, seedA),
                     ThreadSpec::benchmark(b, seedB),
@@ -302,11 +325,11 @@ SweepCampaign::jobs() const
                 SoeRunResult r;
                 if (f <= 0.0) {
                     soe::MissOnlyPolicy policy;
-                    r = runner.runSoe(specs, policy, rc);
+                    r = runner.runSoe(specs, policy, shared->rc);
                 } else {
                     soe::FairnessPolicy policy(
-                        f, mc.soe.missLatency, 2);
-                    r = runner.runSoe(specs, policy, rc);
+                        f, shared->mc.soe.missLatency, 2);
+                    r = runner.runSoe(specs, policy, shared->rc);
                 }
                 return encodeSoePayload(r);
             };
@@ -323,8 +346,8 @@ SweepCampaign::jobIds() const
     for (const auto &st : stJobList())
         ids.insert(stJobId(st.bench, st.seed));
     for (const auto &[a, b] : pairList) {
-        for (double f : fLevels)
-            ids.insert(soeJobId(a, b, f));
+        for (const auto &label : fLabels)
+            ids.insert(soeJobIdOfLabel(a, b, label));
     }
     return ids;
 }
@@ -368,19 +391,19 @@ SweepCampaign::aggregate(
         loadSt(a, seedA, pr.stA);
         loadSt(b, seedB, pr.stB);
 
-        for (double f : fLevels) {
-            const JobOutcome *o = find(soeJobId(a, b, f));
+        for (std::size_t l = 0; l < fLevels.size(); ++l) {
+            const double f = fLevels[l];
+            const JobOutcome *o = find(soeJobIdOfLabel(a, b, fLabels[l]));
             if (!o || !o->done) {
                 agg.missing.push_back(
-                    {pr.label(), "F=" + levelLabel(f),
+                    {pr.label(), "F=" + fLabels[l],
                      o ? failureReason(*o) : "job not scheduled"});
                 continue;
             }
             if (!stOk) {
                 // The SOE run completed but its speedups need the
                 // single-thread baselines: still a visible gap.
-                agg.missing.push_back({pr.label(),
-                                       "F=" + levelLabel(f),
+                agg.missing.push_back({pr.label(), "F=" + fLabels[l],
                                        "baseline missing"});
                 continue;
             }

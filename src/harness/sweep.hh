@@ -198,6 +198,8 @@ class SweepCampaign
     RunConfig rc;
     std::vector<std::pair<std::string, std::string>> pairList;
     std::vector<double> fLevels;
+    /** levelLabel() of each level, formatted once. */
+    std::vector<std::string> fLabels;
     std::function<void(const std::string &, unsigned)> attemptHook;
 };
 

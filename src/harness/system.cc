@@ -39,11 +39,19 @@ System::start(soe::SoeEngine *engine)
     soefair_assert(!started, "System::start called twice");
     soefair_assert(engine, "System::start needs an SOE engine");
     started = true;
-    for (const auto &gen : generators) {
-        streams.push_back(std::make_unique<workload::InstStream>(*gen));
-        coreInst->addThread(streams.back().get());
-    }
+    startStreams();
+    for (const auto &stream : streams)
+        coreInst->addThread(stream.get());
     coreInst->start(*engine, 0, currentTick);
+}
+
+void
+System::startStreams()
+{
+    if (!streams.empty())
+        return;
+    for (const auto &gen : generators)
+        streams.push_back(std::make_unique<workload::InstStream>(*gen));
 }
 
 void
@@ -93,19 +101,22 @@ System::warmCaches(std::uint64_t instrs_per_thread)
 {
     soefair_assert(!started,
                    "warmCaches must run before System::start");
+    startStreams();
     constexpr std::uint64_t chunk = 4096;
-    std::vector<std::uint64_t> remaining(generators.size(),
+    std::vector<std::uint64_t> remaining(streams.size(),
                                          instrs_per_thread);
     bool any = true;
     while (any) {
         any = false;
-        for (std::size_t t = 0; t < generators.size(); ++t) {
+        for (std::size_t t = 0; t < streams.size(); ++t) {
             const std::uint64_t n = std::min(chunk, remaining[t]);
             remaining[t] -= n;
             if (remaining[t] > 0)
                 any = true;
+            workload::InstStream &stream = *streams[t];
             for (std::uint64_t i = 0; i < n; ++i) {
-                const isa::MicroOp op = generators[t]->next();
+                // Valid until committed: warm first, then retire it.
+                const isa::MicroOp &op = stream.fetchNext();
                 hier->warmFetch(ThreadID(t), op.pc);
                 if (op.isLoad())
                     hier->warmData(ThreadID(t), op.memAddr, false);
@@ -117,6 +128,7 @@ System::warmCaches(std::uint64_t instrs_per_thread)
                     auto &bp = coreInst->branchPredictor();
                     bp.update(op, bp.predict(op));
                 }
+                stream.commitUpTo(op.seqNum);
             }
         }
     }

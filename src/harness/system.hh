@@ -52,10 +52,10 @@ class System
     mem::Hierarchy &hierarchy() { return *hier; }
     EventQueue &events() { return eventQueue; }
     /**
-     * The thread's workload generator, read-only: warmCaches() drives
-     * it before start(), the thread's InstStream producer after.
-     * Its profile, thread id and generated() count are safe to read
-     * at any time.
+     * The thread's workload generator, read-only: only the producer
+     * of the thread's InstStream, started by the first warmCaches()
+     * or start(), ever drives it. Its profile, thread id and
+     * generated() count are safe to read at any time.
      */
     const workload::WorkloadGenerator &generator(ThreadID tid) const;
     statistics::Group &stats() { return root; }
@@ -64,10 +64,11 @@ class System
     Tick now() const { return currentTick; }
 
     /**
-     * Start every thread's InstStream, whose producer thread takes
-     * over its generator, and begin with thread 0, switching threads
-     * as `engine` decides. Panics on a null engine before starting
-     * any producer. The engine must outlive every later step().
+     * Attach every thread's InstStream to the core, starting the
+     * streams unless warmCaches() already did, and begin with thread
+     * 0, switching threads as `engine` decides. Panics on a null
+     * engine before starting any producer. The engine must outlive
+     * every later step().
      */
     void start(soe::SoeEngine *engine);
 
@@ -94,9 +95,13 @@ class System
 
     /**
      * Functional cache warmup: stream `instrs_per_thread` upcoming
-     * instructions of every thread through the caches (round-robin
-     * in chunks so threads' lines interleave), consuming the
-     * generators. No cycles pass.
+     * instructions of every thread through the caches, TLBs and
+     * branch predictor (round-robin in chunks so threads' lines
+     * interleave), fetching and retiring them from each thread's
+     * InstStream. The first call starts the streams, so their
+     * producers generate the warmup ops ahead of it; from then on
+     * this System holds live producer threads and must not be
+     * forked (see InstStream::liveProducers). No cycles pass.
      */
     void warmCaches(std::uint64_t instrs_per_thread);
 
@@ -110,8 +115,9 @@ class System
     std::unique_ptr<mem::Hierarchy> hier;
     std::unique_ptr<cpu::Core> coreInst;
     std::vector<std::unique_ptr<workload::WorkloadGenerator>> generators;
-    /** Built by start(); declared after `generators` so each stream
-     *  stops its producer before its generator is destroyed. */
+    /** Built by the first warmCaches() or start(); declared after
+     *  `generators` so each stream stops its producer before its
+     *  generator is destroyed. */
     std::vector<std::unique_ptr<workload::InstStream>> streams;
     Tick currentTick = 0;
     bool started = false;
@@ -123,6 +129,9 @@ class System
     bool fastForward = true;
     std::uint64_t ffJumps = 0;
     std::uint64_t ffCycles = 0;
+
+    /** Build each thread's InstStream, starting its producer, once. */
+    void startStreams();
 };
 
 } // namespace harness

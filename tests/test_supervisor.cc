@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -35,6 +36,21 @@
 
 using namespace soefair;
 using namespace soefair::harness;
+
+#if defined(__SANITIZE_ADDRESS__)
+/**
+ * ASan's defaults for this test binary; ASAN_OPTIONS, when set,
+ * still overrides them. ASan's SIGSEGV handler exits 1 unless
+ * abort_on_error is set, so a job that dies on a signal would read
+ * as a "fatal" exit instead of "signal"
+ * (Supervisor.SignalDeathIsRecordedAsFailedAfterOneAttempt).
+ */
+extern "C" const char *
+__asan_default_options()
+{
+    return "abort_on_error=1";
+}
+#endif
 
 namespace
 {
@@ -340,6 +356,37 @@ TEST(SweepCampaign, MatchesInProcessSweepByteForByte)
         writeCampaignCsv(resCsv, agg2);
         EXPECT_EQ(refCsv.str(), resCsv.str());
     }
+}
+
+TEST(SweepCampaign, StandardCampaignDecomposesIntoItsJobIds)
+{
+    const auto pairs = workload::spec::evaluationPairs();
+    const auto levels = EvaluationSweep::standardLevels();
+    ASSERT_EQ(pairs.size(), 16u);
+    ASSERT_EQ(levels.size(), 4u);
+    const SweepCampaign campaign(MachineConfig::benchDefault(),
+                                 tinyRun(), pairs, levels);
+    const auto jobs = campaign.jobs();
+    ASSERT_EQ(jobs.size(), 87u);
+
+    // The 23 unique single-thread baselines come first ...
+    constexpr std::size_t stJobs = 23;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_EQ(jobs[i].id.rfind(i < stJobs ? "st:" : "soe:", 0), 0u)
+            << "job " << i << " is " << jobs[i].id;
+    }
+    // ... then one job per pair x level, in that order.
+    std::size_t i = stJobs;
+    for (const auto &[a, b] : pairs) {
+        for (double f : levels)
+            EXPECT_EQ(jobs[i++].id, SweepCampaign::soeJobId(a, b, f));
+    }
+
+    std::set<std::string> ids;
+    for (const auto &j : jobs)
+        ids.insert(j.id);
+    EXPECT_EQ(ids.size(), jobs.size()); // no id repeats
+    EXPECT_EQ(ids, campaign.jobIds());
 }
 
 TEST(SweepCampaign, MissingCellsAreExplicitAndExitCodesDistinct)

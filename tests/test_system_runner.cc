@@ -41,10 +41,47 @@ TEST(System, WarmCachesConsumesGenerators)
                {ThreadSpec::benchmark("gcc", 1)});
     EXPECT_EQ(sys.generator(0).generated(), 0u);
     sys.warmCaches(5000);
-    EXPECT_EQ(sys.generator(0).generated(), 5000u);
+    // The stream's producer generated the 5000 warmup ops and may
+    // already run up to one ring ahead of them.
+    const std::uint64_t generated = sys.generator(0).generated();
+    EXPECT_GE(generated, 5000u);
+    EXPECT_LE(generated, 5000u + workload::InstStream::capacity);
     // Caches now hold lines.
     EXPECT_GT(sys.hierarchy().l1d().fills.value() +
               sys.hierarchy().l2().fills.value(), 0u);
+
+    // Warmup used up ops 1..5000: the pipeline starts at op 5001.
+    InstSeqNum firstRetired = invalidSeqNum;
+    sys.core().setRetireHook([&](const cpu::DynInst &inst, Tick) {
+        if (firstRetired == invalidSeqNum)
+            firstRetired = inst.op.seqNum;
+    });
+    soe::MissOnlyPolicy pol;
+    soe::SoeEngine eng(MachineConfig::benchDefault().soe, pol, 1,
+                       &sys.stats());
+    sys.start(&eng);
+    while (firstRetired == invalidSeqNum && sys.now() < 100000)
+        sys.step(100);
+    EXPECT_EQ(firstRetired, 5001u);
+}
+
+TEST(System, WarmCachesStartsOneProducerPerThread)
+{
+    {
+        System sys(MachineConfig::benchDefault(),
+                   {ThreadSpec::benchmark("gcc", 1),
+                    ThreadSpec::benchmark("eon", 2)});
+        EXPECT_EQ(workload::InstStream::liveProducers(), 0u);
+        sys.warmCaches(1000);
+        EXPECT_EQ(workload::InstStream::liveProducers(), 2u);
+        // start() attaches the running streams; it starts no more.
+        soe::MissOnlyPolicy pol;
+        soe::SoeEngine eng(MachineConfig::benchDefault().soe, pol, 2,
+                           &sys.stats());
+        sys.start(&eng);
+        EXPECT_EQ(workload::InstStream::liveProducers(), 2u);
+    }
+    EXPECT_EQ(workload::InstStream::liveProducers(), 0u);
 }
 
 TEST(System, GeneratedCountIncludesRunAhead)
