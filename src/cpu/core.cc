@@ -1,6 +1,7 @@
 #include "cpu/core.hh"
 
 #include "sim/logging.hh"
+#include "sim/ticked.hh"
 #include "soe/engine.hh"
 
 namespace soefair
@@ -78,7 +79,7 @@ Core::tick(Tick now)
 {
     soefair_assert(activeTid != invalidThreadId, "tick before start");
 
-    bool progress = storeBuf.tick(now);
+    bool progress = tickComponent(storeBuf, now);
     progress = retireStage(now) || progress;
 
     if (engine->onCycle(activeTid, now) &&
@@ -88,7 +89,7 @@ Core::tick(Tick now)
 
     progress = issueStage(now) || progress;
     progress = dispatchStage(now) || progress;
-    progress = fetch.tick(now) || progress;
+    progress = tickComponent(fetch, now) || progress;
     return progress;
 }
 

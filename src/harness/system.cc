@@ -4,6 +4,7 @@
 
 #include "sim/invariant.hh"
 #include "sim/logging.hh"
+#include "sim/ticked.hh"
 
 namespace soefair
 {
@@ -62,7 +63,7 @@ System::step(std::uint64_t n)
     while (currentTick < end) {
         ++currentTick;
         eventQueue.runUntil(currentTick);
-        const bool progress = coreInst->tick(currentTick);
+        const bool progress = tickComponent(*coreInst, currentTick);
         if (progress || !fastForward || currentTick >= end)
             continue;
 

@@ -30,6 +30,7 @@
 #ifndef SOEFAIR_SIM_ERRORS_HH
 #define SOEFAIR_SIM_ERRORS_HH
 
+#include <concepts>
 #include <string>
 
 #include "sim/logging.hh"
@@ -47,6 +48,7 @@ class SimError : public FatalError
         Estimator,
         Watchdog,
         Checkpoint,
+        NumKinds, ///< count of the kinds above; not a kind itself
     };
 
     SimError(Kind kind, const std::string &msg)
@@ -114,13 +116,19 @@ class CheckpointError : public SimError
  */
 const char *simErrorKindNameForExit(int exit_code);
 
+/** A SimError subclass that declares its exit code. */
+template <typename E>
+concept TypedSimError = std::derived_from<E, SimError> && requires {
+    { E::code } -> std::convertible_to<int>;
+};
+
 /**
  * Format a message, print it (same convention as fatal()) and throw
  * the requested SimError subclass:
  *
  *   raiseError<InputError>("trace '", path, "' truncated");
  */
-template <typename E, typename... Args>
+template <TypedSimError E, typename... Args>
 [[noreturn]] void
 raiseError(Args &&...args)
 {

@@ -151,14 +151,33 @@ Group::resetStats()
 }
 
 void
+Group::checkNameIsFree(const std::string &name) const
+{
+    // A stat and a child group sharing a name collide in the dump
+    // paths too, so both name spaces are one.
+    for (const Stat *s : stats) {
+        if (s->name() == name)
+            panic("stat group '", path(), "' already holds a stat named '",
+                  name, "'");
+    }
+    for (const Group *g : children) {
+        if (g->name() == name)
+            panic("stat group '", path(), "' already holds a group named '",
+                  name, "'");
+    }
+}
+
+void
 Group::addStat(Stat *s)
 {
+    checkNameIsFree(s->name());
     stats.push_back(s);
 }
 
 void
 Group::addChild(Group *g)
 {
+    checkNameIsFree(g->name());
     children.push_back(g);
 }
 

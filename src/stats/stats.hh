@@ -142,11 +142,14 @@ class Group
     void resetStats();
 
     // Registration (called from Stat / child Group constructors).
+    // Both panic on a name this group already holds, stat or child.
     void addStat(Stat *s);
     void addChild(Group *g);
     void removeChild(Group *g);
 
   private:
+    void checkNameIsFree(const std::string &name) const;
+
     std::string groupName;
     Group *parent;
     std::vector<Stat *> stats;

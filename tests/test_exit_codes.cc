@@ -4,10 +4,11 @@
  * SimError class must round-trip through the CLI's shared
  * failure-to-exit-code mapping (harness::runWithExitCodeMapping) to
  * its declared code, and every documented exit code in the verb
- * registry must name a real code. This pins the ground truth that
- * soelint's ERR-002/ERR-003 rules check statically: if a code moves,
- * this test and the linter disagree loudly instead of drifting apart
- * silently.
+ * registry must name a real code. Each SimError::Kind's code and
+ * name come from one table in src/sim/errors.cc, and raiseError<E>
+ * only compiles for a SimError subclass that declares E::code; this
+ * test pins the ground truth that soelint's ERR-003 rule checks
+ * against the CLI statically.
  */
 
 #include <gtest/gtest.h>
@@ -86,6 +87,20 @@ documentedCodes(const std::string &contract)
     return codes;
 }
 
+// A SimError subclass without an exit code cannot be raised.
+class CodelessError : public SimError
+{
+  public:
+    explicit CodelessError(const std::string &msg)
+        : SimError(Kind::Input, msg)
+    {}
+};
+
+static_assert(TypedSimError<InputError> &&
+              TypedSimError<CheckpointError>);
+static_assert(!TypedSimError<CodelessError>);
+static_assert(!TypedSimError<SimError> && !TypedSimError<FatalError>);
+
 } // namespace
 
 TEST(ExitCodes, EveryClassHasADistinctCodeInTheReservedBand)
@@ -110,11 +125,16 @@ TEST(ExitCodes, ExitCodeMatchesDeclaredConstant)
 
 TEST(ExitCodes, KindNameRoundTripsThroughExitCode)
 {
-    for (const auto &row : taxonomy()) {
-        const char *name = simErrorKindNameForExit(row.code);
-        ASSERT_NE(name, nullptr) << row.className;
-        EXPECT_STREQ(name, row.error.kindName()) << row.className;
+    const int numKinds = int(SimError::Kind::NumKinds);
+    std::set<std::string> names;
+    for (int k = 0; k < numKinds; ++k) {
+        const SimError err(SimError::Kind(k), "t");
+        const char *name = simErrorKindNameForExit(err.exitCode());
+        ASSERT_NE(name, nullptr) << "kind " << k;
+        EXPECT_STREQ(name, err.kindName()) << "kind " << k;
+        EXPECT_TRUE(names.insert(name).second) << name;
     }
+    EXPECT_EQ(taxonomy().size(), std::size_t(numKinds));
     // Codes outside the taxonomy map to nothing.
     for (int code : {0, 1, 2, 3, 9, 14, 255})
         EXPECT_EQ(simErrorKindNameForExit(code), nullptr) << code;

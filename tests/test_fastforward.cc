@@ -9,6 +9,7 @@
  * audits on every jump. The last tests check that fast-forward pays:
  * it must cover nearly every cycle of a serial pointer chase, and in
  * an optimized build make that chase at least 5x faster to simulate.
+ * The wake-horizon half of the contract is checked at compile time.
  */
 
 #include <gtest/gtest.h>
@@ -21,11 +22,13 @@
 #include <string>
 #include <vector>
 
+#include "cpu/core.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "sim/invariant.hh"
+#include "sim/ticked.hh"
 #include "soe/engine.hh"
 #include "soe/policies.hh"
 #include "workload/profile.hh"
@@ -38,6 +41,17 @@ using harness::ThreadSpec;
 
 namespace
 {
+
+// A ticked component without a wake horizon: fast-forward would jump
+// over the cycles it needs, so tickComponent() refuses to tick it.
+struct TickWithoutWake
+{
+    bool tick(Tick now);
+};
+
+static_assert(!WakeTicked<TickWithoutWake>);
+static_assert(WakeTicked<cpu::Core> && WakeTicked<cpu::FetchUnit> &&
+              WakeTicked<cpu::StoreBuffer>);
 
 RunConfig
 smallRun(bool fast_forward, std::ostream *dump)

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "sim/logging.hh"
 #include "stats/stats.hh"
 
 using namespace soefair::statistics;
@@ -100,4 +101,25 @@ TEST(Stats, ChildRemovalOnDestruction)
     std::ostringstream os;
     root.dump(os);
     EXPECT_EQ(os.str().find("gone"), std::string::npos);
+}
+
+TEST(Stats, DuplicateNamesInOneGroupPanic)
+{
+    Group root("sys");
+    Group cache("cache", &root);
+    Counter hits(&cache, "hits", "demand hits");
+    EXPECT_THROW(Counter(&cache, "hits", "aliases an existing name"),
+                 soefair::PanicError);
+    // A child group and a stat, or two children, sharing a name
+    // collide in the dump paths just the same.
+    EXPECT_THROW(Counter(&root, "cache", "shadows the child"),
+                 soefair::PanicError);
+    EXPECT_THROW(Group("hits", &cache), soefair::PanicError);
+    EXPECT_THROW(Group("cache", &root), soefair::PanicError);
+    // The same name under a different group is fine.
+    Counter otherHits(&root, "hits", "same name, different group");
+    std::ostringstream os;
+    root.dump(os);
+    EXPECT_NE(os.str().find("sys.cache.hits"), std::string::npos);
+    EXPECT_NE(os.str().find("sys.hits"), std::string::npos);
 }

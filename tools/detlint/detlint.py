@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """detlint/soelint - cross-layer contract checker for soefair.
 
-Enforces the simulator's load-bearing contracts as named, baselined
-rules (see docs/correctness.md, "soelint rule families"):
+Enforces the simulator's load-bearing contracts as named rules that
+the build and the tests cannot hold directly (see docs/correctness.md,
+"soelint rule families"):
 
 Determinism:
   DET-001  no wall-clock / rand() / locale / PID-dependent values in
@@ -14,9 +15,6 @@ Determinism:
            structs declared in src/ headers.
 
 Fast-forward contract (docs/performance.md):
-  FF-001   every class declaring tick() in src/cpu, src/mem, src/soe
-           must also declare nextWakeTick(): a ticking component with
-           no wake horizon silently breaks quiescent-run jumping.
   FF-002   every stall counter (*[Ss]tall*[Cc]ycles*) incremented
            per-cycle (++x / x++ / x += 1) in src/cpu, src/mem,
            src/soe must also be bulk-credited in a
@@ -28,10 +26,6 @@ Error taxonomy (docs/robustness.md):
            `throw expr` in src/ outside whitelisted sites; defined
            failures go through raiseError<E> so the exit-code
            taxonomy holds (bare `throw;` rethrow is allowed).
-  ERR-002  every SimError subclass in src/sim/errors.hh must have an
-           exitCode() return and a kind-name case in
-           src/sim/errors.cc, and every raiseError<E> in the tree
-           must name a declared SimError class.
   ERR-003  every CLI verb's documented exit codes
            (src/harness/cli_verbs.cc) must cover the codes statically
            reachable from its implementation in tools/soefair_cli.cc,
@@ -41,8 +35,11 @@ Stats determinism:
   STAT-001 payload/CSV-feeding code must route floating point through
            the statfmt precision codec (src/stats/statfmt.hh): no raw
            operator<< of a double/float and no ad-hoc setprecision.
-  STAT-002 each statistics counter (parent, "name", "desc") is
-           registered at most once per (parent, name) in a file.
+
+Three former rules are held by the code itself: FF-001 by the
+WakeTicked concept (src/sim/ticked.hh), ERR-002 by the kind table in
+src/sim/errors.cc and the TypedSimError concept on raiseError<E>, and
+STAT-002 by statistics::Group, which panics on a duplicate name.
 
 Analysis
 --------
@@ -51,31 +48,23 @@ stripped (line-preserving, CRLF- and raw-string-literal-aware), then
 rule matchers run over the token text; member rules use a
 brace-tracking class parser. The same rules run on every machine.
 
-Cross-file rules (ERR-002/ERR-003, the STAT-001 float registry) run
-on a tree context built from the scanned file set; they anchor on the
-canonical paths src/sim/errors.{hh,cc}, src/harness/cli_verbs.cc and
+Cross-file rules (ERR-003, the STAT-001 float registry) run on a
+tree context built from the scanned file set; they anchor on the
+canonical paths src/sim/errors.hh, src/harness/cli_verbs.cc and
 tools/soefair_cli.cc and are skipped when those files are not part of
 the scan (e.g. single-file invocations).
 
-Suppressions
-------------
+Suppression
+-----------
   // detlint: allow(ERR-001)       suppress rule(s) on this line
-  // NOLINT(DET-004)               same, clang-tidy spelling
-  // detlint: skip-file            exempt the whole file
 
-Autofix
--------
-`--fix` rewrites mechanical findings in place: DET-004 member
-initializers. Fixing is idempotent.
-
-Exit status: 0 clean (or all findings baselined), 1 new findings,
-2 usage/setup error.
+Exit status: 0 clean, 1 findings, 2 usage/setup error (including a
+scan that finds no C++ files).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -87,18 +76,14 @@ RULES = {
     "DET-003": "no unordered/pointer-keyed containers feeding "
                "deterministic output",
     "DET-004": "no uninitialized scalar members in aggregate structs",
-    "FF-001": "ticking classes must declare nextWakeTick()",
     "FF-002": "per-cycle stall counters must be bulk-credited in "
               "creditSkippedCycles()",
     "ERR-001": "no naked exit/abort/terminate or raw throw outside "
                "whitelisted sites",
-    "ERR-002": "every SimError class maps to an exit code; every "
-               "raiseError<E> names a declared class",
     "ERR-003": "CLI verb exit-code docs cross-check against "
                "statically reachable codes",
     "STAT-001": "floating point feeding payload/CSV goes through the "
                 "statfmt codec",
-    "STAT-002": "each statistics counter registered at most once",
 }
 
 # --- rule scopes (paths are '/'-separated, relative to the repo) ----
@@ -129,11 +114,9 @@ STAT001_WHITELIST = (
     "src/stats/statfmt.hh",
     "src/harness/table.cc",
 )
-STAT002_PREFIXES = ("src/",)
 
 #: Anchor files for the cross-file rules.
 ERRORS_HH = "src/sim/errors.hh"
-ERRORS_CC = "src/sim/errors.cc"
 CLI_VERBS_CC = "src/harness/cli_verbs.cc"
 CLI_MAIN_CC = "tools/soefair_cli.cc"
 #: Exit codes any soefair process can produce regardless of verb
@@ -177,9 +160,7 @@ FLOAT_TYPE = re.compile(
 
 IDENT = re.compile(r"[A-Za-z_]\w*")
 
-ALLOW_DIRECTIVE = re.compile(
-    r"(?:detlint:\s*allow|NOLINT)\(([^)]*)\)")
-SKIP_FILE_DIRECTIVE = "detlint: skip-file"
+ALLOW_DIRECTIVE = re.compile(r"detlint:\s*allow\(([^)]*)\)")
 
 #: ERR-001 process-terminating calls. Member calls (preceded by
 #: '.'/'->') are not process exits and are skipped at the match site.
@@ -209,10 +190,6 @@ STAT001_STREAMED_EXPR = re.compile(
 STAT001_LOCAL_FLOAT = re.compile(
     r"\b(?:double|float)\s+([a-z_]\w*)\s*[=;,)\]:]")
 
-STAT002_REGISTRATION = re.compile(
-    r"\b\w+\s*\(\s*(&\s*[\w.>\-]+|this)\s*,\s*"
-    r"\"([^\"]+)\"\s*,\s*\"")
-
 RAISE_ERROR = re.compile(r"\braiseError\s*<\s*(\w+)\s*>")
 
 
@@ -222,9 +199,6 @@ class Finding:
     line: int
     rule: str
     message: str
-    #: Optional autofix hint, e.g. ("init", " = 0"). Not part of
-    #: identity.
-    fixhint: tuple | None = None
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
@@ -233,37 +207,22 @@ class Finding:
         return (self.path, self.line, self.rule, self.message)
 
 
-@dataclass
-class FileDirectives:
-    skip_file: bool = False
-    #: line number -> set of rule ids allowed (empty set = all)
-    allowed: dict = dataclass_field(default_factory=dict)
-
-    def is_allowed(self, rule: str, line: int) -> bool:
-        if self.skip_file:
-            return True
-        rules = self.allowed.get(line)
-        if rules is None:
-            return False
-        return not rules or rule in rules
-
-
-def scan_directives(raw: str) -> FileDirectives:
-    d = FileDirectives()
-    if SKIP_FILE_DIRECTIVE in raw:
-        d.skip_file = True
+def scan_allowed(raw: str) -> dict:
+    """line number -> set of rule ids its allow() directive names
+    (an empty set allows every rule)."""
+    allowed = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         m = ALLOW_DIRECTIVE.search(line)
         if m:
             rules = {r.strip() for r in m.group(1).split(",")
                      if r.strip()}
-            d.allowed.setdefault(lineno, set()).update(rules)
+            allowed.setdefault(lineno, set()).update(rules)
             # A comment-only directive line also covers the next
             # line, so justifications can precede the code they
             # annotate instead of trailing on one long line.
             if line.lstrip().startswith("//"):
-                d.allowed.setdefault(lineno + 1, set()).update(rules)
-    return d
+                allowed.setdefault(lineno + 1, set()).update(rules)
+    return allowed
 
 
 RAW_STRING_PREFIX = re.compile(r"(?:u8R|uR|UR|LR|R)\Z")
@@ -463,34 +422,13 @@ def check_stat001(path: str, text: str, float_names):
                 "(full/csv/stat) to pin the precision")
 
 
-def check_stat002(path: str, text_keep: str):
-    """Duplicate (parent, "name") statistics registrations in one
-    file: the stats tree rejects or shadows duplicates at runtime,
-    and the dump would carry an ambiguous name either way."""
-    seen = {}
-    for m in STAT002_REGISTRATION.finditer(text_keep):
-        parent = re.sub(r"\s+", "", m.group(1))
-        key = (parent, m.group(2))
-        line = line_of(text_keep, m.start())
-        if key in seen:
-            yield Finding(
-                path, line, "STAT-002",
-                f"statistics name '{m.group(2)}' registered twice "
-                f"under parent '{parent}' (first at line "
-                f"{seen[key]}); every counter must be registered "
-                "exactly once")
-        else:
-            seen[key] = line
-
-
-# --- member parser (DET-004 / FF-001) ------------------------------
+# --- member parser (DET-004 / STAT-001) ---------------------------
 
 
 @dataclass
 class Member:
     name: str
     line: int
-    chunk: str
     has_init: bool
     is_scalar: bool
     is_pointer: bool
@@ -499,27 +437,14 @@ class Member:
     is_reference: bool
     is_bitfield: bool
     is_float: bool = False
-    is_array: bool = False
 
 
 @dataclass
 class ClassInfo:
     name: str
     kind: str  # struct | class | union
-    line: int            # line of the opening '{'
-    head_line: int = 0   # line where the class head chunk starts
     has_ctor: bool = False
     members: list = dataclass_field(default_factory=list)
-    methods: list = dataclass_field(default_factory=list)
-    parent: "ClassInfo | None" = None
-
-    def qualified_name(self) -> str:
-        parts = []
-        node = self
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return "::".join(reversed(parts))
 
 
 def strip_preprocessor(text: str) -> str:
@@ -621,7 +546,6 @@ def _analyze_chunk(chunk: str, line: int, had_brace_init: bool,
     is_const = bool(re.search(r"\bconst\b", head))
     is_reference = "&" in head
     is_pointer = "*" in head
-    is_array = bool(re.search(r"\[[^\]]*\]", head))
     has_init = bool(eqs) or had_brace_init
     # Name: last identifier of the declarator head, ignoring array
     # brackets.
@@ -644,18 +568,17 @@ def _analyze_chunk(chunk: str, line: int, had_brace_init: bool,
     if not type_text:
         return None  # label or stray token, not a declaration
     return ("member", Member(
-        name=name, line=line, chunk=s, has_init=has_init,
+        name=name, line=line, has_init=has_init,
         is_scalar=is_scalar, is_pointer=is_pointer,
         is_static=is_static, is_const=is_const,
         is_reference=is_reference, is_bitfield=is_bitfield,
-        is_float=is_float, is_array=is_array))
+        is_float=is_float))
 
 
 def parse_classes(text: str):
     """Brace-tracking scan of stripped C++ yielding ClassInfo for
     every class/struct/union body, including nested ones. Records
-    members, method names (declarations and in-class definitions),
-    the enclosing class and the head-chunk line."""
+    members and whether the class declares a constructor."""
     classes = []
     # Scope stack entries: dict(kind=..., cls=ClassInfo or None)
     stack = [{"kind": "top", "cls": None}]
@@ -668,12 +591,6 @@ def parse_classes(text: str):
     def current():
         return stack[-1]
 
-    def enclosing_class():
-        for scope in reversed(stack):
-            if scope["kind"] == "class" and scope["cls"] is not None:
-                return scope["cls"]
-        return None
-
     def flush_chunk(end_pos):
         nonlocal buf, buf_start, had_brace_init, is_bitfield
         scope = current()
@@ -685,10 +602,8 @@ def parse_classes(text: str):
                 kind, payload = res
                 if kind == "member":
                     scope["cls"].members.append(payload)
-                elif kind == "function":
-                    scope["cls"].methods.append(payload)
-                    if payload == scope["cls"].name:
-                        scope["cls"].has_ctor = True
+                elif payload == scope["cls"].name:
+                    scope["cls"].has_ctor = True
         buf = []
         buf_start = end_pos + 1
         had_brace_init = False
@@ -760,11 +675,7 @@ def parse_classes(text: str):
                     ids = IDENT.findall(after)
                     ids = [x for x in ids if x != "final"]
                     cname = ids[0] if ids else "<anonymous>"
-                    cls = ClassInfo(cname, cm[-1].group(1),
-                                    line_of(text, i),
-                                    head_line=line_of(text,
-                                                      buf_start),
-                                    parent=enclosing_class())
+                    cls = ClassInfo(cname, cm[-1].group(1))
                     classes.append(cls)
                 elif starts_fn:
                     kind = "block"
@@ -798,7 +709,7 @@ def parse_classes(text: str):
                         depth -= 1
                     j += 1
                 # In-class function definition: still counts for
-                # constructor/method detection.
+                # constructor detection.
                 flush_chunk(j - 1)
                 i = j
                 continue
@@ -837,21 +748,6 @@ def parse_classes(text: str):
     return classes
 
 
-def _init_token_for(member: Member) -> str | None:
-    """Autofix initializer for a DET-004 member, or None when the
-    declaration is not mechanically fixable (arrays, multi-declarator
-    chunks are left to a human)."""
-    if member.is_array or "," in member.chunk:
-        return None
-    if member.is_pointer:
-        return " = nullptr"
-    if re.match(r"^\s*bool\b", member.chunk):
-        return " = false"
-    if member.is_float:
-        return " = 0.0"
-    return " = 0"
-
-
 def check_det004(path: str, text: str):
     for cls in parse_classes(text):
         if cls.kind == "union" or cls.has_ctor:
@@ -867,24 +763,7 @@ def check_det004(path: str, text: str):
                     f"{what} member '{cls.name}::{m.name}' of an "
                     "aggregate has no initializer (indeterminate "
                     "reads are a nondeterminism hazard); add '= ...' "
-                    "or '{}'",
-                    fixhint=(("init", _init_token_for(m))
-                             if _init_token_for(m) else None))
-
-
-def check_ff001(path: str, text: str):
-    """Ticking classes must declare a wake horizon: a tick() without
-    nextWakeTick() means the fast-forward engine cannot know when the
-    component needs to run again, so quiescent-run jumping would
-    silently skip its work."""
-    for cls in parse_classes(text):
-        if "tick" in cls.methods and "nextWakeTick" not in cls.methods:
-            yield Finding(
-                path, cls.head_line, "FF-001",
-                f"class '{cls.qualified_name()}' declares tick() but "
-                "no nextWakeTick(); every ticking component must "
-                "publish its wake horizon for the fast-forward "
-                "engine (docs/performance.md)")
+                    "or '{}'")
 
 
 def check_ff002(path: str, text: str):
@@ -933,7 +812,7 @@ def check_ff002(path: str, text: str):
                 "(docs/performance.md)")
 
 
-# --- tree context & cross-file rules (ERR-002 / ERR-003) ------------
+# --- tree context & cross-file rule (ERR-003) ----------------------
 
 
 ERROR_CLASS_DECL = re.compile(
@@ -947,7 +826,7 @@ EXIT_CONSTANT = re.compile(
 
 @dataclass
 class TreeContext:
-    #: SimError subclass name -> (exit code, line in errors.hh)
+    #: SimError subclass name -> its exit code
     error_classes: dict = dataclass_field(default_factory=dict)
     #: named exit constants (exitCampaignPartial...) -> value
     exit_constants: dict = dataclass_field(default_factory=dict)
@@ -956,7 +835,7 @@ class TreeContext:
 
     def known_codes(self):
         return (BUILTIN_EXIT_CODES |
-                {c for c, _ in self.error_classes.values()} |
+                set(self.error_classes.values()) |
                 set(self.exit_constants.values()))
 
 
@@ -971,9 +850,8 @@ def build_tree_context(records) -> TreeContext:
             seg_end = (decls[idx + 1].start()
                        if idx + 1 < len(decls) else len(text))
             cm = ERROR_CODE_DECL.search(text, m.end(), seg_end)
-            code = int(cm.group(1)) if cm else -1
-            ctx.error_classes[m.group(1)] = (
-                code, line_of(text, m.start()))
+            if cm:
+                ctx.error_classes[m.group(1)] = int(cm.group(1))
     for rec in records:
         for m in EXIT_CONSTANT.finditer(rec.stripped):
             ctx.exit_constants[m.group(1)] = int(m.group(2))
@@ -984,49 +862,6 @@ def build_tree_context(records) -> TreeContext:
                     if mem.is_float:
                         ctx.float_members.add(mem.name)
     return ctx
-
-
-def check_err002(ctx: TreeContext, records):
-    """Every SimError class maps to an exit code in errors.cc, and
-    every raiseError<E> in the tree names a declared class."""
-    by_path = {r.relpath.replace(os.sep, "/"): r for r in records}
-    errors_cc = by_path.get(ERRORS_CC)
-    if ctx.error_classes and errors_cc is not None:
-        cc = errors_cc.stripped
-        for name, (code, line) in sorted(ctx.error_classes.items()):
-            if code < 0:
-                yield Finding(
-                    ERRORS_HH, line, "ERR-002",
-                    f"SimError class '{name}' declares no "
-                    "'static constexpr int code'; the exit-code "
-                    "taxonomy needs one")
-                continue
-            if not re.search(r"\breturn\s+" + name + r"::code\b", cc):
-                yield Finding(
-                    ERRORS_HH, line, "ERR-002",
-                    f"SimError class '{name}' has no exitCode() "
-                    f"mapping ('return {name}::code;') in "
-                    f"{ERRORS_CC}")
-            if not re.search(r"\bcase\s+" + name + r"::code\b", cc):
-                yield Finding(
-                    ERRORS_HH, line, "ERR-002",
-                    f"SimError class '{name}' has no kind-name "
-                    f"mapping ('case {name}::code:') in {ERRORS_CC}; "
-                    "the supervisor cannot classify its dead "
-                    "children")
-    if not ctx.error_classes:
-        return
-    for rec in records:
-        for m in RAISE_ERROR.finditer(rec.stripped):
-            name = m.group(1)
-            if name in ctx.error_classes or not name[0].isupper():
-                continue  # template params (E...) stay lowercase
-            yield Finding(
-                rec.relpath.replace(os.sep, "/"),
-                line_of(rec.stripped, m.start()), "ERR-002",
-                f"raiseError<{name}> names no SimError class "
-                f"declared in {ERRORS_HH}; it would not land in the "
-                "exit-code taxonomy")
 
 
 def _split_top_commas(s: str):
@@ -1222,9 +1057,9 @@ def _body_codes(body: str, bodies, ctx: TreeContext,
     for m in re.finditer(r"\breturn\s+([^;]+);", body):
         codes |= _reachable_codes(m.group(1), bodies, ctx, depth)
     for m in RAISE_ERROR.finditer(body):
-        info = ctx.error_classes.get(m.group(1))
-        if info:
-            codes.add(info[0])
+        code = ctx.error_classes.get(m.group(1))
+        if code is not None:
+            codes.add(code)
     return codes
 
 
@@ -1265,7 +1100,7 @@ def check_err003(ctx: TreeContext, records):
         reachable = _body_codes(bodies[impl], bodies, ctx)
         for code in sorted((reachable - BUILTIN_EXIT_CODES) -
                            documented):
-            names = [n for n, (c, _) in ctx.error_classes.items()
+            names = [n for n, c in ctx.error_classes.items()
                      if c == code]
             names += [n for n, c in ctx.exit_constants.items()
                       if c == code]
@@ -1301,8 +1136,6 @@ def rule_applies(rule: str, relpath: str) -> bool:
         return p.startswith(DET003_PREFIXES)
     if rule == "DET-004":
         return p.startswith(DET004_PREFIXES) and is_header
-    if rule == "FF-001":
-        return p.startswith(FF_DIRS) and is_header
     if rule == "FF-002":
         return p.startswith(FF_DIRS) and not is_header
     if rule == "ERR-001":
@@ -1311,8 +1144,6 @@ def rule_applies(rule: str, relpath: str) -> bool:
     if rule == "STAT-001":
         return p.startswith(STAT001_PREFIXES) and \
             p not in STAT001_WHITELIST
-    if rule == "STAT-002":
-        return p.startswith(STAT002_PREFIXES)
     return False
 
 
@@ -1322,8 +1153,7 @@ def rule_applies(rule: str, relpath: str) -> bool:
 @dataclass
 class FileRecord:
     relpath: str
-    raw: str            # CRLF-normalized source
-    directives: FileDirectives
+    allowed: dict       # scan_allowed() of the source
     stripped: str       # comments+strings blanked, directives blanked
     stripped_keep: str  # comments blanked, strings kept
 
@@ -1341,8 +1171,7 @@ def load_record(root: str, relpath: str) -> FileRecord | None:
     stripped = strip_preprocessor(strip_comments_and_strings(raw))
     stripped_keep = strip_preprocessor(
         strip_comments_and_strings(raw, keep_strings=True))
-    return FileRecord(relpath=relpath, raw=raw,
-                      directives=scan_directives(raw),
+    return FileRecord(relpath=relpath, allowed=scan_allowed(raw),
                       stripped=stripped,
                       stripped_keep=stripped_keep)
 
@@ -1363,10 +1192,6 @@ def check_record(rec: FileRecord, ctx: TreeContext):
     if rule_applies("STAT-001", relpath):
         findings.extend(check_stat001(relpath, rec.stripped,
                                       ctx.float_members))
-    if rule_applies("STAT-002", relpath):
-        findings.extend(check_stat002(relpath, rec.stripped_keep))
-    if rule_applies("FF-001", relpath):
-        findings.extend(check_ff001(relpath, rec.stripped))
     if rule_applies("FF-002", relpath):
         findings.extend(check_ff002(relpath, rec.stripped))
     if rule_applies("DET-004", relpath):
@@ -1376,8 +1201,8 @@ def check_record(rec: FileRecord, ctx: TreeContext):
 
 def scan_tree(root: str, relpaths):
     """Load every file, run per-file rules, then the cross-file
-    rules. Returns (findings, records); findings are filtered
-    through skip-file/allow directives and sorted."""
+    rule. Returns the findings, filtered through allow() directives
+    and sorted."""
     records = []
     for rp in relpaths:
         rec = load_record(root, rp)
@@ -1388,27 +1213,23 @@ def scan_tree(root: str, relpaths):
 
     findings = []
     for rec in records:
-        if rec.directives.skip_file:
-            continue
         findings.extend(check_record(rec, ctx))
-    findings.extend(check_err002(ctx, records))
     findings.extend(check_err003(ctx, records))
 
     def allowed(f: Finding) -> bool:
         rec = by_path.get(f.path.replace(os.sep, "/"))
-        return rec is not None and \
-            rec.directives.is_allowed(f.rule, f.line)
+        rules = rec.allowed.get(f.line) if rec is not None else None
+        return rules is not None and (not rules or f.rule in rules)
 
     findings = [f for f in findings if not allowed(f)]
     findings.sort(key=Finding.sort_key)
-    return findings, records
+    return findings
 
 
 def check_file(root: str, relpath: str):
     """Single-file convenience entry point (per-file rules only;
-    cross-file rules need scan_tree)."""
-    findings, _ = scan_tree(root, [relpath])
-    return findings
+    the cross-file rule needs scan_tree)."""
+    return scan_tree(root, [relpath])
 
 
 def discover_files(root: str):
@@ -1430,125 +1251,6 @@ def discover_files(root: str):
     return out
 
 
-# --- autofix (--fix) ------------------------------------------------
-
-
-def _fix_line(init: str, content: str) -> str | None:
-    """Append a DET-004 initializer to a line's content (no EOL);
-    None = not fixable here."""
-    if "=" in content or ";" not in content:
-        return None
-    semi = content.find(";")
-    return content[:semi] + init + content[semi:]
-
-
-def apply_fixes(root: str, findings):
-    """Rewrite mechanically fixable findings in place. Line endings
-    of edited files are preserved. Returns (fixed, unfixable)."""
-    fixed = unfixable = 0
-    by_path = {}
-    for f in findings:
-        by_path.setdefault(f.path, []).append(f)
-    for path, flist in sorted(by_path.items()):
-        full = os.path.join(root, path)
-        try:
-            with open(full, encoding="utf-8", newline="") as fh:
-                lines = fh.read().splitlines(keepends=True)
-        except OSError:
-            unfixable += len([f for f in flist if f.fixhint])
-            continue
-        changed = False
-        # Bottom-up so earlier line numbers stay valid.
-        for f in sorted(flist, key=lambda x: -x.line):
-            if not f.fixhint:
-                unfixable += 1
-                continue
-            _kind, init = f.fixhint
-            if f.line > len(lines):
-                unfixable += 1
-                continue
-            raw_line = lines[f.line - 1]
-            eol = raw_line[len(raw_line.rstrip("\r\n")):]
-            content = raw_line.rstrip("\r\n")
-            new_content = _fix_line(init, content)
-            if new_content is None:
-                unfixable += 1
-                continue
-            lines[f.line - 1] = new_content + eol
-            changed = True
-            fixed += 1
-        if changed:
-            with open(full, "w", encoding="utf-8",
-                      newline="") as fh:
-                fh.write("".join(lines))
-    return fixed, unfixable
-
-
-# --- baseline & reports ---------------------------------------------
-
-
-def load_baseline(path: str):
-    entries = set()
-    if not path or not os.path.exists(path):
-        return entries
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                entries.add(line)
-    return entries
-
-
-def write_json_report(path, root, findings, new, fixed):
-    report = {
-        "tool": "detlint",
-        "root": os.path.abspath(root),
-        "rules": RULES,
-        "counts": {
-            "total": len(findings),
-            "new": len(new),
-            "baseline_fixed": len(fixed),
-        },
-        "findings": [
-            {"path": f.path.replace(os.sep, "/"), "line": f.line,
-             "rule": f.rule, "message": f.message}
-            for f in findings
-        ],
-        "new": list(new),
-        "baseline_fixed": list(fixed),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def write_step_summary(new, fixed):
-    """Baseline-drift diff for the CI job summary
-    ($GITHUB_STEP_SUMMARY), so a failing static-analysis job shows
-    the drift without digging through logs."""
-    path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if not path or (not new and not fixed):
-        return
-    try:
-        with open(path, "a", encoding="utf-8") as f:
-            f.write("## detlint baseline drift\n\n")
-            if new:
-                f.write(f"**{len(new)} new finding(s)** not in the "
-                        "baseline:\n\n```diff\n")
-                for line in new:
-                    f.write(f"+ {line}\n")
-                f.write("```\n\n")
-            if fixed:
-                f.write(f"**{len(fixed)} baseline entr(y/ies) no "
-                        "longer reported** (remove them):\n\n"
-                        "```diff\n")
-                for line in fixed:
-                    f.write(f"- {line}\n")
-                f.write("```\n\n")
-    except OSError:
-        pass
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="detlint",
@@ -1557,21 +1259,12 @@ def main(argv=None) -> int:
                     "stats)")
     ap.add_argument("files", nargs="*",
                     help="files to check (default: the whole tree; "
-                         "cross-file rules need their anchor files "
+                         "the cross-file rule needs its anchor files "
                          "in the set)")
     ap.add_argument("--root", default=None,
                     help="repository root (default: two levels up "
                          "from this script)")
-    ap.add_argument("--baseline", default=None,
-                    help="baseline file of grandfathered findings")
     ap.add_argument("--list-rules", action="store_true")
-    ap.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline with current findings")
-    ap.add_argument("--json", default=None, metavar="PATH",
-                    help="write findings as machine-readable JSON")
-    ap.add_argument("--fix", action="store_true",
-                    help="rewrite mechanically fixable findings in "
-                         "place (DET-004 initializers)")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -1591,55 +1284,20 @@ def main(argv=None) -> int:
                     for f in args.files]
     else:
         relpaths = discover_files(root)
+    if not relpaths:
+        # A gate that scans nothing passes vacuously; a wrong --root
+        # must not look like a clean tree.
+        print(f"detlint: no C++ files under '{root}' "
+              f"({', '.join(SCAN_DIRS)})", file=sys.stderr)
+        return 2
 
-    findings, _records = scan_tree(root, relpaths)
-
-    if args.fix:
-        fixed, unfixable = apply_fixes(root, findings)
-        print(f"detlint: fixed {fixed} finding(s); "
-              f"{unfixable} not auto-fixable")
-        return 0
-
-    formatted = [f.format() for f in findings]
-
-    if args.update_baseline:
-        if not args.baseline:
-            print("detlint: --update-baseline needs --baseline",
-                  file=sys.stderr)
-            return 2
-        with open(args.baseline, "w", encoding="utf-8") as f:
-            f.write("# detlint baseline: grandfathered findings, one "
-                    "per line.\n# Fix findings rather than adding "
-                    "here; remove lines as they are fixed.\n")
-            for line in formatted:
-                f.write(line + "\n")
-        print(f"detlint: baseline rewritten with {len(formatted)} "
-              f"finding(s)")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    new = [line for line in formatted if line not in baseline]
-    fixed = sorted(baseline - set(formatted))
-
-    if args.json:
-        write_json_report(args.json, root, findings, new, fixed)
-    write_step_summary(new, fixed)
-
-    if fixed:
-        print("detlint: baseline entries no longer reported "
-              "(consider removing):")
-        for line in fixed:
-            print(f"  {line}")
-    if new:
-        print("detlint: NEW findings not in the baseline:",
-              file=sys.stderr)
-        for line in new:
-            print(line, file=sys.stderr)
-        print("detlint: fix them or (sparingly) baseline them",
-              file=sys.stderr)
+    findings = scan_tree(root, relpaths)
+    if findings:
+        for f in findings:
+            print(f.format(), file=sys.stderr)
+        print(f"detlint: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"detlint: clean ({len(formatted)} finding(s), "
-          f"all baselined; {len(relpaths)} file(s))")
+    print(f"detlint: clean ({len(relpaths)} file(s))")
     return 0
 
 

@@ -1,6 +1,5 @@
-// ERR-002 tree fixture (clean): a miniature src/sim/errors.hh whose
-// every SimError class carries a code and is fully mapped by
-// errors_clean.cc.
+// ERR-003 tree fixture: a miniature src/sim/errors.hh whose SimError
+// classes supply the exit codes the CLI cross-check knows.
 #ifndef DETLINT_FIXTURE_TREE_ERRORS_HH
 #define DETLINT_FIXTURE_TREE_ERRORS_HH
 
