@@ -32,6 +32,7 @@ BranchPredictor::BranchPredictor(const BranchPredictorConfig &config,
     soefair_assert(isPow2(cfg.btbEntries), "btbEntries must be pow2");
     soefair_assert(cfg.btbEntries % cfg.btbAssoc == 0,
                    "btb sets not integral");
+    btbSetMask = cfg.btbEntries / cfg.btbAssoc - 1;
     pht.assign(cfg.phtEntries, 1); // weakly not-taken
     btb.resize(cfg.btbEntries);
 }
@@ -48,8 +49,7 @@ BranchPredictor::phtIndex(Addr pc) const
 const BranchPredictor::BtbEntry *
 BranchPredictor::btbLookup(Addr pc) const
 {
-    const unsigned sets = cfg.btbEntries / cfg.btbAssoc;
-    const std::size_t set = std::size_t((pc >> 2) & (sets - 1));
+    const std::size_t set = std::size_t((pc >> 2) & btbSetMask);
     const BtbEntry *base = &btb[set * cfg.btbAssoc];
     for (unsigned w = 0; w < cfg.btbAssoc; ++w) {
         if (base[w].valid && base[w].tag == pc)
@@ -61,8 +61,7 @@ BranchPredictor::btbLookup(Addr pc) const
 void
 BranchPredictor::btbInsert(Addr pc, Addr target)
 {
-    const unsigned sets = cfg.btbEntries / cfg.btbAssoc;
-    const std::size_t set = std::size_t((pc >> 2) & (sets - 1));
+    const std::size_t set = std::size_t((pc >> 2) & btbSetMask);
     BtbEntry *base = &btb[set * cfg.btbAssoc];
     BtbEntry *victim = &base[0];
     for (unsigned w = 0; w < cfg.btbAssoc; ++w) {

@@ -86,6 +86,8 @@ class BranchPredictor
     void btbInsert(Addr pc, Addr target);
 
     BranchPredictorConfig cfg;
+    /** BTB sets - 1, computed once: lookups index without a divide. */
+    std::uint64_t btbSetMask = 0;
     std::vector<std::uint8_t> pht; // 2-bit saturating counters
     std::vector<BtbEntry> btb;
     std::uint64_t history = 0;

@@ -116,9 +116,41 @@ struct DynInst
     {
         return pending == 0 && readyTick <= now;
     }
+
+    /**
+     * Make this entry equal to DynInst{} with `o` as its op. Stores
+     * each field once: constructing a fresh DynInst over the slot
+     * first zero-fills all of it (a `rep stos` per fetched op) and
+     * then writes the op over the zeros.
+     */
+    void
+    reset(const isa::MicroOp &o)
+    {
+        op = o;
+        dispatchReadyTick = 0;
+        readyTick = 0;
+        completionTick = maxTick;
+        src[0] = nullptr;
+        src[1] = nullptr;
+        waiters = WaiterLink();
+        nextWaiter[0] = WaiterLink();
+        nextWaiter[1] = WaiterLink();
+        pred = BranchPredictor::Prediction();
+        tid = 0;
+        pending = 0;
+        inRob = false;
+        inIq = false;
+        issued = false;
+        l2Miss = false;
+        l1Miss = false;
+        mispredicted = false;
+    }
 };
 
 static_assert(alignof(DynInst) >= 2, "WaiterLink packs into bit 0");
+// reset() names every field: a new field changes the size, and must
+// be added there too.
+static_assert(sizeof(DynInst) == 144, "revisit DynInst::reset()");
 
 } // namespace cpu
 } // namespace soefair

@@ -89,8 +89,7 @@ FetchUnit::tick(Tick now)
 
         // Build the op in its buffer slot; dispatch copies it once,
         // into the ROB.
-        DynInst &inst = buffer.emplaceBack();
-        inst.op = stream.fetchNext();
+        DynInst &inst = buffer.emplaceBack(stream.fetchNext());
         const isa::MicroOp &op = inst.op;
         ++fetched;
         progress = true;

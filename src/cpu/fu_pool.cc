@@ -11,15 +11,16 @@ namespace cpu
 
 FuPool::FuPool(const FuPoolConfig &config)
 {
-    busyUntil[KIntAlu].assign(config.intAlu, 0);
-    busyUntil[KIntMul].assign(config.intMul, 0);
-    busyUntil[KIntDiv].assign(config.intDiv, 0);
-    busyUntil[KFpAdd].assign(config.fpAdd, 0);
-    busyUntil[KFpMul].assign(config.fpMul, 0);
-    busyUntil[KFpDiv].assign(config.fpDiv, 0);
-    busyUntil[KMem].assign(config.memPorts, 0);
-    for (const auto &units : busyUntil)
-        soefair_assert(!units.empty(), "FU kind with zero units");
+    static_assert(kindsAgreeWithOpClasses(),
+                  "a unit kind mixes pipelined and unpipelined ops");
+    unitCount = {config.intAlu, config.intMul, config.intDiv,
+                 config.fpAdd,  config.fpMul,  config.fpDiv,
+                 config.memPorts};
+    for (unsigned k = 0; k < KNumKinds; ++k) {
+        soefair_assert(unitCount[k] > 0, "FU kind with zero units");
+        if (!pipelinedKind[k])
+            busyUntil[k].assign(unitCount[k], 0);
+    }
 }
 
 void
@@ -28,11 +29,23 @@ FuPool::occupy(isa::OpClass c, Tick now)
     const Kind k = kindOf(c);
     if (firstFree[k] > now)
         panic("FuPool::occupy with no free unit");
+    if (pipelinedKind[k]) {
+        // Whether this cycle already claimed a unit of the kind is
+        // close to a coin flip, so this path has no branch: the
+        // count restarts at 1 in a new cycle, and firstFree becomes
+        // now (no change for any later query) or now + 1 (full).
+        Claims &cl = claims[k];
+        const unsigned sameCycle = cl.tick == now;
+        cl.count = (cl.count & -sameCycle) + 1;
+        cl.tick = now;
+        firstFree[k] = now + (cl.count == unitCount[k]);
+        return;
+    }
     Tick first = maxTick;
     bool claimed = false;
     for (Tick &t : busyUntil[k]) {
         if (!claimed && t <= now) {
-            t = now + holdCycles(c);
+            t = now + isa::opLatency(c);
             claimed = true;
         }
         first = std::min(first, t);
@@ -44,8 +57,15 @@ Tick
 FuPool::nextFreeTick(Tick now) const
 {
     Tick wake = maxTick;
-    for (const auto &units : busyUntil) {
-        for (Tick t : units) {
+    for (unsigned k = 0; k < KNumKinds; ++k) {
+        if (pipelinedKind[k]) {
+            // Units claimed at tick t are busy until t + 1.
+            const Claims &cl = claims[k];
+            if (cl.count > 0 && cl.tick >= now)
+                wake = std::min(wake, cl.tick + 1);
+            continue;
+        }
+        for (Tick t : busyUntil[k]) {
             if (t > now && t < wake)
                 wake = t;
         }
@@ -56,10 +76,9 @@ FuPool::nextFreeTick(Tick now) const
 void
 FuPool::reset()
 {
-    for (auto &units : busyUntil) {
-        for (Tick &t : units)
-            t = 0;
-    }
+    claims.fill(Claims{});
+    for (auto &units : busyUntil)
+        std::fill(units.begin(), units.end(), Tick(0));
     firstFree.fill(0);
 }
 

@@ -5,6 +5,14 @@
  * Pipelined units accept one op per cycle each; unpipelined units
  * (dividers) are busy for their full latency. Loads and stores
  * compete for cache ports (the AGU + data-cache port pair).
+ *
+ * Within a unit kind either every unit is pipelined or none is. A
+ * pipelined unit is busy only in the cycle it was claimed, so the
+ * busy units of a pipelined kind at `now` are exactly those claimed
+ * at `now`: one (claim tick, count) pair per kind makes occupy()
+ * O(1). Divider kinds keep a busy-until tick per unit.
+ * Ticks passed to occupy() never decrease between resets (the core
+ * only moves forward in time), which is what makes the pair exact.
  */
 
 #ifndef SOEFAIR_CPU_FU_POOL_HH
@@ -78,6 +86,22 @@ class FuPool
         KIntAlu, // Pause
     };
 
+    /** Whether each kind's units are pipelined, in Kind order. */
+    static constexpr bool pipelinedKind[KNumKinds] = {
+        true, true, false, true, true, false, true,
+    };
+
+    static constexpr bool
+    kindsAgreeWithOpClasses()
+    {
+        for (unsigned c = 0; c < isa::numOpClasses; ++c) {
+            if (pipelinedKind[kinds[c]] !=
+                isa::opPipelined(static_cast<isa::OpClass>(c)))
+                return false;
+        }
+        return true;
+    }
+
     static Kind
     kindOf(isa::OpClass c)
     {
@@ -86,21 +110,23 @@ class FuPool
         return kinds[static_cast<unsigned>(c)];
     }
 
-    /**
-     * Cycles an op of class c holds its unit: one for a pipelined
-     * unit, the full latency for an unpipelined one.
-     */
-    static unsigned
-    holdCycles(isa::OpClass c)
+    /** Units claimed in one cycle by a pipelined kind. */
+    struct Claims
     {
-        return isa::opPipelined(c) ? 1 : isa::opLatency(c);
-    }
+        Tick tick = 0;
+        unsigned count = 0;
+    };
 
+    std::array<unsigned, KNumKinds> unitCount{};
+    /** Pipelined kinds: the latest cycle with claims, and how many. */
+    std::array<Claims, KNumKinds> claims{};
+    /** Divider kinds: the tick each unit frees up. */
     std::array<std::vector<Tick>, KNumKinds> busyUntil;
     /**
-     * Earliest busyUntil over each kind's units: a unit of kind k is
-     * free at `now` iff firstFree[k] <= now. occupy() keeps it exact,
-     * so canIssue() is one compare instead of a scan.
+     * A unit of kind k is free at `now` iff firstFree[k] <= now, so
+     * canIssue() is one compare. For a divider kind it is the
+     * earliest busyUntil; for a pipelined kind, the tick of its
+     * latest claim, plus one when that claim took its last unit.
      */
     std::array<Tick, KNumKinds> firstFree{};
 };

@@ -16,7 +16,6 @@
 #define SOEFAIR_CPU_INST_RING_HH
 
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,16 +52,19 @@ class InstRing
         return slot;
     }
 
-    /** Append a default-constructed entry for the caller to fill. */
+    /**
+     * Append an entry equal to DynInst{} but for its op, for the
+     * caller to fill further. The slot is reset in place (see
+     * DynInst::reset), never built elsewhere and copied over.
+     */
     DynInst &
-    emplaceBack()
+    emplaceBack(const isa::MicroOp &op)
     {
         soefair_assert(!full(), "push to full InstRing");
-        // Construct in place: assigning a DynInst{} temporary would
-        // build the whole record on the stack and copy it over.
-        DynInst *slot = std::construct_at(&slots[wrap(head + count)]);
+        DynInst &slot = slots[wrap(head + count)];
+        slot.reset(op);
         ++count;
-        return *slot;
+        return slot;
     }
 
     DynInst &

@@ -1,9 +1,11 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <initializer_list>
 #include <iomanip>
-#include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "core/metrics.hh"
 #include "sim/errors.hh"
@@ -188,12 +190,27 @@ failureReason(const JobOutcome &o)
            " attempt(s)";
 }
 
+/** Concatenate `parts` with one allocation. */
+std::string
+joinParts(std::initializer_list<std::string_view> parts)
+{
+    std::size_t size = 0;
+    for (std::string_view p : parts)
+        size += p.size();
+    std::string out;
+    out.reserve(size);
+    for (std::string_view p : parts)
+        out.append(p);
+    return out;
+}
+
 /** soeJobId with the level already formatted by levelLabel. */
 std::string
 soeJobIdOfLabel(const std::string &bench_a, const std::string &bench_b,
                 const std::string &level_label)
 {
-    return "soe:" + bench_a + ":" + bench_b + ":F=" + level_label;
+    return joinParts({"soe:", bench_a, ":", bench_b, ":F=",
+                      level_label});
 }
 
 } // namespace
@@ -208,6 +225,39 @@ SweepCampaign::SweepCampaign(
     mc.validate();
     for (double f : fLevels)
         fLabels.push_back(levelLabel(f));
+
+    // Baselines first, one per unique (bench, seed).
+    jobSpecs.reserve(pairList.size() * (2 + fLevels.size()));
+    auto addSt = [&](const std::string &bench, std::uint64_t seed) {
+        for (const JobSpec &j : jobSpecs) {
+            if (j.benchA == bench && j.seedA == seed)
+                return;
+        }
+        JobSpec j;
+        j.id = stJobId(bench, seed);
+        j.benchA = bench;
+        j.seedA = seed;
+        jobSpecs.push_back(std::move(j));
+    };
+    for (const auto &[a, b] : pairList) {
+        const auto [seedA, seedB] = pairSeeds(a, b);
+        addSt(a, seedA);
+        addSt(b, seedB);
+    }
+    for (const auto &[a, b] : pairList) {
+        const auto [seedA, seedB] = pairSeeds(a, b);
+        for (std::size_t l = 0; l < fLevels.size(); ++l) {
+            JobSpec j;
+            j.id = soeJobIdOfLabel(a, b, fLabels[l]);
+            j.soe = true;
+            j.benchA = a;
+            j.benchB = b;
+            j.seedA = seedA;
+            j.seedB = seedB;
+            j.f = fLevels[l];
+            jobSpecs.push_back(std::move(j));
+        }
+    }
 }
 
 void
@@ -226,7 +276,10 @@ SweepCampaign::levelLabel(double f)
 std::string
 SweepCampaign::stJobId(const std::string &bench, std::uint64_t seed)
 {
-    return "st:" + bench + ":" + std::to_string(seed);
+    char digits[20];
+    const auto res = std::to_chars(digits, digits + sizeof digits, seed);
+    return joinParts({"st:", bench, ":",
+                      std::string_view(digits, res.ptr - digits)});
 }
 
 std::string
@@ -234,25 +287,6 @@ SweepCampaign::soeJobId(const std::string &bench_a,
                         const std::string &bench_b, double f)
 {
     return soeJobIdOfLabel(bench_a, bench_b, levelLabel(f));
-}
-
-std::vector<SweepCampaign::StJob>
-SweepCampaign::stJobList() const
-{
-    std::vector<StJob> out;
-    auto add = [&](const std::string &bench, std::uint64_t seed) {
-        for (const auto &j : out) {
-            if (j.bench == bench && j.seed == seed)
-                return;
-        }
-        out.push_back({bench, seed});
-    };
-    for (const auto &[a, b] : pairList) {
-        const auto [seedA, seedB] = pairSeeds(a, b);
-        add(a, seedA);
-        add(b, seedB);
-    }
-    return out;
 }
 
 std::string
@@ -275,66 +309,43 @@ SweepCampaign::journalKey() const
     return os.str();
 }
 
+std::string
+SweepCampaign::runJob(std::size_t index, unsigned attempt) const
+{
+    const JobSpec &spec = jobSpecs[index];
+    if (attemptHook)
+        attemptHook(spec.id, attempt);
+    Runner runner(mc);
+    if (!spec.soe) {
+        return encodeStPayload(runner.runSingleThread(
+            ThreadSpec::benchmark(spec.benchA, spec.seedA), rc));
+    }
+    const std::vector<ThreadSpec> specs = {
+        ThreadSpec::benchmark(spec.benchA, spec.seedA),
+        ThreadSpec::benchmark(spec.benchB, spec.seedB),
+    };
+    SoeRunResult r;
+    if (spec.f <= 0.0) {
+        soe::MissOnlyPolicy policy;
+        r = runner.runSoe(specs, policy, rc);
+    } else {
+        soe::FairnessPolicy policy(spec.f, mc.soe.missLatency, 2);
+        r = runner.runSoe(specs, policy, rc);
+    }
+    return encodeSoePayload(r);
+}
+
 std::vector<SupervisorJob>
 SweepCampaign::jobs() const
 {
-    // What every job runs with, copied once and shared read-only by
-    // all of the closures.
-    struct Shared
-    {
-        MachineConfig mc;
-        RunConfig rc;
-        std::function<void(const std::string &, unsigned)> hook;
-    };
-    const auto shared =
-        std::make_shared<const Shared>(Shared{mc, rc, attemptHook});
-
-    const auto stJobs = stJobList();
+    // Each body is a campaign pointer and an index: std::function
+    // holds that inline, so building the jobs allocates only ids.
     std::vector<SupervisorJob> out;
-    out.reserve(stJobs.size() + pairList.size() * fLevels.size());
-
-    for (const auto &st : stJobs) {
-        SupervisorJob j;
-        j.id = stJobId(st.bench, st.seed);
-        j.run = [shared, st, id = j.id](unsigned attempt) {
-            if (shared->hook)
-                shared->hook(id, attempt);
-            Runner runner(shared->mc);
-            StRunResult r = runner.runSingleThread(
-                ThreadSpec::benchmark(st.bench, st.seed), shared->rc);
-            return encodeStPayload(r);
-        };
-        out.push_back(std::move(j));
-    }
-
-    for (const auto &[a, b] : pairList) {
-        const auto [seedA, seedB] = pairSeeds(a, b);
-        for (std::size_t l = 0; l < fLevels.size(); ++l) {
-            const double f = fLevels[l];
-            SupervisorJob j;
-            j.id = soeJobIdOfLabel(a, b, fLabels[l]);
-            j.run = [shared, a = a, b = b, seedA, seedB, f,
-                     id = j.id](unsigned attempt) {
-                if (shared->hook)
-                    shared->hook(id, attempt);
-                Runner runner(shared->mc);
-                const std::vector<ThreadSpec> specs = {
-                    ThreadSpec::benchmark(a, seedA),
-                    ThreadSpec::benchmark(b, seedB),
-                };
-                SoeRunResult r;
-                if (f <= 0.0) {
-                    soe::MissOnlyPolicy policy;
-                    r = runner.runSoe(specs, policy, shared->rc);
-                } else {
-                    soe::FairnessPolicy policy(
-                        f, shared->mc.soe.missLatency, 2);
-                    r = runner.runSoe(specs, policy, shared->rc);
-                }
-                return encodeSoePayload(r);
-            };
-            out.push_back(std::move(j));
-        }
+    out.reserve(jobSpecs.size());
+    for (std::size_t i = 0; i < jobSpecs.size(); ++i) {
+        out.push_back({jobSpecs[i].id, [this, i](unsigned attempt) {
+                           return runJob(i, attempt);
+                       }});
     }
     return out;
 }
@@ -343,12 +354,8 @@ std::set<std::string>
 SweepCampaign::jobIds() const
 {
     std::set<std::string> ids;
-    for (const auto &st : stJobList())
-        ids.insert(stJobId(st.bench, st.seed));
-    for (const auto &[a, b] : pairList) {
-        for (const auto &label : fLabels)
-            ids.insert(soeJobIdOfLabel(a, b, label));
-    }
+    for (const JobSpec &j : jobSpecs)
+        ids.insert(j.id);
     return ids;
 }
 

@@ -143,12 +143,20 @@ class SweepCampaign
                       pairs,
                   std::vector<double> f_levels);
 
+    // jobs() hands out closures that point at the campaign.
+    SweepCampaign(const SweepCampaign &) = delete;
+    SweepCampaign &operator=(const SweepCampaign &) = delete;
+
     /** Configuration fingerprint stored in the journal header; a
      *  resume against a differing key raises CheckpointError. */
     std::string journalKey() const;
 
-    /** The campaign's jobs in deterministic order (baselines
-     *  first, then pair x level). */
+    /**
+     * The campaign's jobs in deterministic order (baselines first,
+     * then pair x level). Each job's body refers back to this
+     * campaign, which must outlive the jobs. setAttemptHook() takes
+     * effect on jobs already built.
+     */
     std::vector<SupervisorJob> jobs() const;
 
     /** Every valid job id (journal validation on resume). */
@@ -187,12 +195,21 @@ class SweepCampaign
                                 const std::string &bench_b, double f);
 
   private:
-    struct StJob
+    /** One job: a single-thread baseline of benchA, or the pair
+     *  benchA:benchB at level f. */
+    struct JobSpec
     {
-        std::string bench;
-        std::uint64_t seed = 0;
+        std::string id;
+        bool soe = false;
+        std::string benchA;
+        std::string benchB;
+        std::uint64_t seedA = 0;
+        std::uint64_t seedB = 0;
+        double f = 0.0;
     };
-    std::vector<StJob> stJobList() const;
+
+    /** Body of job `index`: runs it and returns its payload. */
+    std::string runJob(std::size_t index, unsigned attempt) const;
 
     MachineConfig mc;
     RunConfig rc;
@@ -200,6 +217,8 @@ class SweepCampaign
     std::vector<double> fLevels;
     /** levelLabel() of each level, formatted once. */
     std::vector<std::string> fLabels;
+    /** Every job, in jobs() order, built once by the constructor. */
+    std::vector<JobSpec> jobSpecs;
     std::function<void(const std::string &, unsigned)> attemptHook;
 };
 

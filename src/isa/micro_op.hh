@@ -80,7 +80,7 @@ opLatency(OpClass c)
 }
 
 /** True if a unit of this class accepts a new op every cycle. */
-inline bool
+constexpr bool
 opPipelined(OpClass c)
 {
     return c != OpClass::IntDiv && c != OpClass::FpDiv;

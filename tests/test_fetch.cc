@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "cpu/fetch.hh"
 #include "workload/generator.hh"
 #include "mem/hierarchy.hh"
@@ -53,7 +55,101 @@ struct Fixture
     FetchUnit fetch;
 };
 
+void
+expectSameOp(const isa::MicroOp &got, const isa::MicroOp &want)
+{
+    EXPECT_EQ(got.seqNum, want.seqNum);
+    EXPECT_EQ(got.pc, want.pc);
+    EXPECT_EQ(got.op, want.op);
+    EXPECT_EQ(got.src0, want.src0);
+    EXPECT_EQ(got.src1, want.src1);
+    EXPECT_EQ(got.dest, want.dest);
+    EXPECT_EQ(got.memAddr, want.memAddr);
+    EXPECT_EQ(got.memSize, want.memSize);
+    EXPECT_EQ(got.taken, want.taken);
+    EXPECT_EQ(got.target, want.target);
+}
+
+/** The back-end fields, which fetch leaves at their DynInst{} value. */
+void
+expectBackEndFieldsReset(const DynInst &d)
+{
+    const DynInst fresh{};
+    EXPECT_EQ(d.readyTick, fresh.readyTick);
+    EXPECT_EQ(d.completionTick, fresh.completionTick);
+    EXPECT_EQ(d.src[0], nullptr);
+    EXPECT_EQ(d.src[1], nullptr);
+    EXPECT_FALSE(d.waiters);
+    EXPECT_FALSE(d.nextWaiter[0]);
+    EXPECT_FALSE(d.nextWaiter[1]);
+    EXPECT_EQ(d.pending, fresh.pending);
+    EXPECT_EQ(d.inRob, fresh.inRob);
+    EXPECT_EQ(d.inIq, fresh.inIq);
+    EXPECT_EQ(d.issued, fresh.issued);
+    EXPECT_EQ(d.l2Miss, fresh.l2Miss);
+    EXPECT_EQ(d.l1Miss, fresh.l1Miss);
+}
+
+void
+fillWithGarbage(DynInst &d)
+{
+    std::memset(static_cast<void *>(&d), 0xA5, sizeof d);
+}
+
 } // namespace
+
+TEST(Fetch, RingEntryOverGarbageEqualsFreshOneButForItsOp)
+{
+    InstRing ring(2);
+    fillWithGarbage(ring.slot(0));
+    workload::WorkloadGenerator gen(workload::spec::byName("gcc"), 0, 3);
+    const isa::MicroOp op = gen.next();
+
+    const DynInst &d = ring.emplaceBack(op);
+    ASSERT_EQ(&d, &ring.slot(0));
+    const DynInst fresh{};
+    expectSameOp(d.op, op);
+    EXPECT_EQ(d.dispatchReadyTick, fresh.dispatchReadyTick);
+    EXPECT_EQ(d.tid, fresh.tid);
+    EXPECT_EQ(d.pred.taken, fresh.pred.taken);
+    EXPECT_EQ(d.pred.targetKnown, fresh.pred.targetKnown);
+    EXPECT_EQ(d.pred.target, fresh.pred.target);
+    EXPECT_EQ(d.mispredicted, fresh.mispredicted);
+    expectBackEndFieldsReset(d);
+}
+
+TEST(Fetch, FetchIntoGarbageSlotsResetsEveryField)
+{
+    // Every entry leaving the buffer has its slot overwritten with
+    // garbage, so once the ring wraps each op is fetched into one.
+    Fixture f;
+    f.warmCode(50000);
+    workload::WorkloadGenerator ref(workload::spec::byName("eon"), 0, 5);
+    f.fetch.activate(0, 0);
+    std::size_t checked = 0;
+    for (Tick t = 0; t < 20000 && checked < 200; ++t) {
+        f.events.runUntil(t);
+        f.fetch.tick(t);
+        while (DynInst *d = f.fetch.dispatchable(t)) {
+            expectSameOp(d->op, ref.next());
+            EXPECT_EQ(d->tid, 0);
+            EXPECT_LE(d->dispatchReadyTick, t);
+            if (!d->op.isBranch()) {
+                EXPECT_FALSE(d->pred.taken);
+                EXPECT_FALSE(d->pred.targetKnown);
+                EXPECT_EQ(d->pred.target, 0u);
+                EXPECT_FALSE(d->mispredicted);
+            }
+            expectBackEndFieldsReset(*d);
+            if (d->mispredicted)
+                f.fetch.branchResolved(d->op.seqNum, t);
+            fillWithGarbage(*d);
+            f.fetch.popDispatchable();
+            ++checked;
+        }
+    }
+    EXPECT_GE(checked, 200u);
+}
 
 TEST(Fetch, InactiveUnitDoesNothing)
 {

@@ -368,9 +368,9 @@ campaignFromOpts(const CliOptions &opts)
             return std::nullopt;
         }
     }
-    return SweepCampaign(MachineConfig::benchDefault(),
-                         runConfigFrom(opts), std::move(pairs),
-                         std::move(levels));
+    return std::optional<SweepCampaign>(
+        std::in_place, MachineConfig::benchDefault(),
+        runConfigFrom(opts), std::move(pairs), std::move(levels));
 }
 
 int
