@@ -4,7 +4,8 @@
  * cycle skipping on and off, every statistic, result payload and
  * evaluation CSV must be byte-identical. These are golden
  * byte-for-byte comparisons across seeds, pairs and all enforcement
- * levels; under the ci-asan preset they also run with SOE_AUDIT
+ * levels (GoldenDigest.EvaluationCampaignCsv holds the CSV to one
+ * constant with fast-forward on and off); under the ci-asan preset they also run with SOE_AUDIT
  * enabled, which exercises the jump-past-event and sample-boundary
  * audits on every jump. The last tests check that fast-forward pays:
  * it must cover nearly every cycle of a serial pointer chase, and in
@@ -25,7 +26,6 @@
 #include "cpu/core.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
-#include "harness/sweep.hh"
 #include "harness/system.hh"
 #include "sim/invariant.hh"
 #include "sim/ticked.hh"
@@ -199,38 +199,6 @@ TEST(FastForward, SoeGoldenMissBoundPairOtherSeeds)
         ASSERT_FALSE(on.empty());
         EXPECT_EQ(on, off) << "enforcement level " << f;
     }
-}
-
-TEST(FastForward, EvaluationCsvGolden)
-{
-    // The Figs. 6-8 path, run in-process: SweepCampaign jobs (payload
-    // encoding included) -> aggregate -> writeCampaignCsv.
-    auto campaignCsv = [](bool ff) {
-        RunConfig rc = smallRun(ff, nullptr);
-        rc.warmupInstrs = 30 * 1000;
-        rc.measureInstrs = 15 * 1000;
-        const harness::SweepCampaign campaign(
-            MachineConfig::benchDefault(), rc, {{"gcc", "mcf"}},
-            {0.0, 0.5, 1.0});
-        std::vector<harness::JobOutcome> outcomes;
-        for (const auto &job : campaign.jobs()) {
-            harness::JobOutcome o;
-            o.id = job.id;
-            o.payload = job.run(1);
-            o.done = true;
-            o.attempts = 1;
-            outcomes.push_back(std::move(o));
-        }
-        const harness::CampaignResult agg = campaign.aggregate(outcomes);
-        EXPECT_TRUE(agg.complete());
-        std::ostringstream os;
-        harness::writeCampaignCsv(os, agg);
-        return os.str();
-    };
-    const std::string on = campaignCsv(true);
-    const std::string off = campaignCsv(false);
-    ASSERT_NE(on.find("gcc:mcf"), std::string::npos);
-    EXPECT_EQ(on, off);
 }
 
 TEST(FastForward, EngineActuallySkipsCycles)

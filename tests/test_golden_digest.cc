@@ -7,6 +7,8 @@
  * runs, recorded once; any change to the simulated machine's timing,
  * to the workload stream or to the stats tree changes them. A change
  * that is meant to move results must refresh them deliberately.
+ * The last constant pins the evaluation CSV (Figs. 6-8): the pair
+ * seed rule, the speedup and fairness formulas and the columns.
  *
  * Every run is checked with fast-forward on and off against the same
  * constant, so the fast-forward contract is pinned across versions
@@ -22,6 +24,8 @@
 
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
+#include "harness/sweep.hh"
+#include "in_process_campaign.hh"
 #include "sim/crc32.hh"
 #include "soe/policies.hh"
 
@@ -118,4 +122,33 @@ TEST(GoldenDigest, SoeFourThreadsHalfFair)
     for (bool ff : {true, false})
         EXPECT_EQ(soeDigest({"gcc", "eon", "mcf", "art"}, 0.5, ff), golden)
             << "ff " << ff;
+}
+
+/**
+ * The evaluation CSV of gcc:eon at F = 0 and 1/2 plus bzip2:bzip2 at
+ * F = 0, a homogeneous pair, so the second thread's seed rule is
+ * pinned too. Every job runs through the journal's payload codec.
+ */
+TEST(GoldenDigest, EvaluationCampaignCsv)
+{
+    constexpr std::uint32_t golden = 0x3d1775b4u;
+    const MachineConfig mc = MachineConfig::benchDefault();
+    for (bool ff : {true, false}) {
+        const RunConfig rc = goldenRun(ff, nullptr);
+        harness::CampaignResult agg =
+            test::runCampaignInProcess(mc, rc, {{"gcc", "eon"}}, {0.0, 0.5});
+        harness::CampaignResult homogeneous =
+            test::runCampaignInProcess(mc, rc, {{"bzip2", "bzip2"}}, {0.0});
+        ASSERT_TRUE(agg.complete() && homogeneous.complete());
+        agg.results.push_back(std::move(homogeneous.results.at(0)));
+        const std::string csv = test::campaignCsv(agg);
+        EXPECT_EQ(sim::crc32(csv), golden) << "ff " << ff << "\n" << csv;
+
+        harness::EvaluationSweep sweep(mc, rc);
+        std::ostringstream ref;
+        harness::writePairResultsCsv(
+            ref, {sweep.runPair("gcc", "eon", {0.0, 0.5}),
+                  sweep.runPair("bzip2", "bzip2", {0.0})});
+        EXPECT_EQ(sim::crc32(ref.str()), golden) << "ff " << ff;
+    }
 }
