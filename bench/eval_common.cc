@@ -34,29 +34,13 @@ journalPath()
 
 } // namespace
 
-MachineConfig
-evalMachine()
-{
-    return MachineConfig::benchDefault();
-}
-
-RunConfig
-evalRunConfig()
-{
-    return RunConfig::fromEnv();
-}
-
-std::vector<double>
-levels()
-{
-    return EvaluationSweep::standardLevels();
-}
-
 EvalData
 evaluationData()
 {
-    SweepCampaign campaign(evalMachine(), evalRunConfig(),
-                           workload::spec::evaluationPairs(), levels());
+    SweepCampaign campaign(MachineConfig::benchDefault(),
+                           RunConfig::fromEnv(),
+                           workload::spec::evaluationPairs(),
+                           EvaluationSweep::standardLevels());
 
     SupervisorConfig cfg;
     cfg.deadlineSeconds = 3600.0;
@@ -99,15 +83,6 @@ evaluationData()
              " cell(s) missing); re-run to resume");
     }
     return data;
-}
-
-std::vector<PairResult>
-evaluationResults()
-{
-    EvalData data = evaluationData();
-    for (const auto &m : data.missing)
-        warn("evaluation gap: ", m.marker());
-    return data.pairs;
 }
 
 } // namespace bench

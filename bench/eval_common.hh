@@ -15,21 +15,14 @@
 #ifndef SOEFAIR_BENCH_EVAL_COMMON_HH
 #define SOEFAIR_BENCH_EVAL_COMMON_HH
 
-#include <string>
 #include <vector>
 
-#include "harness/machine_config.hh"
-#include "harness/runner.hh"
 #include "harness/sweep.hh"
 
 namespace soefair
 {
 namespace bench
 {
-
-/** The machine/run configuration every evaluation bench uses. */
-harness::MachineConfig evalMachine();
-harness::RunConfig evalRunConfig();
 
 /**
  * The evaluation dataset plus explicit gaps. `pairs` holds only
@@ -57,12 +50,6 @@ struct EvalData
  * lock, then replays.
  */
 EvalData evaluationData();
-
-/** Back-compat wrapper: evaluationData().pairs (warns on gaps). */
-std::vector<harness::PairResult> evaluationResults();
-
-/** The standard enforcement levels: 0, 1/4, 1/2, 1. */
-std::vector<double> levels();
 
 } // namespace bench
 } // namespace soefair

@@ -21,6 +21,7 @@ main()
 {
     auto data = evaluationData();
     const auto &results = data.pairs;
+    const auto ls = harness::EvaluationSweep::standardLevels();
 
     std::cout << "Figure 6: throughput of the benchmark pairs "
               << "(IPC of thread A + thread B = total)\n\n";
@@ -29,7 +30,7 @@ main()
                  "ipcSOE", "speedup/ST"});
     for (const auto &m : data.missing)
         t.addSpanRow(m.marker());
-    std::vector<double> speedupSums(levels().size(), 0.0);
+    std::vector<double> speedupSums(ls.size(), 0.0);
 
     for (const auto &pr : results) {
         bool first = true;
@@ -52,7 +53,6 @@ main()
     std::cout << "\nAverage SOE speedup over single thread:\n";
     TextTable avg({"F", "avg speedup", "paper"});
     const char *paperVals[] = {"1.24", "1.21", "1.19", "1.15"};
-    auto ls = levels();
     for (std::size_t li = 0; li < ls.size(); ++li) {
         avg.addRow({ls[li] == 0 ? "0" : TextTable::num(ls[li], 2),
                     results.empty()

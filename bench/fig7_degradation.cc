@@ -21,6 +21,7 @@ main()
 {
     auto data = evaluationData();
     const auto &results = data.pairs;
+    const auto ls = harness::EvaluationSweep::standardLevels();
 
     std::cout << "Figure 7: throughput degradation and forced "
               << "switches per 1000 cycles\n(throughput normalized "
@@ -29,7 +30,7 @@ main()
     TextTable t({"pair", "F", "norm throughput", "forced/1kcyc"});
     for (const auto &m : data.missing)
         t.addSpanRow(m.marker());
-    std::vector<double> normSums(levels().size(), 0.0);
+    std::vector<double> normSums(ls.size(), 0.0);
 
     for (const auto &pr : results) {
         const double base = pr.level(0.0).run.ipcTotal;
@@ -55,7 +56,6 @@ main()
     std::cout << "\nAverage throughput degradation vs F = 0:\n";
     TextTable avg({"F", "avg norm", "degradation %", "paper %"});
     const char *paperVals[] = {"0.0", "2.2", "3.7", "7.2"};
-    auto ls = levels();
     for (std::size_t li = 0; li < ls.size(); ++li) {
         const double mean = results.empty()
             ? 0.0

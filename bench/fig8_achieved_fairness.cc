@@ -52,7 +52,7 @@ main()
               << "truncated at the target\n(min(F, achieved); no "
               << "truncation at F = 0)\n\n";
     TextTable avg({"F", "mean", "stddev", "target"});
-    for (double f : levels()) {
+    for (double f : harness::EvaluationSweep::standardLevels()) {
         std::vector<double> vals;
         for (const auto &pr : results) {
             vals.push_back(

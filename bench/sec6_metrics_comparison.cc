@@ -26,15 +26,17 @@ using harness::TextTable;
 int
 main()
 {
-    auto results = evaluationResults();
+    const auto data = evaluationData();
 
     std::cout << "Section 6: metric comparison over the 16-pair "
               << "evaluation\n\n";
     TextTable t({"pair", "F", "fairness", "IPC", "weighted speedup",
                  "harmonic mean"});
+    for (const auto &m : data.missing)
+        t.addSpanRow(m.marker());
 
     std::vector<double> wsDelta, hmAtF0;
-    for (const auto &pr : results) {
+    for (const auto &pr : data.pairs) {
         bool first = true;
         for (const auto &l : pr.levels) {
             const double ws = core::weightedSpeedup(l.speedups);

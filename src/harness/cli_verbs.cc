@@ -19,7 +19,6 @@ std::vector<CliVerbOption>
 runOptions()
 {
     return {
-        {"--seed N", "master seed base (default 1)"},
         {"--instrs N", "measured instructions per thread"},
         {"--warmup N", "functional warmup instructions per thread"},
         {"--scale X", "scale all run lengths (like SOEFAIR_SCALE)"},
@@ -34,6 +33,15 @@ concat(std::vector<CliVerbOption> a,
 {
     a.insert(a.end(), b.begin(), b.end());
     return a;
+}
+
+/** runOptions() plus --seed, for the verbs that run benchmarks at a
+ *  chosen seed. A sweep has none: its seeds follow pairSeed(). */
+std::vector<CliVerbOption>
+seededRunOptions()
+{
+    return concat({{"--seed N", "master seed base (default 1)"}},
+                  runOptions());
 }
 
 const char *exitBasic = "0 ok; 2 usage; 1 fatal; 3 internal panic";
@@ -76,7 +84,7 @@ buildVerbs()
     verbs.push_back(
         {"run-st", "run-st <bench> [options]",
          "run one benchmark alone and print its metrics",
-         concat(runOptions(),
+         concat(seededRunOptions(),
                 {{"--stats", "dump the statistics tree to stderr"},
                  {"--retire-trace F",
                   "write a text retirement trace to file F"}}),
@@ -85,7 +93,7 @@ buildVerbs()
     verbs.push_back(
         {"run-soe", "run-soe <benchA> <benchB>... [options]",
          "run 2+ benchmarks under SOE",
-         concat(runOptions(),
+         concat(seededRunOptions(),
                 {{"--policy P",
                   "miss-only | fairness | timeshare | quota"},
                  {"--F X", "target fairness (fairness policy, 0.5)"},

@@ -1,9 +1,8 @@
 #include "harness/sweep.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <initializer_list>
-#include <iomanip>
+#include <map>
 #include <sstream>
 #include <string_view>
 
@@ -35,119 +34,30 @@ PairResult::level(double f) const
     fatal("no level F=", f, " for pair ", label());
 }
 
-EvaluationSweep::EvaluationSweep(const MachineConfig &machine,
-                                 const RunConfig &run_config)
-    : runner(machine), rc(run_config)
-{
-}
-
 std::vector<double>
 EvaluationSweep::standardLevels()
 {
     return {0.0, 0.25, 0.5, 1.0};
 }
 
-StRunResult &
-EvaluationSweep::singleThread(const std::string &bench,
-                              std::uint64_t seed)
-{
-    auto key = std::make_pair(bench, seed);
-    auto it = stCache.find(key);
-    if (it != stCache.end())
-        return it->second;
-    StRunResult res = runner.runSingleThread(
-        ThreadSpec::benchmark(bench, seed), rc);
-    return stCache.emplace(key, std::move(res)).first->second;
-}
-
-PairResult
-EvaluationSweep::runPair(const std::string &bench_a,
-                         const std::string &bench_b,
-                         const std::vector<double> &f_levels)
-{
-    PairResult pr;
-    pr.nameA = bench_a;
-    pr.nameB = bench_b;
-
-    const std::uint64_t seedA = pairSeed(0);
-    const std::uint64_t seedB =
-        bench_a == bench_b ? pairSeed(1) : pairSeed(0);
-
-    pr.stA = singleThread(bench_a, seedA);
-    pr.stB = singleThread(bench_b, seedB);
-
-    const std::vector<ThreadSpec> specs = {
-        ThreadSpec::benchmark(bench_a, seedA),
-        ThreadSpec::benchmark(bench_b, seedB),
-    };
-
-    for (double f : f_levels) {
-        LevelResult lr;
-        lr.targetF = f;
-        if (f <= 0.0) {
-            soe::MissOnlyPolicy policy;
-            lr.run = runner.runSoe(specs, policy, rc);
-        } else {
-            soe::FairnessPolicy policy(
-                f, runner.machine().soe.missLatency, 2);
-            lr.run = runner.runSoe(specs, policy, rc);
-        }
-
-        lr.speedups = {lr.run.threads[0].ipc / pr.stA.ipc,
-                       lr.run.threads[1].ipc / pr.stB.ipc};
-        lr.fairness = core::fairnessOfSpeedups(lr.speedups);
-        const double stMean = 0.5 * (pr.stA.ipc + pr.stB.ipc);
-        lr.speedupOverSt = lr.run.ipcTotal / stMean;
-        pr.levels.push_back(std::move(lr));
-    }
-    return pr;
-}
-
-namespace
-{
-
-void
-writeCsvHeader(std::ostream &os)
-{
-    os << "pair,F,ipcST_A,ipcST_B,ipcA,ipcB,ipcTotal,fairness,"
-       << "speedupOverST,cycles,switchesMiss,switchesForced,"
-       << "switchesQuota\n";
-}
-
-void
-writeCsvRow(std::ostream &os, const PairResult &pr,
-            const LevelResult &l)
-{
-    using statistics::statfmt::csv;
-    os << pr.label() << ',' << csv(l.targetF) << ','
-       << csv(pr.stA.ipc) << ',' << csv(pr.stB.ipc) << ','
-       << csv(l.run.threads[0].ipc) << ','
-       << csv(l.run.threads[1].ipc) << ',' << csv(l.run.ipcTotal)
-       << ',' << csv(l.fairness) << ',' << csv(l.speedupOverSt)
-       << ',' << l.run.cycles << ',' << l.run.switchesMiss << ','
-       << l.run.switchesForced << ',' << l.run.switchesQuota << "\n";
-}
-
-} // namespace
-
-void
-writePairResultsCsv(std::ostream &os,
-                    const std::vector<PairResult> &results)
-{
-    writeCsvHeader(os);
-    for (const auto &pr : results) {
-        for (const auto &l : pr.levels)
-            writeCsvRow(os, pr, l);
-    }
-}
-
 void
 writeCampaignCsv(std::ostream &os, const CampaignResult &agg)
 {
-    writeCsvHeader(os);
+    using statistics::statfmt::csv;
+    os << "pair,F,ipcST_A,ipcST_B,ipcA,ipcB,ipcTotal,fairness,"
+       << "speedupOverST,cycles,switchesMiss,switchesForced,"
+       << "switchesQuota\n";
     for (const auto &pr : agg.results) {
-        for (const auto &l : pr.levels)
-            writeCsvRow(os, pr, l);
+        for (const auto &l : pr.levels) {
+            os << pr.label() << ',' << csv(l.targetF) << ','
+               << csv(pr.stA.ipc) << ',' << csv(pr.stB.ipc) << ','
+               << csv(l.run.threads[0].ipc) << ','
+               << csv(l.run.threads[1].ipc) << ','
+               << csv(l.run.ipcTotal) << ',' << csv(l.fairness) << ','
+               << csv(l.speedupOverSt) << ',' << l.run.cycles << ','
+               << l.run.switchesMiss << ',' << l.run.switchesForced
+               << ',' << l.run.switchesQuota << "\n";
+        }
     }
     for (const auto &m : agg.missing)
         os << m.marker() << "\n";
@@ -165,7 +75,7 @@ CampaignResult::exitCode() const
 namespace
 {
 
-/** Seeds of a pair's two threads (same rule as runPair). */
+/** Seeds of a pair's two threads. */
 std::pair<std::uint64_t, std::uint64_t>
 pairSeeds(const std::string &a, const std::string &b)
 {

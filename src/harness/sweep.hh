@@ -10,7 +10,6 @@
 #define SOEFAIR_HARNESS_SWEEP_HH
 
 #include <functional>
-#include <map>
 #include <ostream>
 #include <set>
 #include <string>
@@ -50,44 +49,17 @@ struct PairResult
     const LevelResult &level(double f) const;
 };
 
-/**
- * Evaluation driver. Single-thread reference runs are cached by
- * (benchmark, seed) so homogeneous pairs and repeated benchmarks do
- * not re-simulate them.
- */
+/** The paper's evaluation levels; SweepCampaign runs the sweep. */
 class EvaluationSweep
 {
   public:
-    EvaluationSweep(const MachineConfig &machine, const RunConfig &rc);
-
-    /**
-     * Run one pair at the given F levels (F = 0 means the miss-only
-     * policy).
-     */
-    PairResult runPair(const std::string &bench_a,
-                       const std::string &bench_b,
-                       const std::vector<double> &f_levels);
-
     /** The standard enforcement levels: 0, 1/4, 1/2, 1. */
     static std::vector<double> standardLevels();
-
-  private:
-    StRunResult &singleThread(const std::string &bench,
-                              std::uint64_t seed);
-
-    Runner runner;
-    RunConfig rc;
-    std::map<std::pair<std::string, std::uint64_t>, StRunResult>
-        stCache;
 };
 
 /** Seed used for thread `idx` of a pair (homogeneous pairs get
  *  decorrelated streams, the paper's 1M-instruction offset). */
 std::uint64_t pairSeed(unsigned idx);
-
-/** Write the per-level results as CSV (machine-readable sweeps). */
-void writePairResultsCsv(std::ostream &os,
-                         const std::vector<PairResult> &results);
 
 /** An evaluation cell the campaign could not produce. */
 struct MissingCell
@@ -122,8 +94,7 @@ struct CampaignResult
  * Write campaign results as CSV: the usual rows for completed cells
  * followed by one `MISSING(pair,cell,reason)` line per gap, so
  * partial campaigns degrade visibly instead of silently dropping
- * rows. Complete campaigns produce byte-identical output to
- * writePairResultsCsv.
+ * rows.
  */
 void writeCampaignCsv(std::ostream &os, const CampaignResult &agg);
 

@@ -26,10 +26,16 @@ namespace soefair
 namespace test
 {
 
-/** Run each of `campaign`'s jobs once, in order, and aggregate. */
+/** The campaign over `pairs` x `levels`: each job run once, in
+ *  order, then aggregated. */
 inline harness::CampaignResult
-runCampaignInProcess(const harness::SweepCampaign &campaign)
+runCampaignInProcess(
+    const harness::MachineConfig &mc, const harness::RunConfig &rc,
+    std::vector<std::pair<std::string, std::string>> pairs,
+    std::vector<double> levels)
 {
+    const harness::SweepCampaign campaign(mc, rc, std::move(pairs),
+                                          std::move(levels));
     std::vector<harness::JobOutcome> outcomes;
     for (const auto &job : campaign.jobs()) {
         harness::JobOutcome o;
@@ -40,18 +46,6 @@ runCampaignInProcess(const harness::SweepCampaign &campaign)
         outcomes.push_back(std::move(o));
     }
     return campaign.aggregate(outcomes);
-}
-
-/** The campaign over `pairs` x `levels`, run in-process. */
-inline harness::CampaignResult
-runCampaignInProcess(
-    const harness::MachineConfig &mc, const harness::RunConfig &rc,
-    std::vector<std::pair<std::string, std::string>> pairs,
-    std::vector<double> levels)
-{
-    const harness::SweepCampaign campaign(mc, rc, std::move(pairs),
-                                          std::move(levels));
-    return runCampaignInProcess(campaign);
 }
 
 /** One pair a:b at `levels`, run in-process. Throws when the pair

@@ -241,6 +241,34 @@ TEST(CliVerbs, FlagsAreTheOptionsWithoutAValue)
     EXPECT_EQ(got.size(), flags.size()); // no duplicates
 }
 
+TEST(CliVerbs, OnlyTheRunVerbsTakeASeed)
+{
+    // A sweep's seeds follow the pair rule, so --seed there would be
+    // ignored: it is refused before the journal exists instead.
+    const ScratchDir dir;
+    const std::string journal = dir.path + "/sweep.journal";
+    const std::string errPath = dir.path + "/stderr";
+    EXPECT_EQ(cliExit("sweep --seed 7 --pairs gcc:eon --levels 0 "
+                      "--instrs 2000 --warmup 0 --journal " + journal +
+                          " --out " + dir.path + "/sweep.csv",
+                      errPath),
+              2);
+    EXPECT_FALSE(std::filesystem::exists(journal));
+    EXPECT_NE(readFile(errPath).find("unknown option --seed for 'sweep'"),
+              std::string::npos)
+        << readFile(errPath);
+
+    for (const char *name : {"sweep", "run-st", "run-soe"}) {
+        std::ostringstream os;
+        printCliVerbHelp(os, *findCliVerb(name));
+        EXPECT_EQ(os.str().find("--seed") != std::string::npos,
+                  std::string(name) != "sweep")
+            << name;
+    }
+    EXPECT_EQ(usageCheck({"run-st", "gcc", "--seed", "3"}), 0);
+    EXPECT_EQ(usageCheck({"run-soe", "gcc", "eon", "--seed", "3"}), 0);
+}
+
 TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
 {
     // A bad item is a usage error before the journal exists: read

@@ -24,7 +24,6 @@
 
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
-#include "harness/sweep.hh"
 #include "in_process_campaign.hh"
 #include "sim/crc32.hh"
 #include "soe/policies.hh"
@@ -143,12 +142,5 @@ TEST(GoldenDigest, EvaluationCampaignCsv)
         agg.results.push_back(std::move(homogeneous.results.at(0)));
         const std::string csv = test::campaignCsv(agg);
         EXPECT_EQ(sim::crc32(csv), golden) << "ff " << ff << "\n" << csv;
-
-        harness::EvaluationSweep sweep(mc, rc);
-        std::ostringstream ref;
-        harness::writePairResultsCsv(
-            ref, {sweep.runPair("gcc", "eon", {0.0, 0.5}),
-                  sweep.runPair("bzip2", "bzip2", {0.0})});
-        EXPECT_EQ(sim::crc32(ref.str()), golden) << "ff " << ff;
     }
 }

@@ -10,6 +10,7 @@
 #include "core/metrics.hh"
 #include "harness/machine_config.hh"
 #include "harness/sweep.hh"
+#include "in_process_campaign.hh"
 #include "soe/policies.hh"
 
 using namespace soefair;
@@ -34,8 +35,9 @@ TEST(Integration, FairnessLevelsOrderCorrectly)
 {
     // On the canonical unfair pair, achieved fairness must increase
     // with the enforced target and throughput must decrease.
-    EvaluationSweep sweep(MachineConfig::benchDefault(), miniRun());
-    auto pr = sweep.runPair("gcc", "eon", {0.0, 0.25, 0.5, 1.0});
+    const PairResult pr =
+        test::pairInProcess(MachineConfig::benchDefault(), miniRun(),
+                            "gcc", "eon", {0.0, 0.25, 0.5, 1.0});
     ASSERT_EQ(pr.levels.size(), 4u);
 
     EXPECT_LT(pr.levels[0].fairness, 0.15) << "F=0 should starve gcc";
@@ -55,8 +57,9 @@ TEST(Integration, FairPairIsBarelyAffectedByEnforcement)
 {
     // lucas:applu (similar IPC_ST) is fair even at F=0; enforcement
     // must cost little (paper Fig. 6/7).
-    EvaluationSweep sweep(MachineConfig::benchDefault(), miniRun());
-    auto pr = sweep.runPair("lucas", "applu", {0.0, 1.0});
+    const PairResult pr =
+        test::pairInProcess(MachineConfig::benchDefault(), miniRun(),
+                            "lucas", "applu", {0.0, 1.0});
     EXPECT_GT(pr.levels[0].fairness, 0.5);
     const double degradation =
         pr.levels[1].run.ipcTotal / pr.levels[0].run.ipcTotal;
@@ -65,8 +68,9 @@ TEST(Integration, FairPairIsBarelyAffectedByEnforcement)
 
 TEST(Integration, SoeGainsThroughputOnMissBoundPairs)
 {
-    EvaluationSweep sweep(MachineConfig::benchDefault(), miniRun());
-    auto pr = sweep.runPair("swim", "applu", {0.0});
+    const PairResult pr =
+        test::pairInProcess(MachineConfig::benchDefault(), miniRun(),
+                            "swim", "applu", {0.0});
     // Speedup over mean single-thread IPC (paper headline ~1.24 on
     // average); at mini-run scale require a clear gain.
     EXPECT_GT(pr.levels[0].speedupOverSt, 1.1);
@@ -146,8 +150,9 @@ TEST(Integration, TimeShareThrowsAwaySoeThroughput)
 
 TEST(Integration, HomogeneousPairIsNaturallyFair)
 {
-    EvaluationSweep sweep(MachineConfig::benchDefault(), miniRun());
-    auto pr = sweep.runPair("bzip2", "bzip2", {0.0});
+    const PairResult pr =
+        test::pairInProcess(MachineConfig::benchDefault(), miniRun(),
+                            "bzip2", "bzip2", {0.0});
     EXPECT_GT(pr.levels[0].fairness, 0.5);
 }
 
@@ -156,8 +161,9 @@ TEST(Integration, MissFreePairsStillRotateAndProgress)
     // Two essentially miss-free threads: rare misses (mostly TLB
     // walks) plus the max-cycles quota must still rotate them; both
     // must make full progress.
-    EvaluationSweep sweep(MachineConfig::benchDefault(), miniRun());
-    auto pr = sweep.runPair("eon", "crafty", {0.0});
+    const PairResult pr =
+        test::pairInProcess(MachineConfig::benchDefault(), miniRun(),
+                            "eon", "crafty", {0.0});
     const auto &run = pr.levels[0].run;
     EXPECT_GT(run.switchesQuota + run.switchesMiss, 3u);
     EXPECT_GE(run.threads[0].instrs, miniRun().measureInstrs);

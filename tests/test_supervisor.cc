@@ -5,7 +5,7 @@
  * one attempt per job and run, journal write-ahead/replay, resume
  * as the next attempt at the job's own seed, one writer per journal,
  * and the golden guarantee that a supervised campaign reproduces the
- * in-process sweep's CSV byte for byte.
+ * campaign run in-process (tests/in_process_campaign.hh) byte for byte.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "harness/supervisor.hh"
 #include "harness/sweep.hh"
 #include "harness/system.hh"
+#include "in_process_campaign.hh"
 #include "sim/errors.hh"
 #include "soe/engine.hh"
 #include "soe/policies.hh"
@@ -325,12 +326,9 @@ TEST(SweepCampaign, MatchesInProcessSweepByteForByte)
     const std::vector<double> levels = {0.0, 0.5};
     const auto mc = MachineConfig::benchDefault();
 
-    // In-process reference (the pre-supervisor sweep path).
-    EvaluationSweep sweep(mc, tinyRun());
-    std::vector<PairResult> ref = {
-        sweep.runPair("gcc", "eon", levels)};
-    std::ostringstream refCsv;
-    writePairResultsCsv(refCsv, ref);
+    // In-process reference: the same jobs, unforked and unjournaled.
+    const std::string refCsv = test::campaignCsv(test::runCampaignInProcess(
+        mc, tinyRun(), {{"gcc", "eon"}}, levels));
 
     // Supervised campaign over the same cells, with one forked job
     // slot and with two (concurrent children finish out of order;
@@ -347,14 +345,14 @@ TEST(SweepCampaign, MatchesInProcessSweepByteForByte)
         std::ostringstream supCsv;
         writeCampaignCsv(supCsv, agg);
 
-        EXPECT_EQ(refCsv.str(), supCsv.str());
+        EXPECT_EQ(refCsv, supCsv.str());
 
         // And a resume over the finished journal replays everything
         // without re-running, still byte-identical.
         auto agg2 = campaign.run(cfg, tj.path, /*resume=*/true);
         std::ostringstream resCsv;
         writeCampaignCsv(resCsv, agg2);
-        EXPECT_EQ(refCsv.str(), resCsv.str());
+        EXPECT_EQ(refCsv, resCsv.str());
     }
 }
 
@@ -433,9 +431,8 @@ TEST(SweepCampaign, KilledBaselineIsMissingAndResumesAtItsOwnSeed)
 {
     const std::vector<double> levels = {0.0};
     const auto mc = MachineConfig::benchDefault();
-    EvaluationSweep sweep(mc, tinyRun());
-    std::ostringstream refCsv;
-    writePairResultsCsv(refCsv, {sweep.runPair("gcc", "eon", levels)});
+    const std::string refCsv = test::campaignCsv(test::runCampaignInProcess(
+        mc, tinyRun(), {{"gcc", "eon"}}, levels));
 
     // SIGKILL gcc's baseline on its first attempt only. The run
     // must not re-run it (at any seed): the cell and the SOE cell
@@ -462,21 +459,20 @@ TEST(SweepCampaign, KilledBaselineIsMissingAndResumesAtItsOwnSeed)
         << csv.str();
 
     // Resuming with the same hook runs the baseline as attempt 2 at
-    // its own seed: the CSV is the in-process sweep's, byte for byte.
+    // its own seed: the CSV is the in-process campaign's, byte for byte.
     auto agg2 = campaign.run(quickConfig(), tj.path, /*resume=*/true);
     EXPECT_TRUE(agg2.complete());
     std::ostringstream resCsv;
     writeCampaignCsv(resCsv, agg2);
-    EXPECT_EQ(refCsv.str(), resCsv.str());
+    EXPECT_EQ(refCsv, resCsv.str());
 }
 
 TEST(SweepCampaign, ConcurrentRunsOnOneJournalTakeTurns)
 {
     const std::vector<double> levels = {0.0, 0.5};
     const auto mc = MachineConfig::benchDefault();
-    EvaluationSweep sweep(mc, tinyRun());
-    std::ostringstream refCsv;
-    writePairResultsCsv(refCsv, {sweep.runPair("gcc", "eon", levels)});
+    const std::string refCsv = test::campaignCsv(test::runCampaignInProcess(
+        mc, tinyRun(), {{"gcc", "eon"}}, levels));
 
     TempJournal tj("shared");
     TempJournal childOut("shared_child_csv");
@@ -529,8 +525,8 @@ TEST(SweepCampaign, ConcurrentRunsOnOneJournalTakeTurns)
     std::ifstream childIs(childOut.path);
     const std::string childCsv(std::istreambuf_iterator<char>(childIs),
                                {});
-    EXPECT_EQ(refCsv.str(), childCsv);
-    EXPECT_EQ(refCsv.str(), parentCsv.str());
+    EXPECT_EQ(refCsv, childCsv);
+    EXPECT_EQ(refCsv, parentCsv.str());
 
     // Strict loading rejects a duplicate `done`; every job ran once
     // (header plus one running and one done record per job).

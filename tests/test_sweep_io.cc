@@ -13,10 +13,10 @@ using namespace soefair::harness;
 namespace
 {
 
-std::vector<PairResult>
-sampleResults()
+CampaignResult
+sampleCampaign()
 {
-    std::vector<PairResult> v;
+    CampaignResult agg;
     PairResult pr;
     pr.nameA = "gcc";
     pr.nameB = "eon";
@@ -40,8 +40,9 @@ sampleResults()
                       l.run.threads[1].ipc / pr.stB.ipc};
         pr.levels.push_back(l);
     }
-    v.push_back(pr);
-    return v;
+    agg.results.push_back(std::move(pr));
+    agg.missing.push_back({"gcc:eon", "F=1", "watchdog after 1 attempt(s)"});
+    return agg;
 }
 
 } // namespace
@@ -49,11 +50,15 @@ sampleResults()
 TEST(SweepIo, CsvHasHeaderAndRows)
 {
     std::ostringstream os;
-    writePairResultsCsv(os, sampleResults());
+    writeCampaignCsv(os, sampleCampaign());
     const std::string s = os.str();
-    EXPECT_NE(s.find("pair,F,ipcST_A"), std::string::npos);
-    EXPECT_NE(s.find("gcc:eon,0,"), std::string::npos);
-    EXPECT_NE(s.find("gcc:eon,0.5,"), std::string::npos);
-    // One header + two level rows.
-    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);
+    EXPECT_EQ(s.rfind("pair,F,ipcST_A", 0), 0u);
+    EXPECT_NE(s.find("\ngcc:eon,0,"), std::string::npos);
+    EXPECT_NE(s.find("\ngcc:eon,0.5,"), std::string::npos);
+    // One header, two level rows, then the gap's marker line last.
+    EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
+    const std::string marker =
+        "MISSING(gcc:eon,F=1,watchdog after 1 attempt(s))\n";
+    ASSERT_GE(s.size(), marker.size());
+    EXPECT_EQ(s.substr(s.size() - marker.size()), marker);
 }
