@@ -45,9 +45,8 @@ evaluationData()
     SupervisorConfig cfg;
     cfg.deadlineSeconds = 3600.0;
     cfg.progress = &std::cerr;
-    cfg.jobSlots = env::resolveUnsigned(std::nullopt,
-                                        "SOEFAIR_EVAL_JOBS",
-                                        cfg.jobSlots);
+    cfg.jobSlots =
+        env::getUnsigned("SOEFAIR_EVAL_JOBS").value_or(cfg.jobSlots);
 
     // Resume the journal when there is one: cells it holds are
     // replayed, so a killed bench, or a second figure driver, never

@@ -32,8 +32,6 @@ CliOptions::CliOptions(int argc, const char *const *argv,
         const auto eq = name.find('=');
         if (eq != std::string::npos) {
             options[name.substr(0, eq)] = name.substr(eq + 1);
-            orderedOptions.emplace_back(name.substr(0, eq),
-                                        name.substr(eq + 1));
             continue;
         }
         if (std::find(known_flags.begin(), known_flags.end(), name) !=
@@ -44,7 +42,6 @@ CliOptions::CliOptions(int argc, const char *const *argv,
         if (i + 1 >= argc)
             fatal("option --", name, " needs a value");
         options[name] = argv[++i];
-        orderedOptions.emplace_back(name, argv[i]);
     }
 }
 
@@ -66,17 +63,6 @@ CliOptions::getString(const std::string &name,
 {
     auto it = options.find(name);
     return it == options.end() ? def : it->second;
-}
-
-std::vector<std::string>
-CliOptions::getStrings(const std::string &name) const
-{
-    std::vector<std::string> out;
-    for (const auto &kv : orderedOptions) {
-        if (kv.first == name)
-            out.push_back(kv.second);
-    }
-    return out;
 }
 
 std::uint64_t

@@ -43,10 +43,6 @@ class CliOptions
 
     std::string getString(const std::string &name,
                           const std::string &def) const;
-    /** Every occurrence of a repeatable option, in argv order
-     *  (single-value getters return the last occurrence). */
-    std::vector<std::string> getStrings(const std::string &name)
-        const;
     std::uint64_t getUint(const std::string &name,
                           std::uint64_t def) const;
     double getDouble(const std::string &name, double def) const;
@@ -59,8 +55,6 @@ class CliOptions
   private:
     std::vector<std::string> positionals;
     std::map<std::string, std::string> options;
-    /** All (name, value) options in argv order; duplicates kept. */
-    std::vector<std::pair<std::string, std::string>> orderedOptions;
     std::vector<std::string> flags;
 };
 

@@ -21,7 +21,8 @@ runOptions()
     return {
         {"--instrs N", "measured instructions per thread"},
         {"--warmup N", "functional warmup instructions per thread"},
-        {"--scale X", "scale all run lengths (like SOEFAIR_SCALE)"},
+        {"--scale X",
+         "scale all run lengths (replaces SOEFAIR_SCALE)"},
         {"--no-fastforward",
          "tick every stall cycle instead of jumping quiescent runs"},
     };
@@ -77,7 +78,9 @@ buildVerbs()
                      exitBasic});
 
     verbs.push_back({"machine", "machine",
-                     "print the simulated machine (Table 3)",
+                     "print the machine that run-st, run-soe and "
+                     "sweep simulate (Table 3 with a shorter delta "
+                     "and quota)",
                      {},
                      exitBasic});
 
@@ -123,10 +126,6 @@ buildVerbs()
                  {"--deadline S",
                   "per-attempt wall-clock deadline in seconds "
                   "(default 600; 0 means no deadline)"},
-                 {"--inject SPEC",
-                  "test hook: job@action[@maxAttempt] provokes hang | "
-                  "kill | input | watchdog in the job's child; "
-                  "repeatable"},
                  {"--journal F",
                   "write-ahead journal path (default "
                   "soefair_sweep.journal)"},

@@ -32,12 +32,6 @@ getOr(const char *name, const std::string &fallback)
     return v ? *v : fallback;
 }
 
-bool
-isSet(const char *name)
-{
-    return get(name).has_value();
-}
-
 std::optional<bool>
 getBool(const char *name)
 {
@@ -88,35 +82,6 @@ getUnsigned(const char *name)
         return std::nullopt;
     }
     return unsigned(u);
-}
-
-std::string
-resolveString(const std::optional<std::string> &cli, const char *name,
-              const std::string &fallback)
-{
-    if (cli)
-        return *cli;
-    return getOr(name, fallback);
-}
-
-double
-resolveDouble(const std::optional<double> &cli, const char *name,
-              double fallback)
-{
-    if (cli)
-        return *cli;
-    const auto v = getDouble(name);
-    return v ? *v : fallback;
-}
-
-unsigned
-resolveUnsigned(const std::optional<unsigned> &cli, const char *name,
-                unsigned fallback)
-{
-    if (cli)
-        return *cli;
-    const auto v = getUnsigned(name);
-    return v ? *v : fallback;
 }
 
 } // namespace env

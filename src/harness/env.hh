@@ -6,9 +6,10 @@
  * everywhere except env.cc: environment reads scattered through model
  * code are invisible inputs that break the byte-identical determinism
  * contract, so every read funnels through here, where it is named,
- * typed and testable. Precedence is uniform: an explicit CLI value
- * wins over the environment, which wins over the built-in default
- * (see resolveString / resolveDouble / resolveUnsigned).
+ * typed and testable. A set, parsable variable wins over the
+ * built-in default (`getUnsigned(name).value_or(def)`); a command-line
+ * option that overrides a variable is applied by its caller on top
+ * (soefair_cli's `--scale` replaces SOEFAIR_SCALE).
  *
  * Model code (src/{sim,cpu,mem,soe,workload}) must not call even
  * these accessors — the environment may steer *harness* behaviour
@@ -34,9 +35,6 @@ std::optional<std::string> get(const char *name);
 /** The variable's value, or `fallback` when unset. */
 std::string getOr(const char *name, const std::string &fallback);
 
-/** True when the variable is set (possibly to ""). */
-bool isSet(const char *name);
-
 /**
  * Boolean read: unset -> nullopt; "0" / "off" / "OFF" / "false" ->
  * false; anything else (including "") -> true.
@@ -51,20 +49,6 @@ std::optional<bool> getBool(const char *name);
  */
 std::optional<double> getDouble(const char *name);
 std::optional<unsigned> getUnsigned(const char *name);
-
-/**
- * CLI > environment > default precedence, shared by every consumer:
- * `cli` (engaged when the flag was given on the command line) wins;
- * otherwise the environment variable, if set and parsable; otherwise
- * `fallback`.
- */
-std::string resolveString(const std::optional<std::string> &cli,
-                          const char *name,
-                          const std::string &fallback);
-double resolveDouble(const std::optional<double> &cli,
-                     const char *name, double fallback);
-unsigned resolveUnsigned(const std::optional<unsigned> &cli,
-                         const char *name, unsigned fallback);
 
 } // namespace env
 } // namespace harness

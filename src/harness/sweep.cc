@@ -72,6 +72,21 @@ CampaignResult::exitCode() const
                            : exitCampaignPartial;
 }
 
+void
+CampaignResult::reportMissing(std::ostream &os,
+                              const std::string &journal) const
+{
+    if (complete())
+        return;
+    os << (exitCode() == exitCampaignFailed
+               ? "[sweep] FAILED: no pair has a result row; "
+               : "[sweep] PARTIAL results: ")
+       << missing.size() << " cell(s) missing (journal: " << journal
+       << "; finish with `sweep --resume " << journal << "`)\n";
+    for (const auto &m : missing)
+        os << "[sweep]   " << m.marker() << "\n";
+}
+
 namespace
 {
 

@@ -88,6 +88,11 @@ struct CampaignResult
     bool complete() const { return missing.empty(); }
     /** 0 complete, 20 partial, 21 when no pair has a result row. */
     int exitCode() const;
+    /** The end-of-sweep message for exitCode() on `os`: PARTIAL or
+     *  FAILED with the journal to resume, then one line per missing
+     *  cell. Nothing when the campaign is complete. */
+    void reportMissing(std::ostream &os,
+                       const std::string &journal) const;
 };
 
 /**
@@ -151,7 +156,8 @@ class SweepCampaign
 
     /**
      * Test hook, invoked in the forked child at the start of every
-     * attempt. `sweep --inject` uses it to hang, kill or typed-fail
+     * attempt: the one fault-injection point. The supervisor tests
+     * (tests/test_supervisor.cc) use it to hang, kill or typed-fail
      * specific jobs.
      */
     void setAttemptHook(

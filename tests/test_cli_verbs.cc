@@ -6,7 +6,8 @@
  * verb without documenting it is a test failure, not a silent gap;
  * an option a verb does not register is a usage error (exit 2).
  * The last tests run the built soefair_cli and check that bad
- * input fails with its documented code before any work starts.
+ * input fails with its documented code before any work starts, and
+ * that the end-of-sweep message matches the campaign's exit code.
  */
 
 #include <gtest/gtest.h>
@@ -26,11 +27,14 @@
 
 #include "harness/cli_verbs.hh"
 #include "harness/env.hh"
+#include "harness/machine_config.hh"
+#include "harness/sweep.hh"
 #include "sim/errors.hh"
 
 using namespace soefair::harness;
 using soefair::CheckpointError;
 using soefair::InputError;
+using soefair::raiseError;
 
 namespace
 {
@@ -66,6 +70,19 @@ readFile(const std::string &path)
 {
     std::ifstream in(path);
     return {std::istreambuf_iterator<char>(in), {}};
+}
+
+/** Stdout of the built soefair_cli run with `args`, under env(1)
+ *  with `env_args` ("NAME=value ..." or "-u NAME"); it goes through
+ *  the file `out_path`. Empty when the CLI fails. */
+std::string
+cliStdout(const std::string &env_args, const std::string &args,
+          const std::string &out_path)
+{
+    const std::string cmd = "env " + env_args + " " +
+        std::string(SOEFAIR_CLI) + " " + args + " >" + out_path +
+        " 2>/dev/null";
+    return std::system(cmd.c_str()) == 0 ? readFile(out_path) : "";
 }
 
 /** A per-process scratch directory, removed at exit. */
@@ -274,12 +291,12 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
     // A bad item is a usage error before the journal exists: read
     // leniently, "abc" would add an F = 0 cell, a level outside
     // [0, 1] would fail every job of its cell, and an unknown
-    // benchmark would fail every job of its pair. An --inject that
-    // can never fire, a slot count that is 0 or would wrap to 0 in
-    // an unsigned field, a negative deadline, an option sweep does
-    // not have and a cell listed twice (it would journal two `done`
-    // records, which a later --resume refuses) are refused the same
-    // way.
+    // benchmark would fail every job of its pair. A slot count that
+    // is 0 or would wrap to 0 in an unsigned field, a negative
+    // deadline, an option sweep does not have (the removed fault
+    // hook among them) and a cell listed twice (it would journal two
+    // `done` records, which a later --resume refuses) are refused the
+    // same way.
     const ScratchDir dir;
     const std::string journal = dir.path + "/sweep.journal";
     for (const char *selection :
@@ -290,15 +307,7 @@ TEST(CliVerbs, BadLevelsFailBeforeAnyJobRuns)
           "--pairs gcc:eon --levels 0.5,,1",
           "--pairs gcc:nosuch --levels 0", "--pairs gcc: --levels 0",
           "--pairs gcc:eon,nosuch:eon --levels 0",
-          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@abc",
-          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@0",
-          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@-1",
-          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@+1",
-          "--pairs gcc:eon --levels 0 --inject soe:gcc:eon:F=0@input@",
-          "--pairs gcc:eon --levels 0 "
-          "--inject soe:gcc:eon:F=0@input@4294967296",
-          "--pairs gcc:eon --levels 0 --inject st:gcc:1@input@1",
-          "--pairs gcc:eon --levels 0 --inject nosuch@hang",
+          "--pairs gcc:eon --levels 0 --inject x@hang",
           "--pairs gcc:eon --levels 0 --jobs 4294967296",
           "--pairs gcc:eon --levels 0 --jobs 0",
           "--pairs gcc:eon --levels 0 --deadline -1",
@@ -319,33 +328,54 @@ TEST(CliVerbs, SweepMessageMatchesItsExitCode)
 {
     // With every SOE cell of the only pair failed, no pair has a
     // result row (exit 21); with one of two failed, the results are
-    // partial (exit 20). Each says so, and only so, on stderr.
+    // partial (exit 20). Each says so, and only so, in the message
+    // `sweep` prints on stderr; a complete campaign prints none.
     const ScratchDir dir;
-    const std::string errPath = dir.path + "/stderr";
+    const std::string journal = dir.path + "/sweep.journal";
+    RunConfig rc;
+    rc.warmupInstrs = 0;
+    rc.timingWarmInstrs = 1000;
+    rc.measureInstrs = 2000;
     const struct
     {
-        const char *levels;
+        std::vector<double> levels;
         int code;
         const char *says;
         const char *never;
     } cases[] = {
-        {"0", 21, "no pair has a result row", "PARTIAL"},
-        {"0,0.5", 20, "PARTIAL", "no pair has a result row"},
+        {{0.0}, exitCampaignFailed, "[sweep] FAILED: no pair has a "
+                                    "result row; 1 cell(s) missing",
+         "PARTIAL"},
+        {{0.0, 0.5}, exitCampaignPartial,
+         "[sweep] PARTIAL results: 1 cell(s) missing",
+         "no pair has a result row"},
     };
     for (const auto &c : cases) {
-        EXPECT_EQ(cliExit(std::string("sweep --pairs gcc:eon --levels ") +
-                              c.levels +
-                              " --inject soe:gcc:eon:F=0@input "
-                              "--instrs 2000 --warmup 0 --journal " +
-                              dir.path + "/sweep.journal --out " +
-                              dir.path + "/sweep.csv",
-                          errPath),
-                  c.code)
-            << c.levels;
-        const std::string err = readFile(errPath);
-        EXPECT_NE(err.find(c.says), std::string::npos) << err;
-        EXPECT_EQ(err.find(c.never), std::string::npos) << err;
+        SweepCampaign campaign(MachineConfig::benchDefault(), rc,
+                               {{"gcc", "eon"}}, c.levels);
+        campaign.setAttemptHook([](const std::string &id, unsigned) {
+            if (id == "soe:gcc:eon:F=0")
+                raiseError<InputError>("injected");
+        });
+        const CampaignResult agg =
+            campaign.run(SupervisorConfig{}, journal, /*resume=*/false);
+        EXPECT_EQ(agg.exitCode(), c.code);
+        std::ostringstream err;
+        agg.reportMissing(err, journal);
+        EXPECT_NE(err.str().find(c.says), std::string::npos) << err.str();
+        EXPECT_EQ(err.str().find(c.never), std::string::npos)
+            << err.str();
+        EXPECT_NE(err.str().find("`sweep --resume " + journal + "`"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_NE(err.str().find("[sweep]   MISSING(gcc:eon,F=0,input "
+                                 "after 1 attempt(s))\n"),
+                  std::string::npos)
+            << err.str();
     }
+    std::ostringstream none;
+    CampaignResult{}.reportMissing(none, journal);
+    EXPECT_EQ(none.str(), "");
 }
 
 TEST(CliVerbs, BadPolicyFailsBeforeAnyReferenceRun)
@@ -402,6 +432,34 @@ TEST(CliVerbs, ResumingAMissingJournalIsACheckpointError)
               CheckpointError::code);
     const std::string err = readFile(errPath);
     EXPECT_EQ(err.find("[supervisor]"), std::string::npos) << err;
+}
+
+TEST(CliVerbs, ScaleReplacesTheEnvironmentScale)
+{
+    // --scale X runs at X whatever SOEFAIR_SCALE says; without
+    // --scale the environment's scale applies.
+    const ScratchDir dir;
+    const std::string out = dir.path + "/stdout";
+    const std::string alone =
+        cliStdout("-u SOEFAIR_SCALE", "run-st gcc --scale 0.01", out);
+    EXPECT_NE(alone.find("instructions"), std::string::npos) << alone;
+    EXPECT_EQ(cliStdout("SOEFAIR_SCALE=0.5", "run-st gcc --scale 0.01",
+                        out),
+              alone);
+    EXPECT_EQ(cliStdout("SOEFAIR_SCALE=0.01", "run-st gcc", out), alone);
+    // Scales that compound (0.5 x 0.01) would run this instead.
+    EXPECT_NE(cliStdout("-u SOEFAIR_SCALE", "run-st gcc --scale 0.005",
+                        out),
+              alone);
+}
+
+TEST(CliVerbs, MachinePrintsTheMachineTheRunVerbsSimulate)
+{
+    const ScratchDir dir;
+    std::ostringstream want;
+    MachineConfig::benchDefault().print(want);
+    EXPECT_EQ(cliStdout("", "machine", dir.path + "/stdout"),
+              want.str());
 }
 
 TEST(CliVerbs, EmptyMeasurementWindowIsAnInputError)

@@ -6,6 +6,8 @@
  * as the next attempt at the job's own seed, one writer per journal,
  * and the golden guarantee that a supervised campaign reproduces the
  * campaign run in-process (tests/in_process_campaign.hh) byte for byte.
+ * The SweepCampaign tests that install an attempt hook are the sweep
+ * fault matrix (docs/robustness.md, "Fault hooks").
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -319,6 +322,39 @@ tinyRun()
     return rc;
 }
 
+/** The fault scenarios' campaign: gcc:eon at F = 1/2 and 1. (At
+ *  F = 0, eon runs alone for most of the cell, which makes it the
+ *  slowest cell of the pair.) */
+const std::vector<double> faultLevels = {0.5, 1.0};
+
+std::string
+faultReferenceCsv()
+{
+    return test::campaignCsv(test::runCampaignInProcess(
+        MachineConfig::benchDefault(), tinyRun(), {{"gcc", "eon"}},
+        faultLevels));
+}
+
+/** Contents of the file at `path`. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), {}};
+}
+
+/** A hook that fails every job except `allowed`, so a resume shows
+ *  which jobs it re-ran: any other one becomes a MISSING cell. */
+std::function<void(const std::string &, unsigned)>
+onlyRerun(std::set<std::string> allowed)
+{
+    return [allowed = std::move(allowed)](const std::string &id,
+                                          unsigned) {
+        if (!allowed.count(id))
+            raiseError<InputError>("re-ran finished job '", id, "'");
+    };
+}
+
 } // namespace
 
 TEST(SweepCampaign, MatchesInProcessSweepByteForByte)
@@ -522,9 +558,7 @@ TEST(SweepCampaign, ConcurrentRunsOnOneJournalTakeTurns)
     ::close(started[0]);
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
-    std::ifstream childIs(childOut.path);
-    const std::string childCsv(std::istreambuf_iterator<char>(childIs),
-                               {});
+    const std::string childCsv = readFile(childOut.path);
     EXPECT_EQ(refCsv, childCsv);
     EXPECT_EQ(refCsv, parentCsv.str());
 
@@ -534,8 +568,140 @@ TEST(SweepCampaign, ConcurrentRunsOnOneJournalTakeTurns)
     const auto st =
         loadJournal(tj.path, campaign.journalKey(), false, &ids);
     EXPECT_EQ(st.done.size(), ids.size());
-    std::ifstream is(tj.path);
-    const std::string text(std::istreambuf_iterator<char>(is), {});
+    const std::string text = readFile(tj.path);
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'),
               std::ptrdiff_t(1 + 2 * ids.size()));
+}
+
+TEST(SweepCampaign, HungJobIsMissingAtTheDeadlineAndResumes)
+{
+    // A job that blocks forever is killed at the deadline; the
+    // campaign finishes the other cells and reports a partial result.
+    // The slowest healthy job here, F = 1/2, takes 0.5 s under the
+    // asan preset (0.12 s in release) on a 4-CPU x86_64 VM, so a 4 s
+    // deadline kills only the hang.
+    SweepCampaign campaign(MachineConfig::benchDefault(), tinyRun(),
+                           {{"gcc", "eon"}}, faultLevels);
+    campaign.setAttemptHook([](const std::string &id, unsigned attempt) {
+        if (id == "soe:gcc:eon:F=0.5" && attempt == 1)
+            sleepForever();
+    });
+    TempJournal tj("hang");
+    auto cfg = quickConfig();
+    cfg.deadlineSeconds = 4.0;
+    const auto agg = campaign.run(cfg, tj.path, /*resume=*/false);
+    EXPECT_EQ(agg.exitCode(), exitCampaignPartial);
+    const std::string csv = test::campaignCsv(agg);
+    EXPECT_NE(csv.find("MISSING(gcc:eon,F=0.5,deadline"),
+              std::string::npos)
+        << csv;
+
+    // A resume without the hook re-runs the hung cell only.
+    campaign.setAttemptHook(onlyRerun({"soe:gcc:eon:F=0.5"}));
+    const auto resumed =
+        campaign.run(quickConfig(), tj.path, /*resume=*/true);
+    EXPECT_EQ(resumed.exitCode(), 0);
+    EXPECT_EQ(test::campaignCsv(resumed), faultReferenceCsv());
+}
+
+TEST(SweepCampaign, TornJournalTailRerunsOnlyTheTornJob)
+{
+    // A kill mid-append leaves the final record torn. A resume drops
+    // it and re-runs that job, and only that job.
+    SweepCampaign campaign(MachineConfig::benchDefault(), tinyRun(),
+                           {{"gcc", "eon"}}, faultLevels);
+    TempJournal tj("torn");
+    ASSERT_TRUE(
+        campaign.run(quickConfig(), tj.path, /*resume=*/false)
+            .complete());
+
+    const std::string text = readFile(tj.path);
+    const std::size_t lastLine = text.rfind('\n', text.size() - 2) + 1;
+    const std::size_t idAt = text.find("\"job\":\"", lastLine) + 7;
+    const std::string torn =
+        text.substr(idAt, text.find('"', idAt) - idAt);
+    ASSERT_NE(text.find("\"state\":\"done\"", lastLine),
+              std::string::npos);
+    std::filesystem::resize_file(tj.path, text.size() - 9);
+
+    campaign.setAttemptHook(onlyRerun({torn}));
+    const auto resumed =
+        campaign.run(quickConfig(), tj.path, /*resume=*/true);
+    EXPECT_TRUE(resumed.complete()) << test::campaignCsv(resumed);
+    EXPECT_EQ(test::campaignCsv(resumed), faultReferenceCsv());
+}
+
+TEST(SweepCampaign, KilledSupervisorResumesFromItsJournal)
+{
+    // The supervisor dies of SIGKILL while its second job runs. The
+    // job's hook kills the supervisor and then itself, so no process
+    // of the campaign outlives it, and nothing has to be polled.
+    TempJournal tj("killed_supervisor");
+    std::string firstJob;
+    {
+        SweepCampaign campaign(MachineConfig::benchDefault(), tinyRun(),
+                               {{"gcc", "eon"}}, faultLevels);
+        const auto jobList = campaign.jobs();
+        ASSERT_GE(jobList.size(), 2u);
+        firstJob = jobList[0].id;
+        campaign.setAttemptHook(
+            [second = jobList[1].id](const std::string &id, unsigned) {
+                if (id == second) {
+                    ::kill(::getppid(), SIGKILL);
+                    ::raise(SIGKILL);
+                }
+            });
+
+        const pid_t pid = fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            try {
+                auto cfg = quickConfig();
+                cfg.jobSlots = 1;
+                campaign.run(cfg, tj.path, /*resume=*/false);
+            } catch (...) {
+            }
+            // Reached only when the hook did not fire.
+            // detlint: allow(ERR-001)
+            _exit(1);
+        }
+        int status = 0;
+        ASSERT_EQ(waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFSIGNALED(status)) << "status " << status;
+        EXPECT_EQ(WTERMSIG(status), SIGKILL);
+    }
+
+    // The first job's `done` record is replayed; every other job
+    // runs again.
+    SweepCampaign campaign(MachineConfig::benchDefault(), tinyRun(),
+                           {{"gcc", "eon"}}, faultLevels);
+    std::set<std::string> rest = campaign.jobIds();
+    rest.erase(firstJob);
+    campaign.setAttemptHook(onlyRerun(rest));
+    const auto resumed =
+        campaign.run(quickConfig(), tj.path, /*resume=*/true);
+    EXPECT_TRUE(resumed.complete()) << test::campaignCsv(resumed);
+    EXPECT_EQ(test::campaignCsv(resumed), faultReferenceCsv());
+}
+
+TEST(SweepCampaign, ForeignJournalIsRefusedUntouched)
+{
+    // A journal of the {0, 1/2} campaign (every job failed at once,
+    // which is enough for its header) cannot be resumed by the {0}
+    // campaign, and the refusal leaves its bytes as they were.
+    TempJournal tj("foreign");
+    {
+        SweepCampaign campaign(MachineConfig::benchDefault(), tinyRun(),
+                               {{"gcc", "eon"}}, {0.0, 0.5});
+        campaign.setAttemptHook(onlyRerun({}));
+        campaign.run(quickConfig(), tj.path, /*resume=*/false);
+    }
+    const std::string before = readFile(tj.path);
+    ASSERT_FALSE(before.empty());
+
+    SweepCampaign other(MachineConfig::benchDefault(), tinyRun(),
+                        {{"gcc", "eon"}}, {0.0});
+    EXPECT_THROW(other.run(quickConfig(), tj.path, /*resume=*/true),
+                 CheckpointError);
+    EXPECT_EQ(readFile(tj.path), before);
 }

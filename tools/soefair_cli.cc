@@ -12,13 +12,11 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
-#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <sstream>
 
 #include "core/analytic.hh"
@@ -58,7 +56,11 @@ runConfigFrom(const CliOptions &opts)
         if (scale <= 0.0)
             raiseError<InputError>("--scale must be positive, got ",
                                    scale);
-        rc = rc.scaled(scale);
+        // --scale replaces SOEFAIR_SCALE: it scales the built-in run
+        // lengths, not the environment's already scaled ones.
+        const bool fastForward = rc.fastForward;
+        rc = RunConfig{}.scaled(scale);
+        rc.fastForward = fastForward;
     }
     rc.measureInstrs = opts.getUint("instrs", rc.measureInstrs);
     if (rc.measureInstrs == 0)
@@ -107,7 +109,8 @@ cmdList()
 int
 cmdMachine()
 {
-    MachineConfig::paperDefault().print(std::cout);
+    // The machine run-st, run-soe and sweep simulate.
+    MachineConfig::benchDefault().print(std::cout);
     return 0;
 }
 
@@ -232,89 +235,6 @@ cmdRunSoe(const CliOptions &opts)
     return 0;
 }
 
-/** One --inject spec: provoke `action` in `job`'s forked child for
- *  attempts up to `maxAttempt`, counted across resumes of one
- *  journal (the supervisor test hook). */
-struct InjectSpec
-{
-    std::string job;
-    std::string action;
-    unsigned maxAttempt = ~0u;
-};
-
-/** Parse every --inject spec; each must name one of `jobs`.
- *  False after printing a usage error. */
-bool
-parseInjects(const CliOptions &opts, const std::set<std::string> &jobs,
-             std::vector<InjectSpec> &out)
-{
-    for (const auto &spec : opts.getStrings("inject")) {
-        std::vector<std::string> parts;
-        std::stringstream ss(spec);
-        std::string item;
-        while (std::getline(ss, item, '@'))
-            parts.push_back(item);
-        if (!spec.empty() && spec.back() == '@')
-            parts.emplace_back(); // "job@hang@" has an empty count
-        if (parts.size() < 2 || parts.size() > 3) {
-            std::cerr << "--inject expects job@action[@maxAttempt], "
-                      << "got '" << spec << "'\n";
-            return false;
-        }
-        InjectSpec is;
-        is.job = parts[0];
-        is.action = parts[1];
-        if (!jobs.count(is.job)) {
-            std::cerr << "--inject: no job '" << is.job
-                      << "' in this campaign\n";
-            return false;
-        }
-        if (is.action != "hang" && is.action != "kill" &&
-            is.action != "input" && is.action != "watchdog") {
-            std::cerr << "--inject action must be hang | kill | "
-                      << "input | watchdog, got '" << is.action
-                      << "'\n";
-            return false;
-        }
-        if (parts.size() == 3) {
-            // Up to 10 digits cannot overflow stoull; anything
-            // longer is above UINT_MAX anyway.
-            const std::string &n = parts[2];
-            const bool digits = !n.empty() && n.size() <= 10 &&
-                n.find_first_not_of("0123456789") == std::string::npos;
-            const unsigned long long v = digits ? std::stoull(n) : 0;
-            if (v == 0 || v > UINT_MAX) {
-                std::cerr << "--inject maxAttempt must be a positive "
-                          << "integer, got '" << n << "'\n";
-                return false;
-            }
-            is.maxAttempt = unsigned(v);
-        }
-        out.push_back(std::move(is));
-    }
-    return true;
-}
-
-/** Runs inside the forked job child (the supervisor attempt hook). */
-void
-provokeInjectedFault(const InjectSpec &is)
-{
-    if (is.action == "hang") {
-        // Busy-hang: only the supervisor's deadline SIGKILL ends it.
-        volatile std::uint64_t spin = 0;
-        for (;;)
-            spin = spin + 1;
-    } else if (is.action == "kill") {
-        raise(SIGKILL);
-    } else if (is.action == "input") {
-        raiseError<InputError>("injected input fault in job '",
-                               is.job, "'");
-    } else if (is.action == "watchdog") {
-        raiseError<WatchdogTimeout>("injected watchdog fault in ",
-                                    "job '", is.job, "'");
-    }
-}
-
 /** Parse sweep's campaign selection (--pairs, --levels, run
  *  options); nullopt after printing a usage error. */
 std::optional<SweepCampaign>
@@ -387,20 +307,6 @@ cmdSweep(const CliOptions &opts)
         return 2;
     }
 
-    std::vector<InjectSpec> injects;
-    if (!parseInjects(opts, campaign->jobIds(), injects))
-        return 2;
-
-    if (!injects.empty()) {
-        campaign->setAttemptHook(
-            [injects](const std::string &job, unsigned attempt) {
-                for (const auto &is : injects) {
-                    if (is.job == job && attempt <= is.maxAttempt)
-                        provokeInjectedFault(is);
-                }
-            });
-    }
-
     SupervisorConfig scfg;
     scfg.deadlineSeconds = opts.getDouble("deadline", 600.0);
     if (scfg.deadlineSeconds < 0.0) {
@@ -445,17 +351,7 @@ cmdSweep(const CliOptions &opts)
                   << out << "\n";
     }
 
-    if (!agg.complete()) {
-        std::cerr << (agg.exitCode() == exitCampaignFailed
-                          ? "[sweep] FAILED: no pair has a result row; "
-                          : "[sweep] PARTIAL results: ")
-                  << agg.missing.size()
-                  << " cell(s) missing (journal: " << journal
-                  << "; finish with `sweep --resume " << journal
-                  << "`)\n";
-        for (const auto &m : agg.missing)
-            std::cerr << "[sweep]   " << m.marker() << "\n";
-    }
+    agg.reportMissing(std::cerr, journal);
     return agg.exitCode();
 }
 
