@@ -28,9 +28,9 @@ runOptions()
     };
 }
 
-std::vector<CliVerbOption>
-concat(std::vector<CliVerbOption> a,
-       const std::vector<CliVerbOption> &b)
+template <typename T>
+std::vector<T>
+concat(std::vector<T> a, const std::vector<T> &b)
 {
     a.insert(a.end(), b.begin(), b.end());
     return a;
@@ -45,15 +45,6 @@ seededRunOptions()
                   runOptions());
 }
 
-const char *exitBasic = "0 ok; 2 usage; 1 fatal; 3 internal panic";
-const char *exitSim =
-    "0 ok; 1 fatal; 2 usage; 3 panic; 10 input; 11 estimator; "
-    "12 watchdog";
-const char *exitCampaign =
-    "0 complete; 20 partial (MISSING cells); 21 no pair has a result "
-    "row; 2 usage; 1 fatal; 10 input; 13 journal unreadable or "
-    "corrupt";
-
 /** Bare name of an option: "journal" for "--journal F". */
 std::string
 cliOptionName(const CliVerbOption &opt)
@@ -64,13 +55,23 @@ cliOptionName(const CliVerbOption &opt)
 std::vector<CliVerb>
 buildVerbs()
 {
+    const std::vector<CliExitCode> exitBasic = {
+        {0, "ok"}, {2, "usage"}, {1, "fatal"}, {3, "internal panic"}};
+    const std::vector<CliExitCode> exitSim = {
+        {0, "ok"}, {1, "fatal"}, {2, "usage"}, {3, "panic"},
+        {10, "input"}, {11, "estimator"}, {12, "watchdog"}};
+    const std::vector<CliExitCode> exitCampaign = {
+        {0, "complete"}, {20, "partial (MISSING cells)"},
+        {21, "no pair has a result row"}, {2, "usage"}, {1, "fatal"},
+        {10, "input"}, {13, "journal unreadable or corrupt"}};
+
     std::vector<CliVerb> verbs;
 
     verbs.push_back({"help", "help [verb]",
                      "print this overview, or one verb's options "
                      "and exit codes",
                      {},
-                     "0 ok; 2 unknown verb"});
+                     {{0, "ok"}, {2, "unknown verb"}}});
 
     verbs.push_back({"list", "list",
                      "list the available benchmarks",
@@ -144,7 +145,7 @@ buildVerbs()
           {"--F X", "target fairness (sweeps 0,1/4,1/2,1 if absent)"},
           {"--misslat N", "model Miss_lat (300)"},
           {"--swlat N", "model Switch_lat (25)"}},
-         exitBasic});
+         concat(exitBasic, {{10, "input"}})});
 
     return verbs;
 }
@@ -199,6 +200,18 @@ checkCliOptions(const CliVerb &verb, const CliOptions &opts,
     return unknown.empty() ? 0 : 2;
 }
 
+std::string
+exitCodesText(const CliVerb &verb)
+{
+    std::string text;
+    for (const auto &ec : verb.exitCodes) {
+        if (!text.empty())
+            text += "; ";
+        text += std::to_string(ec.code) + " " + ec.meaning;
+    }
+    return text;
+}
+
 void
 printCliHelp(std::ostream &os)
 {
@@ -222,7 +235,7 @@ printCliVerbHelp(std::ostream &os, const CliVerb &verb)
             os << "  " << opt.name << "\n      " << opt.description
                << "\n";
     }
-    os << "\nexit codes: " << verb.exitCodes << "\n";
+    os << "\nexit codes: " << exitCodesText(verb) << "\n";
 }
 
 int
@@ -246,6 +259,23 @@ runWithExitCodeMapping(const std::function<int()> &body)
         // fatal() already printed the message.
         return 1;
     }
+}
+
+int
+runCliVerb(const CliVerb &verb, const std::function<int()> &body,
+           std::ostream &err)
+{
+    const int code = runWithExitCodeMapping(body);
+    for (const auto &ec : verb.exitCodes) {
+        if (ec.code == code)
+            return code;
+    }
+    if (code != 3) {
+        err << "internal error: '" << verb.name << "' exited " << code
+            << ", which its registry entry does not list ("
+            << exitCodesText(verb) << ")\n";
+    }
+    return 3;
 }
 
 } // namespace harness

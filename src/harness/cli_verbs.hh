@@ -29,14 +29,20 @@ struct CliVerbOption
     std::string description; ///< one line
 };
 
+struct CliExitCode
+{
+    int code;            ///< 13
+    std::string meaning; ///< "journal unreadable or corrupt"
+};
+
 struct CliVerb
 {
     std::string name;     ///< "sweep"
     std::string synopsis; ///< "sweep [options]"
     std::string description;
     std::vector<CliVerbOption> options;
-    /** Exit-code contract, e.g. "0 ok; 2 usage; 13 checkpoint". */
-    std::string exitCodes;
+    /** Exit-code contract, in the order help lists it. */
+    std::vector<CliExitCode> exitCodes;
 };
 
 /** Every verb the CLI dispatches, in help order. */
@@ -59,6 +65,9 @@ std::vector<std::string> cliFlagNames();
 int checkCliOptions(const CliVerb &verb, const CliOptions &opts,
                     std::ostream &err);
 
+/** A verb's exit codes as its help shows them: "0 ok; 2 usage". */
+std::string exitCodesText(const CliVerb &verb);
+
 /** Render the one-screen overview (all verbs, one line each). */
 void printCliHelp(std::ostream &os);
 
@@ -72,9 +81,18 @@ void printCliVerbHelp(std::ostream &os, const CliVerb &verb);
  * 3. Every failure path of soefair_cli funnels through this one
  * function, and tests/test_exit_codes.cc round-trips each SimError
  * class through it — so the mapping a scripted caller observes is
- * the mapping the tests (and soelint's ERR rules) pin down.
+ * the mapping the tests pin down.
  */
 int runWithExitCodeMapping(const std::function<int()> &body);
+
+/**
+ * Run `verb`'s body under runWithExitCodeMapping and hold it to its
+ * registry entry: a code the entry does not list is an internal
+ * error, reported on `err` and returned as 3 (an internal panic,
+ * which any verb may hit).
+ */
+int runCliVerb(const CliVerb &verb, const std::function<int()> &body,
+               std::ostream &err);
 
 } // namespace harness
 } // namespace soefair

@@ -17,9 +17,9 @@ namespace env
 std::optional<std::string>
 get(const char *name)
 {
-    // The whitelisted DET-002 call site: every environment read in
-    // the tree funnels through this one std::getenv.
-    const char *v = std::getenv(name); // detlint: allow(DET-002)
+    // The one getenv of the tree (DET-002): every environment read
+    // funnels through it.
+    const char *v = std::getenv(name);
     if (!v)
         return std::nullopt;
     return std::string(v);

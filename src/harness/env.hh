@@ -2,11 +2,12 @@
  * @file
  * The single environment-variable access point.
  *
- * Determinism rule DET-002 (tools/detlint) forbids `std::getenv`
- * everywhere except env.cc: environment reads scattered through model
- * code are invisible inputs that break the byte-identical determinism
- * contract, so every read funnels through here, where it is named,
- * typed and testable. A set, parsable variable wins over the
+ * Determinism rule DET-002 forbids `getenv` everywhere except env.cc
+ * (tools/symbol_check.sh finds it in any other built object):
+ * environment reads scattered through model code are invisible
+ * inputs that break the byte-identical determinism contract, so
+ * every read funnels through here, where it is named, typed and
+ * testable. A set, parsable variable wins over the
  * built-in default (`getUnsigned(name).value_or(def)`); a command-line
  * option that overrides a variable is applied by its caller on top
  * (soefair_cli's `--scale` replaces SOEFAIR_SCALE).

@@ -84,8 +84,9 @@ MachineConfig::benchDefault()
 }
 
 void
-MachineConfig::print(std::ostream &os) const
+MachineConfig::print(std::ostream &out) const
 {
+    statistics::statfmt::Writer os;
     os << "Simulated machine parameters (paper Table 3)\n"
        << "--------------------------------------------\n"
        << "Pipeline      : " << core.dispatchWidth << "-wide "
@@ -128,6 +129,7 @@ MachineConfig::print(std::ostream &os) const
        << " cycles max residency per thread\n"
        << "Miss_lat      : " << statistics::statfmt::csv(soe.missLatency)
        << " cycles (model parameter)\n";
+    out << os.str();
 }
 
 void

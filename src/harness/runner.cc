@@ -1,11 +1,14 @@
 #include "harness/runner.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 
 #include "harness/env.hh"
 #include "harness/retire_trace.hh"
+#include "sim/errors.hh"
 #include "sim/logging.hh"
 #include "stats/statfmt.hh"
 
@@ -29,20 +32,27 @@ RunConfig::scaled(double factor) const
     return rc;
 }
 
+double
+parseRunScale(const std::string &text, const char *source)
+{
+    char *end = nullptr;
+    const double scale = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(scale) ||
+        scale < 0.01 || scale > 100.0)
+        raiseError<InputError>(source, " must be a number in [0.01, "
+                               "100], got '", text, "'");
+    return scale;
+}
+
 RunConfig
 RunConfig::fromEnv(const RunConfig &base)
 {
     RunConfig rc = base;
     if (const auto ff = env::getBool("SOEFAIR_FASTFORWARD"))
         rc.fastForward = *ff;
-    const auto f = env::getDouble("SOEFAIR_SCALE");
-    if (!f)
-        return rc;
-    if (*f <= 0.0) {
-        warn("ignoring bad SOEFAIR_SCALE='", *f, "'");
-        return rc;
-    }
-    return rc.scaled(std::clamp(*f, 0.01, 100.0));
+    if (const auto scale = env::get("SOEFAIR_SCALE"))
+        return rc.scaled(parseRunScale(*scale, "SOEFAIR_SCALE"));
+    return rc;
 }
 
 namespace
@@ -226,7 +236,7 @@ std::string
 encodeStPayload(const StRunResult &r)
 {
     using statistics::statfmt::full;
-    std::ostringstream os;
+    statistics::statfmt::Writer os;
     os << full(r.ipc) << ' ' << r.cycles << ' ' << r.instrs << ' '
        << r.misses << ' ' << full(r.ipm) << ' ' << full(r.cpm);
     return os.str();
@@ -252,7 +262,7 @@ std::string
 encodeSoePayload(const SoeRunResult &r)
 {
     using statistics::statfmt::full;
-    std::ostringstream os;
+    statistics::statfmt::Writer os;
     os << r.threads.size();
     for (const auto &t : r.threads) {
         os << ' ' << full(t.ipc) << ' ' << t.instrs << ' '

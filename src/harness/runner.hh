@@ -52,12 +52,20 @@ struct RunConfig
     RunConfig scaled(double factor) const;
 
     /**
-     * Apply SOEFAIR_SCALE and SOEFAIR_FASTFORWARD ("0"/"off"
-     * disables) from the environment, if set.
+     * Apply SOEFAIR_SCALE (checked by parseRunScale) and
+     * SOEFAIR_FASTFORWARD ("0"/"off" disables) from the
+     * environment, if set.
      */
     static RunConfig fromEnv(const RunConfig &base);
     static RunConfig fromEnv() { return fromEnv(RunConfig{}); }
 };
+
+/**
+ * The run scale `text` given by `source` (SOEFAIR_SCALE or --scale).
+ * Both sources share this one rule: anything but a finite number in
+ * [0.01, 100] raises InputError naming the source.
+ */
+double parseRunScale(const std::string &text, const char *source);
 
 /** Per-thread outcome of a measured region. */
 struct ThreadRunStats

@@ -225,7 +225,6 @@ SweepSupervisor::run(const std::vector<SupervisorJob> &jobs,
                 writeAll(fds[1], payload);
             ::close(fds[1]);
             // _exit, not exit: never run the parent's atexit state.
-            // detlint: allow(ERR-001)
             _exit(code);
         }
 

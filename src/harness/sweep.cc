@@ -41,9 +41,10 @@ EvaluationSweep::standardLevels()
 }
 
 void
-writeCampaignCsv(std::ostream &os, const CampaignResult &agg)
+writeCampaignCsv(std::ostream &out, const CampaignResult &agg)
 {
     using statistics::statfmt::csv;
+    statistics::statfmt::Writer os;
     os << "pair,F,ipcST_A,ipcST_B,ipcA,ipcB,ipcTotal,fairness,"
        << "speedupOverST,cycles,switchesMiss,switchesForced,"
        << "switchesQuota\n";
@@ -61,6 +62,7 @@ writeCampaignCsv(std::ostream &os, const CampaignResult &agg)
     }
     for (const auto &m : agg.missing)
         os << m.marker() << "\n";
+    out << os.str();
 }
 
 int
@@ -219,7 +221,7 @@ SweepCampaign::journalKey() const
 {
     std::ostringstream machineText;
     mc.print(machineText);
-    std::ostringstream os;
+    statistics::statfmt::Writer os;
     os << "sweep-campaign-v1 machine=" << std::hex
        << fnv1a64(machineText.str()) << std::dec
        << " measure=" << rc.measureInstrs

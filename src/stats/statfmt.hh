@@ -9,10 +9,11 @@
  * set far from where values are printed, so one added `setprecision`
  * upstream silently changes journal fingerprints and golden CSV
  * bytes. These helpers are locale-free (the simulator never calls
- * setlocale; DET-001 enforces that) and independent of any stream
- * state, so the byte format of emitted floats is pinned at the call
- * site. detlint's STAT-001 rule rejects raw float streaming in
- * payload/CSV-feeding code and points here.
+ * setlocale; the symbol check in tools/symbol_check.sh enforces
+ * that) and independent of any stream state, so the byte format of
+ * emitted floats is pinned at the call site. The artifact writers
+ * build their text in a Writer, which does not compile with a raw
+ * double or float.
  *
  * Tiers:
  *  - full(): 17 significant digits ("%.17g") — round-trips every
@@ -29,7 +30,10 @@
 #ifndef SOEFAIR_STATS_STATFMT_HH
 #define SOEFAIR_STATS_STATFMT_HH
 
+#include <iomanip>
+#include <sstream>
 #include <string>
+#include <type_traits>
 
 namespace soefair
 {
@@ -47,6 +51,36 @@ std::string csv(double v);
 
 /** Stats-dump value column (currently the csv() format). */
 std::string stat(double v);
+
+/**
+ * Text builder for the deterministic artifacts: journal payloads,
+ * campaign CSV, journal keys, the machine description and the stats
+ * dump. It streams what an ostringstream streams, except that a
+ * double, float or long double does not compile (pass full(), csv()
+ * or stat() text instead) and neither does std::setprecision, so no
+ * stream state can move a byte of an emitted number.
+ */
+class Writer
+{
+  public:
+    template <typename T>
+        requires(!std::is_floating_point_v<T> &&
+                 !std::is_same_v<T, decltype(std::setprecision(0))>)
+    Writer &
+    operator<<(const T &v)
+    {
+        os << v;
+        return *this;
+    }
+
+    Writer &operator<<(double) = delete;
+    Writer &operator<<(float) = delete;
+
+    std::string str() const { return os.str(); }
+
+  private:
+    std::ostringstream os;
+};
 
 } // namespace statfmt
 } // namespace statistics

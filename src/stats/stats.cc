@@ -22,7 +22,7 @@ namespace
 {
 
 void
-emitLine(std::ostream &os, const std::string &prefix,
+emitLine(statfmt::Writer &os, const std::string &prefix,
          const std::string &name, double value, const std::string &desc)
 {
     os << std::left << std::setw(44) << (prefix + name) << " "
@@ -33,7 +33,7 @@ emitLine(std::ostream &os, const std::string &prefix,
 } // namespace
 
 void
-Counter::dump(std::ostream &os, const std::string &prefix) const
+Counter::dump(statfmt::Writer &os, const std::string &prefix) const
 {
     emitLine(os, prefix, name(), double(count), description());
 }
@@ -52,7 +52,7 @@ Average::sample(double v)
 }
 
 void
-Average::dump(std::ostream &os, const std::string &prefix) const
+Average::dump(statfmt::Writer &os, const std::string &prefix) const
 {
     emitLine(os, prefix, name() + ".mean", mean(), description());
     emitLine(os, prefix, name() + ".min", minimum(), description());
@@ -89,7 +89,7 @@ Histogram::sample(std::uint64_t v)
 }
 
 void
-Histogram::dump(std::ostream &os, const std::string &prefix) const
+Histogram::dump(statfmt::Writer &os, const std::string &prefix) const
 {
     emitLine(os, prefix, name() + ".mean", mean(), description());
     emitLine(os, prefix, name() + ".count", double(total), description());
@@ -134,11 +134,19 @@ Group::path() const
 void
 Group::dump(std::ostream &os) const
 {
+    statfmt::Writer text;
+    dumpTo(text);
+    os << text.str();
+}
+
+void
+Group::dumpTo(statfmt::Writer &os) const
+{
     const std::string prefix = path().empty() ? "" : path() + ".";
     for (const Stat *s : stats)
         s->dump(os, prefix);
     for (const Group *g : children)
-        g->dump(os);
+        g->dumpTo(os);
 }
 
 void

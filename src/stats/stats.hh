@@ -22,6 +22,11 @@ namespace soefair
 namespace statistics
 {
 
+namespace statfmt
+{
+class Writer;
+} // namespace statfmt
+
 class Group;
 
 /** Base class for all statistics. */
@@ -38,7 +43,8 @@ class Stat
     const std::string &description() const { return statDesc; }
 
     /** Write "name value # desc" lines to os. */
-    virtual void dump(std::ostream &os, const std::string &prefix) const = 0;
+    virtual void dump(statfmt::Writer &os,
+                      const std::string &prefix) const = 0;
 
     /** Reset to the just-constructed state. */
     virtual void reset() = 0;
@@ -60,7 +66,8 @@ class Counter : public Stat
 
     std::uint64_t value() const { return count; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
+    void dump(statfmt::Writer &os,
+              const std::string &prefix) const override;
     void reset() override { count = 0; }
 
   private:
@@ -81,7 +88,8 @@ class Average : public Stat
     double minimum() const { return n ? mn : 0.0; }
     double maximum() const { return n ? mx : 0.0; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
+    void dump(statfmt::Writer &os,
+              const std::string &prefix) const override;
     void reset() override;
 
   private:
@@ -108,7 +116,8 @@ class Histogram : public Stat
     unsigned buckets() const { return unsigned(counts.size()); }
     double mean() const { return total ? sum / double(total) : 0.0; }
 
-    void dump(std::ostream &os, const std::string &prefix) const override;
+    void dump(statfmt::Writer &os,
+              const std::string &prefix) const override;
     void reset() override;
 
   private:
@@ -148,6 +157,7 @@ class Group
     void removeChild(Group *g);
 
   private:
+    void dumpTo(statfmt::Writer &os) const;
     void checkNameIsFree(const std::string &name) const;
 
     std::string groupName;

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -177,13 +178,118 @@ TEST(CliVerbs, VerbHelpShowsEveryOptionAndTheExitCodes)
         const std::string help = os.str();
         EXPECT_NE(help.find(verb.synopsis), std::string::npos)
             << "verb: " << verb.name;
-        EXPECT_NE(help.find("exit codes: " + verb.exitCodes),
+        EXPECT_NE(help.find("exit codes: " + exitCodesText(verb)),
                   std::string::npos)
             << "verb: " << verb.name;
         for (const auto &opt : verb.options) {
             EXPECT_NE(help.find(opt.name), std::string::npos)
                 << verb.name << " option: " << opt.name;
         }
+    }
+}
+
+TEST(CliVerbs, ExitCodeLinesRenderByteForByte)
+{
+    // The exit-code lines of `help <verb>`, byte for byte.
+    const std::pair<const char *, const char *> lines[] = {
+        {"help", "0 ok; 2 unknown verb"},
+        {"list", "0 ok; 2 usage; 1 fatal; 3 internal panic"},
+        {"machine", "0 ok; 2 usage; 1 fatal; 3 internal panic"},
+        {"run-st", "0 ok; 1 fatal; 2 usage; 3 panic; 10 input; "
+                   "11 estimator; 12 watchdog"},
+        {"run-soe", "0 ok; 1 fatal; 2 usage; 3 panic; 10 input; "
+                    "11 estimator; 12 watchdog"},
+        {"sweep", "0 complete; 20 partial (MISSING cells); 21 no pair "
+                  "has a result row; 2 usage; 1 fatal; 10 input; 13 "
+                  "journal unreadable or corrupt"},
+        {"analytic", "0 ok; 2 usage; 1 fatal; 3 internal panic; "
+                     "10 input"},
+    };
+    ASSERT_EQ(std::size(lines), cliVerbs().size());
+    for (const auto &[name, line] : lines)
+        EXPECT_EQ(exitCodesText(*findCliVerb(name)), line) << name;
+}
+
+TEST(CliVerbs, EveryDocumentedExitCodeIsReachedOrNamed)
+{
+    // Each row drives the built CLI to one documented code, or, with
+    // no arguments, names a code the CLI cannot reach on a sound
+    // build and says where it is reached instead.
+    const ScratchDir dir;
+    const std::string sweepTo = " --journal " + dir.path +
+                                "/j --out " + dir.path + "/o.csv";
+    struct Row
+    {
+        const char *verb;
+        int code;
+        std::string args; ///< empty: named below, not reached
+    };
+    const Row rows[] = {
+        {"help", 0, "help"},
+        {"help", 2, "help nosuch"},
+        {"list", 0, "list"},
+        {"list", 2, "list --bogus"},
+        // list and machine read no input that can fail.
+        {"list", 1, ""},
+        {"machine", 0, "machine"},
+        {"machine", 2, "machine --bogus"},
+        {"machine", 1, ""},
+        {"run-st", 0, "run-st gcc --instrs 2000 --warmup 0"},
+        {"run-st", 1, "run-st nosuch"},
+        {"run-st", 2, "run-st"},
+        {"run-st", 10, "run-st gcc --instrs 0"},
+        // run-st runs the miss-only policy, which has no estimator.
+        {"run-st", 11, ""},
+        {"run-soe", 0, "run-soe gcc art --scale 0.01 --instrs 1000"},
+        {"run-soe", 1, "run-soe gcc nosuch"},
+        {"run-soe", 2, "run-soe gcc"},
+        {"run-soe", 10, "run-soe gcc eon --F 1.5"},
+        // The estimator fails only on a non-finite or negative
+        // measured Miss_lat (Enforcer.NonFiniteMeasuredLatency-
+        // IsEstimatorError); the watchdog only on a pipeline that
+        // stops retiring (Engine.WatchdogFiresOnNoProgress).
+        {"run-st", 12, ""},
+        {"run-soe", 11, ""},
+        {"run-soe", 12, ""},
+        {"sweep", 0,
+         "sweep --pairs gcc:art --levels 0 --scale 0.01 --instrs 1000" +
+             sweepTo},
+        // Some but not all cells missing needs a job that fails while
+        // its neighbours pass: the SweepCampaign fault tests and
+        // CliVerbs.SweepMessageMatchesItsExitCode reach it through
+        // the attempt hook.
+        {"sweep", 20, ""},
+        // Full-length jobs (tens of ms at least) under a 1 ms deadline.
+        {"sweep", 21,
+         "sweep --pairs gcc:eon --levels 0 --scale 1 --deadline 0.001" +
+             sweepTo},
+        {"sweep", 1,
+         "sweep --pairs gcc:eon --levels 0 --journal " + dir.path +
+             "/j1 --out " + dir.path + "/no/such/dir/o.csv"},
+        {"sweep", 2, "sweep --jobs 0" + sweepTo},
+        {"sweep", 10, "sweep --scale 0.001" + sweepTo},
+        {"sweep", 13,
+         "sweep --pairs gcc:eon --levels 0 --resume " + dir.path +
+             "/missing.journal --out " + dir.path + "/o13.csv"},
+        {"analytic", 0, "analytic"},
+        {"analytic", 1, "analytic --F nan"},
+        {"analytic", 2, "analytic --ipc 1"},
+        {"analytic", 10, "analytic --F 2"},
+    };
+    std::map<std::string, std::set<int>> covered;
+    for (const Row &row : rows) {
+        if (!row.args.empty()) {
+            EXPECT_EQ(cliExit(row.args), row.code) << row.args;
+        }
+        covered[row.verb].insert(row.code);
+    }
+    for (const auto &verb : cliVerbs()) {
+        std::set<int> documented;
+        for (const auto &ec : verb.exitCodes)
+            documented.insert(ec.code);
+        // 3 is an internal panic, which no sound build reaches.
+        documented.erase(3);
+        EXPECT_EQ(covered[verb.name], documented) << verb.name;
     }
 }
 
@@ -447,10 +553,27 @@ TEST(CliVerbs, ScaleReplacesTheEnvironmentScale)
                         out),
               alone);
     EXPECT_EQ(cliStdout("SOEFAIR_SCALE=0.01", "run-st gcc", out), alone);
-    // Scales that compound (0.5 x 0.01) would run this instead.
-    EXPECT_NE(cliStdout("-u SOEFAIR_SCALE", "run-st gcc --scale 0.005",
+    // Were the scales to compound (0.5 x 0.02 = 0.01), this would
+    // equal the run above.
+    EXPECT_NE(cliStdout("SOEFAIR_SCALE=0.5", "run-st gcc --scale 0.02",
                         out),
               alone);
+}
+
+TEST(CliVerbs, ScaleHasOneRangeForBothSources)
+{
+    // --scale and SOEFAIR_SCALE share one rule: outside [0.01, 100]
+    // is an input error, never a clamp.
+    const std::string cli = std::string(SOEFAIR_CLI) + " run-st gcc ";
+    for (const std::string &cmd :
+         {"env -u SOEFAIR_SCALE " + cli + "--scale 0.001",
+          "env SOEFAIR_SCALE=0.001 " + cli,
+          "env -u SOEFAIR_SCALE " + cli + "--scale 101",
+          "env SOEFAIR_SCALE=inf " + cli}) {
+        const int status = std::system((cmd + " >/dev/null 2>&1").c_str());
+        ASSERT_TRUE(WIFEXITED(status)) << cmd;
+        EXPECT_EQ(WEXITSTATUS(status), InputError::code) << cmd;
+    }
 }
 
 TEST(CliVerbs, MachinePrintsTheMachineTheRunVerbsSimulate)

@@ -7,66 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include <ostream>
 #include <string>
 #include <tuple>
 
-#include "harness/machine_config.hh"
+#include "config_points.hh"
 #include "harness/system.hh"
 #include "soe/engine.hh"
 #include "soe/policies.hh"
 
 using namespace soefair;
 using namespace soefair::harness;
-
-namespace
-{
-
-struct ConfigPoint
-{
-    std::string name;
-    unsigned rob, iq, lq, sq;
-    unsigned l1dKiB, l2KiB;
-    unsigned dispatchWidth;
-};
-
-// Name the point when gtest prints the parameter; its default byte
-// dump includes the string's heap pointer and so differs per run.
-void
-PrintTo(const ConfigPoint &p, std::ostream *os)
-{
-    *os << p.name;
-}
-
-std::vector<ConfigPoint>
-points()
-{
-    return {
-        {"tiny", 16, 8, 4, 4, 8, 256, 1},
-        {"narrow", 32, 16, 8, 8, 16, 512, 2},
-        {"table3", 96, 48, 32, 24, 32, 2048, 4},
-        {"wide", 192, 96, 48, 48, 64, 4096, 8},
-    };
-}
-
-MachineConfig
-machineFor(const ConfigPoint &p)
-{
-    MachineConfig mc = MachineConfig::benchDefault();
-    mc.core.robEntries = p.rob;
-    mc.core.iqEntries = p.iq;
-    mc.core.lqEntries = p.lq;
-    mc.core.sqEntries = p.sq;
-    mc.core.dispatchWidth = p.dispatchWidth;
-    mc.core.retireWidth = p.dispatchWidth;
-    mc.core.issueWidth = p.dispatchWidth + 2;
-    mc.core.fetch.width = p.dispatchWidth;
-    mc.mem.l1d.sizeBytes = p.l1dKiB * 1024;
-    mc.mem.l2.sizeBytes = p.l2KiB * 1024;
-    return mc;
-}
-
-} // namespace
+using namespace soefair::config_points;
 
 class ConfigSweep : public ::testing::TestWithParam<ConfigPoint>
 {
@@ -108,11 +59,8 @@ TEST_P(ConfigSweep, SoeRunsSoundly)
     EXPECT_GT(sys.core().switchesMiss.value(), 5u) << p.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    MachineSpace, ConfigSweep, ::testing::ValuesIn(points()),
-    [](const ::testing::TestParamInfo<ConfigPoint> &param_info) {
-        return param_info.param.name;
-    });
+INSTANTIATE_TEST_SUITE_P(MachineSpace, ConfigSweep,
+                         ::testing::ValuesIn(points()), pointName);
 
 TEST(ConfigSweep, WiderMachineIsNotSlower)
 {

@@ -4,8 +4,9 @@
  * contracts"): the same seed run twice in-process — a fresh
  * System/Runner each time — must produce byte-identical sweep
  * payloads (the exact strings the journal records and the CSV
- * emitters aggregate). detlint (DET-001..004) catches the *static*
- * ways this breaks; this test catches what no linter can see:
+ * emitters aggregate). The symbol check (tools/symbol_check.sh) and
+ * clang-tidy catch the *static* ways this breaks (DET-001..004);
+ * this test catches what no check of the code can see:
  * static-global state that leaks from one run into the next, e.g. a
  * function-local static cache, a global PRNG, or an allocator-
  * address-dependent value laundered into a stat.

@@ -11,6 +11,7 @@
 
 #include "harness/env.hh"
 #include "harness/runner.hh"
+#include "sim/errors.hh"
 
 using namespace soefair::harness;
 
@@ -140,7 +141,7 @@ TEST(Env, PrecedenceCliBeatsEnvBeatsDefault)
 
 TEST(Env, RunConfigFromEnvUsesAccessor)
 {
-    // The original DET-002 call sites, end to end through the
+    // The harness's environment reads, end to end through the
     // accessor: SOEFAIR_FASTFORWARD / SOEFAIR_SCALE.
     using soefair::harness::RunConfig;
     {
@@ -156,13 +157,10 @@ TEST(Env, RunConfigFromEnvUsesAccessor)
         EXPECT_TRUE(rc.fastForward);
         EXPECT_EQ(rc.measureInstrs, base.measureInstrs / 2);
     }
-    // A non-finite scale warns and falls back to the unscaled run.
+    // A non-finite scale is an input error, as it is for --scale.
     for (const char *bad : {"nan", "inf"}) {
         ScopedEnv ff("SOEFAIR_FASTFORWARD", nullptr);
         ScopedEnv sc("SOEFAIR_SCALE", bad);
-        RunConfig base;
-        EXPECT_EQ(RunConfig::fromEnv(base).measureInstrs,
-                  base.measureInstrs)
-            << bad;
+        EXPECT_THROW(RunConfig::fromEnv(), soefair::InputError) << bad;
     }
 }

@@ -3,18 +3,18 @@
  * Runtime cross-check of the SimError exit-code taxonomy: every
  * SimError class must round-trip through the CLI's shared
  * failure-to-exit-code mapping (harness::runWithExitCodeMapping) to
- * its declared code, and every documented exit code in the verb
- * registry must name a real code. Each SimError::Kind's code and
- * name come from one table in src/sim/errors.cc, and raiseError<E>
- * only compiles for a SimError subclass that declares E::code; this
- * test pins the ground truth that soelint's ERR-003 rule checks
- * against the CLI statically.
+ * its declared code, every documented exit code in the verb
+ * registry must name a real code, and a verb that exits with a code
+ * its entry does not list is caught (harness::runCliVerb). Each
+ * SimError::Kind's code and name come from one table in
+ * src/sim/errors.cc, and raiseError<E> only compiles for a SimError
+ * subclass that declares E::code.
  */
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <map>
+#include <sstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -49,42 +49,6 @@ taxonomy()
         {"CheckpointError", CheckpointError::code,
          CheckpointError("t")},
     };
-}
-
-/**
- * Every integer that a verb's exit-code contract documents. The
- * registry's prose format is "N description; N description; ...",
- * occasionally with an "a..b" range ("exit code (10..13)").
- */
-std::set<int>
-documentedCodes(const std::string &contract)
-{
-    std::set<int> codes;
-    for (std::size_t i = 0; i < contract.size(); ++i) {
-        if (!std::isdigit(static_cast<unsigned char>(contract[i])))
-            continue;
-        std::size_t end = i;
-        while (end < contract.size() &&
-               std::isdigit(static_cast<unsigned char>(contract[end])))
-            ++end;
-        const int lo = std::stoi(contract.substr(i, end - i));
-        if (contract.compare(end, 2, "..") == 0) {
-            std::size_t hiStart = end + 2, hiEnd = hiStart;
-            while (hiEnd < contract.size() &&
-                   std::isdigit(static_cast<unsigned char>(
-                       contract[hiEnd])))
-                ++hiEnd;
-            const int hi =
-                std::stoi(contract.substr(hiStart, hiEnd - hiStart));
-            for (int c = lo; c <= hi; ++c)
-                codes.insert(c);
-            i = hiEnd;
-        } else {
-            codes.insert(lo);
-            i = end;
-        }
-    }
-    return codes;
 }
 
 // A SimError subclass without an exit code cannot be raised.
@@ -182,22 +146,55 @@ TEST(ExitCodes, RaiseErrorLandsOnTheSameCode)
 
 TEST(ExitCodes, EveryDocumentedVerbCodeNamesARealCode)
 {
-    // The verb registry's exit-code contracts may only mention the
+    // The verb registry's exit-code contracts may only list the
     // process-level codes (0 ok, 1 fatal, 2 usage, 3 panic), the
-    // SimError band, or the campaign summary codes 20 and 21. A
-    // typo'd code here is exactly the drift ERR-003 exists to catch.
+    // SimError band, or the campaign summary codes 20 and 21, each
+    // once.
     const std::set<int> processCodes = {0, 1, 2, 3, 20, 21};
     for (const auto &verb : harness::cliVerbs()) {
-        ASSERT_FALSE(verb.exitCodes.empty()) << verb.name;
-        const std::set<int> codes = documentedCodes(verb.exitCodes);
-        ASSERT_FALSE(codes.empty()) << verb.name;
+        std::set<int> codes;
+        for (const auto &ec : verb.exitCodes) {
+            EXPECT_TRUE(codes.insert(ec.code).second)
+                << verb.name << " lists exit code " << ec.code
+                << " twice";
+            EXPECT_FALSE(ec.meaning.empty()) << verb.name;
+            EXPECT_TRUE(processCodes.count(ec.code) ||
+                        simErrorKindNameForExit(ec.code) != nullptr)
+                << verb.name << " documents unknown exit code "
+                << ec.code;
+        }
         EXPECT_TRUE(codes.count(0))
             << verb.name << ": no success code documented";
-        for (int code : codes) {
-            EXPECT_TRUE(processCodes.count(code) ||
-                        simErrorKindNameForExit(code) != nullptr)
-                << verb.name << " documents unknown exit code "
-                << code << " in '" << verb.exitCodes << "'";
-        }
     }
+}
+
+TEST(ExitCodes, AVerbExitingWithAnUnlistedCodeIsCaught)
+{
+    const harness::CliVerb &list = *harness::findCliVerb("list");
+    std::ostringstream err;
+    EXPECT_EQ(harness::runCliVerb(list, [] { return 2; }, err), 2);
+    EXPECT_EQ(err.str(), "");
+    // 7 is no code of `list`: an internal error, exit 3.
+    EXPECT_EQ(harness::runCliVerb(list, [] { return 7; }, err), 3);
+    EXPECT_EQ(err.str(),
+              "internal error: 'list' exited 7, which its registry "
+              "entry does not list (0 ok; 2 usage; 1 fatal; 3 "
+              "internal panic)\n");
+    // So is a typed error the entry does not list.
+    err.str("");
+    EXPECT_EQ(harness::runCliVerb(list,
+                                  []() -> int {
+                                      throw CheckpointError("t");
+                                  },
+                                  err),
+              3);
+    EXPECT_NE(err.str().find("exited 13"), std::string::npos);
+    // A panic is exit 3 in any verb, listed or not.
+    const harness::CliVerb &help = *harness::findCliVerb("help");
+    err.str("");
+    EXPECT_EQ(harness::runCliVerb(help,
+                                  []() -> int { throw PanicError("p"); },
+                                  err),
+              3);
+    EXPECT_EQ(err.str(), "");
 }

@@ -21,8 +21,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "config_points.hh"
 #include "cpu/core.hh"
 #include "harness/machine_config.hh"
 #include "harness/runner.hh"
@@ -38,6 +40,7 @@ using harness::MachineConfig;
 using harness::RunConfig;
 using harness::Runner;
 using harness::ThreadSpec;
+using namespace config_points;
 
 namespace
 {
@@ -67,12 +70,14 @@ smallRun(bool fast_forward, std::ostream *dump)
 
 /** Stats dump + encoded payload of a single-thread run. */
 std::string
-stGolden(const std::string &bench, std::uint64_t seed, bool ff)
+stGolden(const std::string &bench, std::uint64_t seed, bool ff,
+         double scale = 1.0,
+         const MachineConfig &mc = MachineConfig::benchDefault())
 {
     std::ostringstream os;
-    Runner runner(MachineConfig::benchDefault());
+    Runner runner(mc);
     auto r = runner.runSingleThread(ThreadSpec::benchmark(bench, seed),
-                                    smallRun(ff, &os));
+                                    smallRun(ff, &os).scaled(scale));
     return harness::encodeStPayload(r) + "\n" + os.str();
 }
 
@@ -83,10 +88,11 @@ stGolden(const std::string &bench, std::uint64_t seed, bool ff)
 std::string
 soeGolden(const std::string &bench_a, const std::string &bench_b,
           std::uint64_t seed_a, std::uint64_t seed_b, double f,
-          bool ff, double scale = 1.0)
+          bool ff, double scale = 1.0,
+          const MachineConfig &mc = MachineConfig::benchDefault())
 {
     std::ostringstream os;
-    Runner runner(MachineConfig::benchDefault());
+    Runner runner(mc);
     const std::vector<ThreadSpec> specs = {
         ThreadSpec::benchmark(bench_a, seed_a),
         ThreadSpec::benchmark(bench_b, seed_b)};
@@ -200,6 +206,53 @@ TEST(FastForward, SoeGoldenMissBoundPairOtherSeeds)
         EXPECT_EQ(on, off) << "enforcement level " << f;
     }
 }
+
+/**
+ * The differential form of the stall-counter contract: a counter
+ * bumped on every stalled cycle but not credited for the cycles
+ * fast-forward skips (creditSkippedCycles) reads less with
+ * fast-forward on, and the stats dumps differ. So every benchmark
+ * alone, and a few pairs at F = 0 and 1/2, must dump byte for byte
+ * the same with it on and off at each ConfigSweep machine point.
+ * Scaled down like SoeGoldenMissBoundPairOtherSeeds to fit the test
+ * time budget.
+ */
+class FastForwardDifferential : public ::testing::TestWithParam<ConfigPoint>
+{
+};
+
+TEST_P(FastForwardDifferential, EveryBenchmarkAlone)
+{
+    const MachineConfig mc = machineFor(GetParam());
+    for (const auto &bench : workload::spec::allNames()) {
+        const std::string on = stGolden(bench, 5, true, 0.1, mc);
+        ASSERT_FALSE(on.empty());
+        EXPECT_EQ(on, stGolden(bench, 5, false, 0.1, mc)) << bench;
+    }
+}
+
+TEST_P(FastForwardDifferential, PairsAtZeroAndHalf)
+{
+    const std::tuple<const char *, const char *, double> runs[] = {
+        {"mcf", "swim", 0.0},   {"mcf", "swim", 0.5},
+        {"vortex", "art", 0.0}, {"vortex", "art", 0.5},
+        {"apsi", "swim", 0.0},  {"apsi", "swim", 0.5},
+        // These two take forced switches at F = 1/2. At F = 0 they
+        // wait out whole cycle quotas, 0.4-0.7 s a run, so they run
+        // at F = 1/2 only.
+        {"gcc", "eon", 0.5},    {"mcf", "crafty", 0.5},
+    };
+    const MachineConfig mc = machineFor(GetParam());
+    for (const auto &[a, b, f] : runs) {
+        const std::string on = soeGolden(a, b, 5, 6, f, true, 0.1, mc);
+        ASSERT_FALSE(on.empty());
+        EXPECT_EQ(on, soeGolden(a, b, 5, 6, f, false, 0.1, mc))
+            << a << ":" << b << " F=" << f;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(MachineSpace, FastForwardDifferential,
+                         ::testing::ValuesIn(points()), pointName);
 
 TEST(FastForward, EngineActuallySkipsCycles)
 {

@@ -538,7 +538,6 @@ TEST(SweepCampaign, ConcurrentRunsOnOneJournalTakeTurns)
             code = agg.complete() && os ? 0 : 1;
         } catch (...) {
         }
-        // detlint: allow(ERR-001)
         _exit(code);
     }
     ::close(started[1]);
@@ -662,8 +661,7 @@ TEST(SweepCampaign, KilledSupervisorResumesFromItsJournal)
             } catch (...) {
             }
             // Reached only when the hook did not fire.
-            // detlint: allow(ERR-001)
-            _exit(1);
+                _exit(1);
         }
         int status = 0;
         ASSERT_EQ(waitpid(pid, &status, 0), pid);

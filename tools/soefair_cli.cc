@@ -52,10 +52,8 @@ runConfigFrom(const CliOptions &opts)
 {
     RunConfig rc = RunConfig::fromEnv();
     if (opts.hasOption("scale")) {
-        const double scale = opts.getDouble("scale", 1.0);
-        if (scale <= 0.0)
-            raiseError<InputError>("--scale must be positive, got ",
-                                   scale);
+        const double scale =
+            parseRunScale(opts.getString("scale", ""), "--scale");
         // --scale replaces SOEFAIR_SCALE: it scales the built-in run
         // lengths, not the environment's already scaled ones.
         const bool fastForward = rc.fastForward;
@@ -98,7 +96,24 @@ parseList(const CliOptions &opts, const std::string &name,
 }
 
 int
-cmdList()
+cmdHelp(const CliOptions &opts)
+{
+    if (opts.positional().size() > 1) {
+        const CliVerb *verb = findCliVerb(opts.positional()[1]);
+        if (!verb) {
+            std::cerr << "unknown command '" << opts.positional()[1]
+                      << "'\n";
+            return 2;
+        }
+        printCliVerbHelp(std::cout, *verb);
+    } else {
+        printCliHelp(std::cout);
+    }
+    return 0;
+}
+
+int
+cmdList(const CliOptions &)
 {
     std::cout << "Available benchmarks (SPEC CPU2000 stand-ins):\n";
     for (const auto &name : workload::spec::allNames())
@@ -107,7 +122,7 @@ cmdList()
 }
 
 int
-cmdMachine()
+cmdMachine(const CliOptions &)
 {
     // The machine run-st, run-soe and sweep simulate.
     MachineConfig::benchDefault().print(std::cout);
@@ -399,11 +414,30 @@ cmdAnalytic(const CliOptions &opts)
     return 0;
 }
 
+/** Each registered verb's body, in cliVerbs() order; main() checks
+ *  the two name lists against each other before dispatching. */
+const std::pair<const char *, int (*)(const CliOptions &)> verbBodies[] = {
+    {"help", cmdHelp},        {"list", cmdList},
+    {"machine", cmdMachine},  {"run-st", cmdRunSt},
+    {"run-soe", cmdRunSoe},   {"sweep", cmdSweep},
+    {"analytic", cmdAnalytic},
+};
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    const auto &verbs = cliVerbs();
+    if (!std::equal(std::begin(verbBodies), std::end(verbBodies),
+                    verbs.begin(), verbs.end(),
+                    [](const auto &body, const CliVerb &verb) {
+                        return verb.name == body.first;
+                    })) {
+        std::cerr << "internal error: the verb bodies and the verb "
+                     "registry name different verbs\n";
+        return 3;
+    }
     if (argc < 2)
         return usage();
 
@@ -433,45 +467,19 @@ main(int argc, char **argv)
         return usage();
     // Every option must be one the verb registers: a misspelt
     // option is a usage error, never a silently applied default.
-    if (const CliVerb *verb = findCliVerb(opts.positional()[0])) {
-        if (checkCliOptions(*verb, opts, std::cerr) != 0)
-            return 2;
-    }
-
-    // The failure-to-exit-code mapping lives in one shared place
-    // (harness::runWithExitCodeMapping) so tests can round-trip
-    // every SimError class through exactly the code path a
-    // scripted caller observes.
-    return harness::runWithExitCodeMapping([&]() -> int {
-        const std::string &cmd = opts.positional()[0];
-        if (cmd == "help") {
-            if (opts.positional().size() > 1) {
-                const CliVerb *verb =
-                    findCliVerb(opts.positional()[1]);
-                if (!verb) {
-                    std::cerr << "unknown command '"
-                              << opts.positional()[1] << "'\n";
-                    return 2;
-                }
-                printCliVerbHelp(std::cout, *verb);
-            } else {
-                printCliHelp(std::cout);
-            }
-            return 0;
-        }
-        if (cmd == "list")
-            return cmdList();
-        if (cmd == "machine")
-            return cmdMachine();
-        if (cmd == "run-st")
-            return cmdRunSt(opts);
-        if (cmd == "run-soe")
-            return cmdRunSoe(opts);
-        if (cmd == "sweep")
-            return cmdSweep(opts);
-        if (cmd == "analytic")
-            return cmdAnalytic(opts);
-        std::cerr << "unknown command '" << cmd << "'\n";
+    const CliVerb *verb = findCliVerb(opts.positional()[0]);
+    if (!verb) {
+        std::cerr << "unknown command '" << opts.positional()[0]
+                  << "'\n";
         return usage();
-    });
+    }
+    if (checkCliOptions(*verb, opts, std::cerr) != 0)
+        return 2;
+
+    // The failure-to-exit-code mapping and the check of the code
+    // against the verb's registry entry live in one shared place
+    // (harness::runCliVerb), so tests can round-trip every SimError
+    // class through exactly the code path a scripted caller observes.
+    const auto body = verbBodies[verb - verbs.data()].second;
+    return runCliVerb(*verb, [&] { return body(opts); }, std::cerr);
 }
